@@ -27,7 +27,7 @@ import numpy as np
 from .gridfn import StepFunction, TimeGrid, constant_control, l2_dist, nodal_sample
 from .lsmc import HYPERCUBE, VORONOI, BasisSpec
 from .optimizer import SolveConfig, SolveResult, solve, solve_vector
-from .paths import derive_seed, euler_simulate, gen_brownian, mean_state_integral
+from .paths import derive_seed
 from .problems import (
     EXAMPLE3_DELTA_ACTIVE,
     ProblemSpec,
@@ -89,6 +89,7 @@ class SweepConfig:
             raise ValueError("every N in N_list must be >= 2")
         if any(b >= a for a, b in zip(self.N_list[1:], self.N_list)):
             raise ValueError("N_list must be strictly increasing")
+        self.solve_config(self.seed)  # bad solver knobs fail at parse time, not per N
 
     def basis(self) -> BasisSpec:
         return BasisSpec(
@@ -309,13 +310,13 @@ def run_sweep(
 
     for N in cfg.N_list:
         try:
-            results, comp_seeds = _solve_one_n(cfg, prob, components, N)
+            results = _solve_one_n(cfg, prob, components, N)
         except Exception as exc:  # per-N hard failure: record, keep sweeping
             for report in reports:
                 report.rows.append(RunRow(N=N, failure=f"{type(exc).__name__}: {exc}"))
             continue
         for k, (comp, res) in enumerate(zip(components, results)):
-            reports[k].rows.append(_row_for(cfg, comp, res, comp_seeds[k], N))
+            reports[k].rows.append(_row_for(comp, res, N))
             controls[(k, N)] = res.u_final
 
     _fill_self_convergence(cfg, components, reports, controls)
@@ -332,7 +333,7 @@ def _solve_one_n(
     prob: Union[ProblemSpec, VectorProblem],
     components: tuple[ProblemSpec, ...],
     N: int,
-) -> tuple[list[SolveResult], list[int]]:
+) -> list[SolveResult]:
     """Run the configured solve at one grid size; the per-N seed is derived
     deterministically from the base seed."""
     seed_n = derive_seed(cfg.seed, N)
@@ -340,27 +341,20 @@ def _solve_one_n(
     u0 = constant_control(grid, cfg.u0)
     solve_cfg = cfg.solve_config(seed_n)
     if isinstance(prob, VectorProblem):
-        results = solve_vector(prob, solve_cfg, u0)
-        comp_seeds = [derive_seed(seed_n, k) for k in range(len(components))]
-    else:
-        results = [solve(prob, solve_cfg, u0)]
-        comp_seeds = [seed_n]
-    return results, comp_seeds
+        return solve_vector(prob, solve_cfg, u0)
+    return [solve(prob, solve_cfg, u0)]
 
 
-def _row_for(
-    cfg: SweepConfig, comp: ProblemSpec, res: SolveResult, seed: int, N: int
-) -> RunRow:
-    """Assemble one report row, re-simulating the final control for the
-    state-integral column on the same seeded ensemble the solve used."""
+def _row_for(comp: ProblemSpec, res: SolveResult, N: int) -> RunRow:
+    """Assemble one report row; the state-integral column is the solve's own
+    integral of its final control on its ensemble."""
     row = RunRow(
         N=N,
+        state_integral=res.state_integral,
         iterations=res.iterations,
         wall_time_s=res.wall_time,
         converged=res.converged,
     )
-    bw = gen_brownian(seed, cfg.L, res.u_final.grid, cfg.normalize_increments)
-    row.state_integral = mean_state_integral(euler_simulate(comp, res.u_final, bw))
     if comp.exact is not None and comp.exact.u_star is not None:
         row.control_error = l2_dist(
             res.u_final, nodal_sample(comp.exact.u_star, res.u_final.grid)
@@ -502,9 +496,6 @@ def run_single(
     n = (cfg.N if cfg.N is not None else cfg.N_list[0]) if N is None else N
     prob = build_problem(cfg) if problem is None else problem
     components = prob.components if isinstance(prob, VectorProblem) else (prob,)
-    results, comp_seeds = _solve_one_n(cfg, prob, components, n)
-    rows = [
-        _row_for(cfg, comp, res, seed, n)
-        for comp, res, seed in zip(components, results, comp_seeds)
-    ]
+    results = _solve_one_n(cfg, prob, components, n)
+    rows = [_row_for(comp, res, n) for comp, res in zip(components, results)]
     return results, rows

@@ -13,7 +13,7 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero if any per-N solve fails hard",
+        help="exit nonzero if any per-N solve fails hard or does not converge",
     )
 
 
@@ -42,7 +42,8 @@ def _cmd_solve(args) -> int:
             print(f"  control error  = {row.control_error:.6g}")
         if row.multiplier_error is not None:
             print(f"  multiplier err = {row.multiplier_error:.6g}")
-    return 0
+    not_converged = any(not res.converged for res in results)
+    return 1 if (not_converged and args.strict) else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -57,6 +58,9 @@ def _cmd_sweep(args) -> int:
             if row.failure is not None:
                 failed = True
                 print(f"# N={row.N} FAILED: {row.failure}")
+            elif row.converged is False:
+                failed = True
+                print(f"# N={row.N} NOT converged in {row.iterations} iterations")
     if args.plot:
         _emit_plots(cfg, reports)
     return 1 if (failed and args.strict) else 0

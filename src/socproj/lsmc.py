@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid
-from .paths import BrownianEnsemble, PathEnsemble
+from .paths import BrownianEnsemble, PathEnsemble, SimulationError
 from .problems import ProblemSpec
 
 HYPERCUBE = "hypercube"
@@ -208,7 +208,7 @@ def _solve_backward(
         )
         target_p = p_next + f * dt
         if not np.all(np.isfinite(target_p)):
-            raise RuntimeError(f"non-finite regression target at step {n}")
+            raise SimulationError(f"non-finite regression target at step {n}")
         p_coef, p_fit = regress(part_p, yn, target_p)
 
         p[:, n] = p_fit

@@ -21,7 +21,7 @@ this restoration is exact in floating point whenever sigma_y = 0.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class SolveConfig:
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.L < 1:
-            raise ValueError("L must be >= 1")
+            raise ValueError(f"L must be >= 1, got {self.L}")
         if self.rho_schedule not in (RHO_CONSTANT, RHO_HARMONIC):
             raise ValueError(f"unknown rho schedule {self.rho_schedule!r}")
 
@@ -85,12 +85,16 @@ class IterationState:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
+    """Outcome of one solve; ``state_integral`` is the mean-state integral of
+    ``u_final`` on the solve's own ensemble."""
+
     u_final: StepFunction
     mu_final: float
     iterations: int
     history: list[IterationState]
     converged: bool
     wall_time: float
+    state_integral: float
 
 
 def gradient(
@@ -179,6 +183,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
             converged = True
             break
 
+    state_integral = mean_state_integral(euler_simulate(problem, u, bw))
     return SolveResult(
         u_final=u,
         mu_final=mu,
@@ -186,6 +191,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
         history=history,
         converged=converged,
         wall_time=time.perf_counter() - start,
+        state_integral=state_integral,
     )
 
 
@@ -194,17 +200,7 @@ def solve_vector(
 ) -> list[SolveResult]:
     """Solve each decoupled component independently; component k gets the
     child seed derive_seed(config.seed, k)."""
-    results = []
-    for k, comp in enumerate(vp.components):
-        comp_config = SolveConfig(
-            rho=config.rho,
-            eps0=config.eps0,
-            L=config.L,
-            basis=config.basis,
-            seed=derive_seed(config.seed, k),
-            rho_schedule=config.rho_schedule,
-            max_iters=config.max_iters,
-            normalize_increments=config.normalize_increments,
-        )
-        results.append(solve(comp, comp_config, u0))
-    return results
+    return [
+        solve(comp, replace(config, seed=derive_seed(config.seed, k)), u0)
+        for k, comp in enumerate(vp.components)
+    ]

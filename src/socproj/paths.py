@@ -2,11 +2,12 @@
 
 Increments are drawn with counter-based Philox substreams, one per path, so
 path lambda is filled from its own stream regardless of how many other paths
-exist.  By default the ensemble is then moment-normalized per time step
-(sample mean exactly 0, sample variance exactly dt across paths).  The
-normalization is what makes the mean-state recursion, and with it the
-multiplier's feasibility restoration, exact in floating point whenever the
-diffusion does not depend on the state; it can be disabled per ensemble.
+exist; one generator serves all paths by resetting its counter.  By default
+the ensemble is then moment-normalized per time step (sample mean exactly 0,
+sample variance exactly dt across paths).  The normalization is what makes
+the mean-state recursion, and with it the multiplier's feasibility
+restoration, exact in floating point whenever the diffusion does not depend
+on the state; it can be disabled per ensemble.
 
 One ensemble is generated per solve and reused for every iteration, so
 control perturbations propagate through identical noise (common random
@@ -81,11 +82,23 @@ class PathEnsemble:
 
 
 def _substream_normals(seed: int, L: int, N: int) -> np.ndarray:
+    """Row lambda holds N standard normals from the Philox stream keyed by
+    ``seed`` with its counter at lambda * _PATH_STRIDE.
+
+    One bit generator serves every path: Philox output depends only on (key,
+    counter), so resetting the counter and emptying the output buffer before
+    each path gives exactly the stream a fresh ``Philox(key=seed)`` advanced
+    by lambda * _PATH_STRIDE would produce.
+    """
+    bg = np.random.Philox(key=seed)
+    gen = np.random.Generator(bg)
+    state = bg.state  # fresh: empty buffer (buffer_pos 4), no cached uint32
+    counter = state["state"]["counter"]
     out = np.empty((L, N))
     for lam in range(L):
-        bg = np.random.Philox(key=seed)
-        bg.advance(lam * _PATH_STRIDE)
-        out[lam] = np.random.Generator(bg).standard_normal(N)
+        counter[0] = lam * _PATH_STRIDE
+        bg.state = state
+        gen.standard_normal(out=out[lam])
     return out
 
 

@@ -135,6 +135,16 @@ output.formats = csv, json
         with pytest.raises(ValueError):
             SweepConfig(problem="example2", N_list=[])
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("L = 0", "L must be >= 1, got 0"), ("rho = 0", "rho must be positive")],
+    )
+    def test_bad_solver_knob_rejected_at_parse_time(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = example2\nN_list = 8\n{line}\n")
+        with pytest.raises(ValueError, match=message):
+            parse_config(str(path))
+
     def test_build_problem_dispatch(self):
         assert build_problem(SweepConfig(problem="example2", N_list=[8])).name == "example2"
         vp = build_problem(SweepConfig(problem="example1", N_list=[8], d=3))
@@ -280,7 +290,7 @@ class TestRunSingleAndCli:
         results, rows = run_single(cfg)
         assert len(results) == 1 and len(rows) == 1
         assert rows[0].N == 8
-        assert rows[0].state_integral is not None
+        assert rows[0].state_integral == results[0].state_integral
 
     def test_cli_list_problems(self, capsys):
         assert cli.main(["list-problems"]) == 0
@@ -314,3 +324,16 @@ class TestRunSingleAndCli:
         assert cli.main(["sweep", "--config", str(cfg_path), "--strict"]) == 1
         assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
         capsys.readouterr()
+
+    def test_cli_strict_fails_on_nonconverged_row(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "problem = example2\nN_list = 4\nL = 50\nmax_iters = 1\n"
+            f"eps0 = 1e-12\nseed = 1\nbasis.K = 4\noutput.dir = {tmp_path}\n"
+        )
+        for cmd in ("sweep", "solve"):
+            assert cli.main([cmd, "--config", str(cfg_path)]) == 0
+            assert cli.main([cmd, "--config", str(cfg_path), "--strict"]) == 1
+        out = capsys.readouterr().out
+        assert "# N=4 NOT converged in 1 iterations" in out
+        assert "FAILED" not in out

@@ -15,7 +15,7 @@ from socproj.lsmc import (
     solve_bsde_full,
     solve_bsde_hat,
 )
-from socproj.paths import euler_simulate, gen_brownian
+from socproj.paths import SimulationError, euler_simulate, gen_brownian
 from socproj.problems import (
     CostDerivatives,
     Diffusion,
@@ -283,5 +283,5 @@ class TestBackwardSolver:
             delta=1e9,
         )
         grid, u, bw, ens = self._inputs(bad)
-        with pytest.raises(RuntimeError):
+        with pytest.raises(SimulationError):
             solve_bsde_hat(ens, bw, bad, u, BasisSpec(HYPERCUBE, 4))

@@ -239,6 +239,24 @@ class TestSolve:
         assert [s.error for s in a.history] == [s.error for s in b.history]
         assert [s.I_hat for s in a.history] == [s.I_hat for s in b.history]
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_state_integral_is_final_control_on_own_ensemble(self, normalize):
+        prob = example3(alpha=0.1, delta=1.0)
+        grid = TimeGrid(1.0, 8)
+        cfg = SolveConfig(
+            rho=0.1,
+            eps0=1e-4,
+            L=300,
+            basis=BasisSpec("voronoi", 8),
+            seed=21,
+            normalize_increments=normalize,
+        )
+        res = solve(prob, cfg, zero_control(grid))
+        bw = gen_brownian(cfg.seed, cfg.L, grid, normalize=normalize)
+        assert res.state_integral == mean_state_integral(
+            euler_simulate(prob, res.u_final, bw)
+        )
+
     def test_one_update_is_nonexpansive_when_affine(self):
         # with no cost couplings the update map is affine with factor 1 - rho
         prob = contraction_problem()
@@ -344,6 +362,39 @@ class TestSolveVector:
             errs.append(float(np.sqrt(grid.dt * np.sum((res.u_final.values - star) ** 2))))
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[0] / errs[2] == pytest.approx(3.0, rel=0.2)
+
+    def test_state_integral_per_component(self):
+        vp = example1(d=3, mu=0.3, alpha=0.1)
+        grid = TimeGrid(1.0, 8)
+        cfg = SolveConfig(
+            rho=0.5, eps0=5e-4, L=500, basis=BasisSpec("voronoi", 8), seed=17
+        )
+        results = solve_vector(vp, cfg, zero_control(grid))
+        for k, (comp, res) in enumerate(zip(vp.components, results)):
+            bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
+            assert res.state_integral == mean_state_integral(
+                euler_simulate(comp, res.u_final, bw)
+            )
+
+    def test_components_inherit_every_non_seed_knob(self):
+        vp = example1(d=2, mu=0.3, alpha=0.1)
+        grid = TimeGrid(1.0, 6)
+        knobs = dict(
+            rho=0.3,
+            eps0=1e-9,
+            L=200,
+            basis=BasisSpec("hypercube", 6, K_tilde=3),
+            rho_schedule="harmonic",
+            max_iters=4,
+            normalize_increments=False,
+        )
+        results = solve_vector(vp, SolveConfig(seed=5, **knobs), zero_control(grid))
+        for k, (comp, res) in enumerate(zip(vp.components, results)):
+            ref = solve(comp, SolveConfig(seed=derive_seed(5, k), **knobs), zero_control(grid))
+            assert res.iterations == ref.iterations == 4
+            np.testing.assert_array_equal(res.u_final.values, ref.u_final.values)
+            assert res.mu_final == ref.mu_final
+            assert res.state_integral == ref.state_integral
 
     def test_feasibility_all_components(self):
         vp = example1(d=2, mu=0.3, alpha=0.1)

@@ -7,6 +7,7 @@ import pytest
 
 from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample, zero_control
 from socproj.paths import (
+    _PATH_STRIDE,
     SimulationError,
     derive_seed,
     dump_paths,
@@ -52,7 +53,33 @@ def _deterministic_problem(b_y=0.0, b_u=1.0, m=0.0, sigma=0.0, y0=0.0):
     )
 
 
+def _reference_brownian(seed, L, grid, normalize):
+    """gen_brownian built the direct way: a fresh Philox per path, advanced
+    to that path's substream, feeding a fresh Generator."""
+    z = np.empty((L, grid.N))
+    for lam in range(L):
+        bg = np.random.Philox(key=seed)
+        bg.advance(lam * _PATH_STRIDE)
+        z[lam] = np.random.Generator(bg).standard_normal(grid.N)
+    dw = z * np.sqrt(grid.dt)
+    if normalize and L >= 2:
+        dw = dw - dw.mean(axis=0)
+        scale = np.sqrt(np.mean(dw * dw, axis=0))
+        dw = dw * (np.sqrt(grid.dt) / scale)
+    return dw
+
+
 class TestGenBrownian:
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
+    def test_matches_fresh_generator_per_path(self, seed, normalize):
+        for L in (1, 2, 7, 2000):
+            for N in (2, 40):
+                grid = TimeGrid(1.0, N)
+                bw = gen_brownian(seed, L, grid, normalize=normalize)
+                ref = _reference_brownian(seed, L, grid, normalize)
+                assert np.array_equal(bw.increments, ref), (L, N)
+
     def test_same_seed_reproduces_bitwise(self):
         grid = TimeGrid(1.0, 8)
         a = gen_brownian(42, 100, grid)
