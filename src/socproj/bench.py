@@ -8,7 +8,8 @@ control sampled at the left grid nodes, which is the discrete error the
 benchmark tables track (the continuous L2 distance to the reference is
 available separately via ``gridfn.l2_dist_to_function``).
 
-Config files are flat ``key = value`` text (see ``CONFIG_KEYS``); reports are
+Config files are flat ``key = value`` text (see ``CONFIG_KEYS``; a key the
+chosen problem would ignore, see ``IGNORED_KEYS``, is an error); reports are
 CSV with the fixed header ``N,control_error,control_rate,multiplier_error,
 multiplier_rate,state_integral,iterations,wall_time_s`` plus a JSON mirror and
 per-N control-trajectory files for plotting.
@@ -163,6 +164,14 @@ CONFIG_KEYS = {
 }
 
 
+#: problem -> config keys its built-in ignores; setting one is an error
+IGNORED_KEYS = {
+    "example1": ("delta",),
+    "example2": ("delta", "d"),
+    "example3": ("d",),
+}
+
+
 def parse_config(path: str) -> SweepConfig:
     """Read a flat ``key = value`` UTF-8 file; '#' starts a comment."""
     raw: dict[str, str] = {}
@@ -181,6 +190,11 @@ def parse_config(path: str) -> SweepConfig:
         raise ValueError(f"{path}: missing required key 'problem'")
     if "N_list" not in raw and "N" not in raw:
         raise ValueError(f"{path}: need N_list (or N)")
+    for key in IGNORED_KEYS.get(raw["problem"], ()):
+        if key in raw:
+            raise ValueError(
+                f"{path}: key {key!r} does not apply to problem {raw['problem']}"
+            )
     kwargs = {}
     for key, value in raw.items():
         attr, parser = CONFIG_KEYS[key]

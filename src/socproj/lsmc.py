@@ -6,6 +6,13 @@ least squares reduces to per-cell sample means: the minimizer of
 (1/L) sum (z_l - sum_k a_k 1_{cell k}(x_l))^2 assigns every occupied cell the
 mean of its targets and every empty cell zero.
 
+A Voronoi partition costs one argsort of the step's samples: its K quantiles
+are read off the sorted column with the same arithmetic as
+``np.quantile(method="linear")``, so they match it bit for bit, and every
+sample's cell comes from rank cuts in that sorted column.  ``_solve_backward``
+asks ``build_partition`` for that cell array and hands it to both regressions
+of the step when the P- and Q-regressions share a partition.
+
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
 p_{n+1} + f(t_n, y_n, p_{n+1}, Q_n(y_n), u_n) dt, where p_{n+1} are the
@@ -69,8 +76,12 @@ class Partition:
 
     Hypercube partitions carry (lo, hi) and split the range into n_cells
     equal cells, the last one closed on the right; Voronoi partitions carry
-    sorted centers and assign by nearest center with ties to the lower index.
-    A degenerate sample (all values equal) collapses to a single cell.
+    sorted centers (the unique ``np.quantile(method="linear")`` values, bit
+    for bit, read from one sort of the step's samples) and assign by nearest
+    center with ties to the lower index.  A degenerate sample (all values
+    equal) collapses to a single cell.  No per-sample array is kept: the cells
+    of the samples a partition was built from are handed out by
+    ``build_partition`` and live only for that step.
     """
 
     step: int
@@ -90,16 +101,48 @@ class Partition:
         return np.searchsorted(self.boundaries, y, side="left").astype(np.intp)
 
 
+def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``np.quantile(samples, q)`` read off the sorted samples, bit for bit.
+
+    The operations of numpy's ``linear`` method in its order: virtual index
+    (n-1)*q, its floor and the next index (both pinned to the last sample
+    when the virtual index reaches n-1), then its lerp, which subtracts from
+    the right neighbour where the weight is at least 1/2.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * q
+    below = np.floor(virtual)
+    above = below + 1
+    at_top = virtual >= n - 1
+    below[at_top] = -1
+    above[at_top] = -1
+    below = below.astype(np.intp)
+    above = above.astype(np.intp)
+    gamma = virtual - below
+    a, b = ordered[below], ordered[above]
+    diff_b_a = b - a
+    out = a + diff_b_a * gamma
+    np.subtract(b, diff_b_a * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 def build_partition(
     samples: np.ndarray,
     spec: BasisSpec,
     which: str = "P",
     step: int = 0,
     dt: Optional[float] = None,
+    cells: Optional[np.ndarray] = None,
 ) -> Partition:
     """Build the step's partition from the sampled states.
 
-    ``which`` selects the cell budget ("P" uses K, "Q" uses K_tilde).
+    ``which`` selects the cell budget ("P" uses K, "Q" uses K_tilde).  A
+    Voronoi partition takes its centers from one argsort of the samples (the
+    quantiles equal ``np.quantile(method="linear")`` bit for bit).  If
+    ``cells`` is given, an intp array of len(samples), it is filled with each
+    sample's cell, equal to ``part.assign(samples)``: a Voronoi step takes it
+    from rank cuts in the same sorted column, a hypercube step from one pass
+    of its floor rule.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
@@ -107,18 +150,44 @@ def build_partition(
     k = spec.K if which == "P" else spec.k_for_q
     lo, hi = float(samples.min()), float(samples.max())
     if hi == lo:
-        return Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
-    if spec.tau_rule:
-        if dt is None:
-            raise ValueError("tau_rule sizing needs the time step dt")
-        k = max(1, math.ceil((hi - lo) / dt**1.5))
-    if spec.kind == HYPERCUBE:
-        return Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
-    qs = np.quantile(samples, np.arange(1, k + 1) / (k + 1))
-    centers = np.unique(qs)
+        part = Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
+    else:
+        if spec.tau_rule:
+            if dt is None:
+                raise ValueError("tau_rule sizing needs the time step dt")
+            k = max(1, math.ceil((hi - lo) / dt**1.5))
+        if spec.kind == VORONOI:
+            return _voronoi_partition(samples, k, step, lo, hi, cells)
+        part = Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
+    if cells is not None:
+        cells[:] = part.assign(samples)
+    return part
+
+
+def _voronoi_partition(
+    samples: np.ndarray,
+    k: int,
+    step: int,
+    lo: float,
+    hi: float,
+    cells: Optional[np.ndarray],
+) -> Partition:
+    """Cells around the k quantiles, all read from one argsort of the samples."""
+    order = np.argsort(samples)
+    ordered = samples[order]
+    centers = np.unique(_linear_quantiles(ordered, np.arange(1, k + 1) / (k + 1)))
     if len(centers) == 1:
+        if cells is not None:
+            cells[:] = 0
         return Partition(step=step, kind=VORONOI, n_cells=1, lo=lo, hi=hi)
     boundaries = 0.5 * (centers[:-1] + centers[1:])
+    if cells is not None:
+        # A sample's cell is the number of boundaries below it, so cell c
+        # holds the sorted ranks cuts[c] .. cuts[c+1]-1.
+        cuts = np.empty(len(centers) + 1, dtype=np.intp)
+        cuts[0], cuts[-1] = 0, len(ordered)
+        cuts[1:-1] = np.searchsorted(ordered, boundaries, side="right")
+        cells[order] = np.repeat(np.arange(len(centers)), np.diff(cuts))
     return Partition(
         step=step,
         kind=VORONOI,
@@ -131,13 +200,18 @@ def build_partition(
 
 
 def regress(
-    partition: Partition, x: np.ndarray, z: np.ndarray
+    partition: Partition,
+    x: np.ndarray,
+    z: np.ndarray,
+    cells: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell means of z grouped by the cell of x.
 
+    ``cells``, if given, must equal ``partition.assign(x)`` (as filled in by
+    ``build_partition``) and is used instead of assigning again.
     Returns (coefficients, fitted values); empty cells get coefficient 0.
     """
-    idx = partition.assign(np.asarray(x, dtype=float))
+    idx = partition.assign(np.asarray(x, dtype=float)) if cells is None else cells
     z = np.asarray(z, dtype=float)
     counts = np.bincount(idx, minlength=partition.n_cells)
     sums = np.bincount(idx, weights=z, minlength=partition.n_cells)
@@ -184,12 +258,19 @@ def _solve_backward(
     coefficients: list[tuple[np.ndarray, np.ndarray]] = [None] * N  # type: ignore[list-item]
 
     shared = spec.K_tilde is None or spec.K_tilde == spec.K
+    # Each step's cells, overwritten by the next step; never kept on a Partition.
+    cells_p = np.empty(L, dtype=np.intp)
+    cells_q = cells_p if shared else np.empty(L, dtype=np.intp)
     for n in range(N - 1, -1, -1):
         yn = y[:, n]
         tn = float(grid.nodes[n])
         un = float(control.values[n])
-        part_p = build_partition(yn, spec, "P", step=n, dt=dt)
-        part_q = part_p if shared else build_partition(yn, spec, "Q", step=n, dt=dt)
+        part_p = build_partition(yn, spec, "P", step=n, dt=dt, cells=cells_p)
+        part_q = (
+            part_p
+            if shared
+            else build_partition(yn, spec, "Q", step=n, dt=dt, cells=cells_q)
+        )
 
         p_next = p[:, n + 1]
         if psi is None:
@@ -198,7 +279,7 @@ def _solve_backward(
             # E[dW * mu*psi_{n+1} | F_n] = 0 exactly (deterministic factor),
             # so only the random component of p_{n+1} is regressed.
             target_q = dw[:, n] * (p_next - mu * psi[n + 1]) / dt
-        q_coef, q_fit = regress(part_q, yn, target_q)
+        q_coef, q_fit = regress(part_q, yn, target_q, cells=cells_q)
 
         f = (
             costs.h_y(tn, yn)
@@ -209,7 +290,7 @@ def _solve_backward(
         target_p = p_next + f * dt
         if not np.all(np.isfinite(target_p)):
             raise SimulationError(f"non-finite regression target at step {n}")
-        p_coef, p_fit = regress(part_p, yn, target_p)
+        p_coef, p_fit = regress(part_p, yn, target_p, cells=cells_p)
 
         p[:, n] = p_fit
         q[:, n] = q_fit

@@ -1,6 +1,10 @@
 """Harness tests: rates, order fits, config parsing, reports, CLI."""
 
+import glob
+import importlib.util
 import json
+import os
+import sys
 
 import pytest
 
@@ -21,6 +25,8 @@ from socproj.bench import (
 )
 from socproj.problems import VectorProblem
 from tests.test_optimizer import contraction_problem
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Published convergence table for the quantile-cell basis (control column).
 TABLE_VP_CONTROL = [
@@ -144,6 +150,35 @@ output.formats = csv, json
         path.write_text(f"problem = example2\nN_list = 8\n{line}\n")
         with pytest.raises(ValueError, match=message):
             parse_config(str(path))
+
+    @pytest.mark.parametrize(
+        "problem, key",
+        [("example1", "delta"), ("example2", "delta"), ("example2", "d"), ("example3", "d")],
+    )
+    def test_key_the_problem_ignores_rejected(self, tmp_path, problem, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = {problem}\nN_list = 8\n{key} = 2\n")
+        with pytest.raises(ValueError, match=f"'{key}' does not apply to problem {problem}"):
+            parse_config(str(path))
+
+    def test_shipped_configs_parse(self):
+        paths = sorted(glob.glob(os.path.join(REPO_ROOT, "configs", "*.cfg")))
+        assert len(paths) == 4
+        for path in paths:
+            build_problem(parse_config(path))
+
+    def test_benchmark_configs_parse(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_run", os.path.join(REPO_ROOT, "perfbench", "run.py")
+        )
+        run = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+        spec.loader.exec_module(run)
+        assert len(run.WORKLOADS) == 3
+        for workload in run.WORKLOADS:
+            path = str(tmp_path / f"{workload}.cfg")
+            run.write_config(workload, 7, str(tmp_path / workload), path)
+            build_problem(parse_config(path))
 
     def test_build_problem_dispatch(self):
         assert build_problem(SweepConfig(problem="example2", N_list=[8])).name == "example2"
