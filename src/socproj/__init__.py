@@ -2,6 +2,8 @@
 mean state must satisfy an expected integral constraint, with a least-squares
 Monte Carlo adjoint solver and a convergence benchmark harness."""
 
+__version__ = "0.1.0"
+
 from .bench import (
     RunReport,
     RunRow,
@@ -15,8 +17,6 @@ from .bench import (
 )
 from .detode import (
     KernelSolution,
-    analytic_psi_constant,
-    check_kernel_identity,
     solve_kernels,
     solve_psi,
     solve_varphi_tilde,
@@ -26,8 +26,6 @@ from .gridfn import (
     TimeGrid,
     constant_control,
     l2_dist,
-    l2_dist_to_function,
-    l2_project,
     linf_dist,
     nodal_sample,
     trapezoid,
@@ -59,7 +57,6 @@ from .paths import (
     PathEnsemble,
     SimulationError,
     derive_seed,
-    dump_paths,
     euler_simulate,
     gen_brownian,
     mean_state_integral,
@@ -71,9 +68,11 @@ from .problems import (
     CostDerivatives,
     Diffusion,
     ExactSolution,
+    GridProblem,
     LinearDrift,
     ProblemSpec,
     VectorProblem,
+    discretize,
     example1,
     example2,
     example3,
@@ -92,8 +91,6 @@ __all__ = [
     "run_sweep",
     # detode
     "KernelSolution",
-    "analytic_psi_constant",
-    "check_kernel_identity",
     "solve_kernels",
     "solve_psi",
     "solve_varphi_tilde",
@@ -102,8 +99,6 @@ __all__ = [
     "TimeGrid",
     "constant_control",
     "l2_dist",
-    "l2_dist_to_function",
-    "l2_project",
     "linf_dist",
     "nodal_sample",
     "trapezoid",
@@ -132,7 +127,6 @@ __all__ = [
     "PathEnsemble",
     "SimulationError",
     "derive_seed",
-    "dump_paths",
     "euler_simulate",
     "gen_brownian",
     "mean_state_integral",
@@ -143,11 +137,12 @@ __all__ = [
     "CostDerivatives",
     "Diffusion",
     "ExactSolution",
+    "GridProblem",
     "LinearDrift",
     "ProblemSpec",
     "VectorProblem",
+    "discretize",
     "example1",
     "example2",
     "example3",
 ]
-__version__ = "0.1.0"

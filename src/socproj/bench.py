@@ -5,14 +5,13 @@ multiplier errors against the problem's reference solution where one exists,
 and emits one report per problem component.  The control-error column is the
 L2 norm of the difference between the computed step control and the reference
 control sampled at the left grid nodes, which is the discrete error the
-benchmark tables track (the continuous L2 distance to the reference is
-available separately via ``gridfn.l2_dist_to_function``).
+benchmark tables track.
 
 Config files are flat ``key = value`` text (see ``CONFIG_KEYS``; a key the
 chosen problem would ignore, see ``IGNORED_KEYS``, is an error); reports are
-CSV with the fixed header ``N,control_error,control_rate,multiplier_error,
-multiplier_rate,state_integral,iterations,wall_time_s`` plus a JSON mirror and
-per-N control-trajectory files for plotting.
+CSV with the fixed columns ``CSV_COLUMNS`` plus a JSON mirror, whose metadata
+holds the whole ``SweepConfig``, and per-N control-trajectory files for
+plotting.
 """
 
 from __future__ import annotations
@@ -20,11 +19,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
+from . import __version__
 from .gridfn import StepFunction, TimeGrid, constant_control, l2_dist, nodal_sample
 from .lsmc import HYPERCUBE, VORONOI, BasisSpec
 from .optimizer import SolveConfig, SolveResult, solve, solve_vector
@@ -38,10 +38,17 @@ from .problems import (
     example3,
 )
 
-CSV_HEADER = (
-    "N,control_error,control_rate,multiplier_error,multiplier_rate,"
-    "state_integral,iterations,wall_time_s"
+CSV_COLUMNS = (
+    "N",
+    "control_error",
+    "control_rate",
+    "multiplier_error",
+    "multiplier_rate",
+    "state_integral",
+    "iterations",
+    "wall_time_s",
 )
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 PROBLEM_IDS = ("example1", "example2", "example3")
 
@@ -101,16 +108,12 @@ class SweepConfig:
         )
 
     def solve_config(self, seed: int) -> SolveConfig:
-        return SolveConfig(
-            rho=self.rho,
-            eps0=self.eps0,
-            L=self.L,
-            basis=self.basis(),
-            seed=seed,
-            rho_schedule=self.rho_schedule,
-            max_iters=self.max_iters,
-            normalize_increments=self.normalize_increments,
-        )
+        """SolveConfig from the fields of the same name, the basis and ``seed``."""
+        own = {f.name for f in fields(self)}
+        shared = {
+            f.name: getattr(self, f.name) for f in fields(SolveConfig) if f.name in own
+        }
+        return SolveConfig(**{**shared, "basis": self.basis(), "seed": seed})
 
 
 def _parse_bool(s: str) -> bool:
@@ -167,7 +170,7 @@ CONFIG_KEYS = {
 #: problem -> config keys its built-in ignores; setting one is an error
 IGNORED_KEYS = {
     "example1": ("delta",),
-    "example2": ("delta", "d"),
+    "example2": ("delta", "d", "mu_star"),
     "example3": ("d",),
 }
 
@@ -295,26 +298,14 @@ def run_sweep(
     failures are recorded in the row and the sweep continues.
     """
     prob = build_problem(cfg) if problem is None else problem
-    components: tuple[ProblemSpec, ...]
-    if isinstance(prob, VectorProblem):
-        components = prob.components
-    else:
-        components = (prob,)
+    components = prob.components if isinstance(prob, VectorProblem) else (prob,)
 
+    # "delta" is each component's constraint level, not the config key.
     meta = {
-        "problem": cfg.problem,
-        "seed": cfg.seed,
-        "L": cfg.L,
-        "rho": cfg.rho,
-        "rho_schedule": cfg.rho_schedule,
-        "eps0": cfg.eps0,
-        "max_iters": cfg.max_iters,
-        "basis_kind": cfg.basis_kind,
-        "basis_K": cfg.basis_K,
-        "alpha": cfg.alpha,
-        "u0": cfg.u0,
-        "normalize_increments": cfg.normalize_increments,
+        **asdict(cfg),
         "delta": [c.delta for c in components],
+        "socproj_version": __version__,
+        "numpy_version": np.__version__,
     }
     reports = [
         RunReport(problem=cfg.problem, component=k + 1, metadata=dict(meta))
@@ -419,22 +410,10 @@ def _fmt_cell(name: str, value) -> str:
 
 
 def report_csv_lines(report: RunReport) -> list[str]:
-    lines = [CSV_HEADER]
-    for row in report.rows:
-        cells = [str(row.N)] + [
-            _fmt_cell(name, getattr(row, name))
-            for name in (
-                "control_error",
-                "control_rate",
-                "multiplier_error",
-                "multiplier_rate",
-                "state_integral",
-                "iterations",
-                "wall_time_s",
-            )
-        ]
-        lines.append(",".join(cells))
-    return lines
+    return [CSV_HEADER] + [
+        ",".join(_fmt_cell(name, getattr(row, name)) for name in CSV_COLUMNS)
+        for row in report.rows
+    ]
 
 
 def _report_stem(cfg: SweepConfig, component: int, n_components: int) -> str:
@@ -464,9 +443,7 @@ def write_outputs(cfg, components, reports, controls) -> list[str]:
             "components": [
                 {
                     "component": report.component,
-                    "rows": [
-                        {k: v for k, v in vars(row).items()} for row in report.rows
-                    ],
+                    "rows": [asdict(row) for row in report.rows],
                 }
                 for report in reports
             ],

@@ -1,14 +1,15 @@
 """Deterministic kernel ODEs of the projection step.
 
-Two scalar recursions drive the multiplier construction:
+Two scalar recursions drive the multiplier construction, on the left-node
+coefficient arrays b_y[n] = b_y(t_n) of ``problems.discretize``:
 
 * the backward kernel ``psi`` with psi_N = 0 and
-  psi_n = psi_{n+1} + (1 + psi_{n+1} * b_y(t_n)) * dt,
+  psi_n = psi_{n+1} + (1 + psi_{n+1} * b_y[n]) * dt,
   where the coefficient is deliberately taken at the *left* node t_n -- this
   is what keeps the discrete adjoint shift identity p = p_hat + mu*psi exact;
 * the forward response kernel ``varphi_tilde`` with varphi_tilde_0 = 0 and
   varphi_tilde_{n+1} = varphi_tilde_n
-                       + (b_y(t_n) * varphi_tilde_n + b_u(t_n)^2 * psi_n) * dt,
+                       + (b_y[n] * varphi_tilde_n + b_u[n]^2 * psi_n) * dt,
   whose trapezoidal integral normalizes the multiplier.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridfn import TimeFn, TimeGrid, trapezoid
+from .gridfn import TimeGrid, trapezoid
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,56 +36,36 @@ class KernelSolution:
         return trapezoid(self.varphi_tilde, self.grid)
 
 
-def solve_psi(grid: TimeGrid, b_y: TimeFn) -> np.ndarray:
-    """Backward kernel recursion with left-node coefficient b_y(t_n)."""
+def _values(values: np.ndarray, n: int, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} must have {n} values, got shape {values.shape}")
+    return values
+
+
+def solve_psi(grid: TimeGrid, b_y: np.ndarray) -> np.ndarray:
+    """Backward kernel recursion with left-node coefficients b_y[n]."""
+    b_y = _values(b_y, grid.N, "b_y")
     dt = grid.dt
     psi = np.zeros(grid.N + 1)
     for n in range(grid.N - 1, -1, -1):
-        psi[n] = psi[n + 1] + (1.0 + psi[n + 1] * float(b_y(grid.nodes[n]))) * dt
+        psi[n] = psi[n + 1] + (1.0 + psi[n + 1] * b_y[n]) * dt
     return psi
 
 
 def solve_varphi_tilde(
-    grid: TimeGrid, b_y: TimeFn, b_u: TimeFn, psi: np.ndarray
+    grid: TimeGrid, b_y: np.ndarray, b_u: np.ndarray, psi: np.ndarray
 ) -> np.ndarray:
     """Forward Euler for the mean-state response to a unit multiplier push."""
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (grid.N + 1,):
-        raise ValueError(f"psi must have {grid.N + 1} nodal values")
+    b_y, b_u = _values(b_y, grid.N, "b_y"), _values(b_u, grid.N, "b_u")
+    psi = _values(psi, grid.N + 1, "psi")
     dt = grid.dt
     v = np.zeros(grid.N + 1)
     for n in range(grid.N):
-        t = grid.nodes[n]
-        v[n + 1] = v[n] + (float(b_y(t)) * v[n] + float(b_u(t)) ** 2 * psi[n]) * dt
+        v[n + 1] = v[n] + (b_y[n] * v[n] + b_u[n] ** 2 * psi[n]) * dt
     return v
 
 
-def solve_kernels(grid: TimeGrid, b_y: TimeFn, b_u: TimeFn) -> KernelSolution:
+def solve_kernels(grid: TimeGrid, b_y: np.ndarray, b_u: np.ndarray) -> KernelSolution:
     psi = solve_psi(grid, b_y)
     return KernelSolution(grid, psi, solve_varphi_tilde(grid, b_y, b_u, psi))
-
-
-def analytic_psi_constant(c: float, T: float, t):
-    """Closed form of the backward kernel for constant coefficient c.
-
-    Returns (exp(c*(T-t)) - 1)/c, with the limit T - t at c = 0.  Accepts
-    scalar or array t.
-    """
-    tau = np.asarray(T, dtype=float) - np.asarray(t, dtype=float)
-    if abs(c) < 1e-14:
-        out = tau
-    else:
-        out = np.expm1(c * tau) / c
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def check_kernel_identity(grid: TimeGrid, b_y: TimeFn, b_u: TimeFn) -> float:
-    """Residual |int (psi*b_u)^2 dt - int varphi_tilde dt| on the given grid.
-
-    The two integrals agree in the continuum; with the discrete kernels and
-    trapezoidal quadrature the residual decays at first order in dt.
-    """
-    kern = solve_kernels(grid, b_y, b_u)
-    bu_nodes = np.array([float(b_u(t)) for t in grid.nodes])
-    lhs = trapezoid((kern.psi * bu_nodes) ** 2, grid)
-    return abs(lhs - kern.i_tilde)

@@ -2,18 +2,14 @@
 
 The control space is the set of functions that are constant on each interval
 [t_n, t_{n+1}) of a uniform partition of [0, T] (the last interval is closed
-at T).  Two realizations of the projection onto that space live here:
-
-* ``nodal_sample`` -- left-endpoint sampling, which is what the production
-  iteration uses (the discrete update only ever reads left-node values);
-* ``l2_project`` -- exact interval averages via Gauss-Legendre quadrature,
-  kept as a test oracle to quantify the gap left by nodal sampling.
+at T).  ``nodal_sample`` maps a function of time into that space by
+left-endpoint sampling, because the discrete scheme only ever reads left-node
+values; ``problems.discretize`` uses it for the drift coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,29 +86,9 @@ def _require_same_grid(u: StepFunction, v: StepFunction) -> None:
         raise ValueError("step functions live on different grids")
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(q)
-    return x, w
-
-
 def nodal_sample(f: TimeFn, grid: TimeGrid) -> StepFunction:
     """Step function taking the left-endpoint value f(t_n) on each interval."""
     values = np.array([float(f(t)) for t in grid.nodes[:-1]])
-    return StepFunction(grid, values)
-
-
-def l2_project(f: TimeFn, grid: TimeGrid, q: int = 5) -> StepFunction:
-    """Interval averages of f computed with q-point Gauss-Legendre per interval."""
-    if q < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {q}")
-    x, w = _gauss_legendre(q)
-    half = 0.5 * grid.dt
-    values = np.empty(grid.N)
-    for n in range(grid.N):
-        mid = grid.nodes[n] + half
-        fx = np.array([float(f(mid + half * xi)) for xi in x])
-        values[n] = 0.5 * float(w @ fx)
     return StepFunction(grid, values)
 
 
@@ -127,25 +103,6 @@ def l2_dist(u: StepFunction, v: StepFunction) -> float:
     _require_same_grid(u, v)
     d = u.values - v.values
     return float(np.sqrt(u.grid.dt * np.dot(d, d)))
-
-
-def l2_dist_to_function(u: StepFunction, f: TimeFn, q: int = 5) -> float:
-    """L2([0,T]) distance between a step function and a smooth function.
-
-    Computed per interval with q-point Gauss-Legendre, so it is exact whenever
-    (f - u)^2 is a polynomial of degree <= 2q-1 on each interval.
-    """
-    if q < 3:
-        raise ValueError(f"quadrature order must be >= 3, got {q}")
-    x, w = _gauss_legendre(q)
-    grid = u.grid
-    half = 0.5 * grid.dt
-    acc = 0.0
-    for n in range(grid.N):
-        mid = grid.nodes[n] + half
-        fx = np.array([float(f(mid + half * xi)) for xi in x])
-        acc += half * float(w @ (fx - u.values[n]) ** 2)
-    return float(np.sqrt(acc))
 
 
 def trapezoid(values: np.ndarray, grid: TimeGrid) -> float:

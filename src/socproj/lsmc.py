@@ -36,7 +36,7 @@ import numpy as np
 
 from .gridfn import StepFunction, TimeGrid
 from .paths import BrownianEnsemble, PathEnsemble, SimulationError
-from .problems import ProblemSpec
+from .problems import GridProblem
 
 HYPERCUBE = "hypercube"
 VORONOI = "voronoi"
@@ -235,21 +235,21 @@ class BsdeSolution:
 def _solve_backward(
     paths: PathEnsemble,
     bw: BrownianEnsemble,
-    problem: ProblemSpec,
+    problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
     mu: float,
     psi: Optional[np.ndarray],
 ) -> BsdeSolution:
-    if not (paths.grid == bw.grid == control.grid):
-        raise ValueError("paths, increments and control must share one grid")
+    if not (paths.grid == bw.grid == control.grid == problem.grid):
+        raise ValueError("paths, increments, control and problem must share one grid")
     if paths.L != bw.L:
         raise ValueError("paths and increments must share the path count")
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
     y = paths.states
     dw = bw.increments
-    drift, diff, costs = problem.drift, problem.diffusion, problem.costs
+    diff, costs = problem.spec.diffusion, problem.spec.costs
 
     p = np.empty((L, N + 1))
     q = np.empty((L, N))
@@ -283,7 +283,7 @@ def _solve_backward(
 
         f = (
             costs.h_y(tn, yn)
-            + p_next * float(drift.b_y(tn))
+            + p_next * problem.b_y[n]
             + q_fit * diff.sigma_y(yn, un)
             + mu
         )
@@ -305,19 +305,19 @@ def _solve_backward(
 def solve_bsde_hat(
     paths: PathEnsemble,
     bw: BrownianEnsemble,
-    problem: ProblemSpec,
+    problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
 ) -> BsdeSolution:
     """Backward LSMC with the multiplier-free driver
-    f_hat = h_y(t, y) + p b_y(t) + q sigma_y(y, u)."""
+    f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u)."""
     return _solve_backward(paths, bw, problem, control, spec, mu=0.0, psi=None)
 
 
 def solve_bsde_full(
     paths: PathEnsemble,
     bw: BrownianEnsemble,
-    problem: ProblemSpec,
+    problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
     mu: float,

@@ -11,8 +11,9 @@ Each iteration, on one fixed Brownian ensemble:
 6. update u = u_half - rho_i * mu * psi_n * b_u(t_n) per interval;
 7. stop when the sup-norm control change falls below eps0.
 
-Because the kernels psi and varphi_tilde depend only on the drift
-coefficients, they are computed once before the loop.  The multiplier step
+The drift coefficients are sampled once per solve at the left nodes
+(``problems.discretize``), and the kernels psi and varphi_tilde, which depend
+only on them, are computed once before the loop.  The multiplier step
 makes the freshly updated control's mean-state integral equal
 min(I_hat, delta) on the shared ensemble; with per-step-normalized increments
 this restoration is exact in floating point whenever sigma_y = 0.
@@ -35,7 +36,7 @@ from .paths import (
     gen_brownian,
     mean_state_integral,
 )
-from .problems import ProblemSpec, VectorProblem
+from .problems import GridProblem, ProblemSpec, VectorProblem, discretize
 
 RHO_CONSTANT = "constant"
 RHO_HARMONIC = "harmonic"
@@ -101,24 +102,23 @@ def gradient(
     control: StepFunction,
     paths: PathEnsemble,
     adj: BsdeSolution,
-    problem: ProblemSpec,
+    problem: GridProblem,
 ) -> StepFunction:
     """Monte Carlo cost gradient, one value per control interval:
 
-    grad_n = mean_l[ P_hat_n(y_l) b_u(t_n) + Q_hat_n(y_l) sigma_u(y_l, u_n) ]
+    grad_n = mean_l[ P_hat_n(y_l) b_u[n] + Q_hat_n(y_l) sigma_u(y_l, u_n) ]
              + j_u(u_n).
     """
     grid = control.grid
-    if paths.grid != grid or adj.grid != grid:
-        raise ValueError("control, paths and adjoint must share one grid")
-    drift, diff, costs = problem.drift, problem.diffusion, problem.costs
+    if not (paths.grid == adj.grid == problem.grid == grid):
+        raise ValueError("control, paths, adjoint and problem must share one grid")
+    diff, costs = problem.spec.diffusion, problem.spec.costs
     mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
     vals = np.empty(grid.N)
     for n in range(grid.N):
-        tn = float(grid.nodes[n])
         un = float(control.values[n])
         q_term = float(np.mean(adj.q_hat[:, n] * diff.sigma_u(paths.states[:, n], un)))
-        vals[n] = mean_p[n] * float(drift.b_u(tn)) + q_term + costs.j_u(un)
+        vals[n] = mean_p[n] * problem.b_u[n] + q_term + costs.j_u(un)
     return StepFunction(grid, vals)
 
 
@@ -137,16 +137,15 @@ def project_update(
     u_half: StepFunction,
     mu: float,
     psi: np.ndarray,
-    b_u,
+    b_u: np.ndarray,
     rho_i: float,
 ) -> StepFunction:
-    """Projection step u_n = u_half_n - rho_i * mu * psi_n * b_u(t_n)."""
+    """Projection step u_n = u_half_n - rho_i * mu * psi_n * b_u[n]."""
     grid = u_half.grid
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (grid.N + 1,):
         raise ValueError("psi must carry one value per grid node")
-    bu = np.array([float(b_u(t)) for t in grid.nodes[:-1]])
-    return StepFunction(grid, u_half.values - rho_i * mu * psi[:-1] * bu)
+    return StepFunction(grid, u_half.values - rho_i * mu * psi[:-1] * b_u)
 
 
 def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveResult:
@@ -155,7 +154,8 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
     grid = u0.grid
     start = time.perf_counter()
     bw = gen_brownian(config.seed, config.L, grid, normalize=config.normalize_increments)
-    kern = solve_kernels(grid, problem.drift.b_y, problem.drift.b_u)
+    gp = discretize(problem, grid)
+    kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
 
     u = u0
@@ -166,14 +166,14 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
     for i in range(1, config.max_iters + 1):
         iterations = i
         rho_i = config.rho_at(i)
-        ens = euler_simulate(problem, u, bw)
-        adj = solve_bsde_hat(ens, bw, problem, u, config.basis)
-        grad = gradient(u, ens, adj, problem)
+        ens = euler_simulate(gp, u, bw)
+        adj = solve_bsde_hat(ens, bw, gp, u, config.basis)
+        grad = gradient(u, ens, adj, gp)
         u_half = StepFunction(grid, u.values - rho_i * grad.values)
-        ens_half = euler_simulate(problem, u_half, bw)
+        ens_half = euler_simulate(gp, u_half, bw)
         I_hat = mean_state_integral(ens_half)
         mu = compute_multiplier(I_hat, problem.delta, I_tilde, rho_i)
-        u_new = project_update(u_half, mu, kern.psi, problem.drift.b_u, rho_i)
+        u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho_i)
         error = linf_dist(u_new, u)
         history.append(
             IterationState(i=i, u=u_new, mu=mu, I_hat=I_hat, I_tilde=I_tilde, error=error)
@@ -183,7 +183,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
             converged = True
             break
 
-    state_integral = mean_state_integral(euler_simulate(problem, u, bw))
+    state_integral = mean_state_integral(euler_simulate(gp, u, bw))
     return SolveResult(
         u_final=u,
         mu_final=mu,

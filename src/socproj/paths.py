@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid, trapezoid
-from .problems import ProblemSpec
+from .problems import GridProblem
 
 # Philox counter blocks reserved per path substream; each block yields four
 # 64-bit words, so this supports ~2e6 normals per path without overlap.
@@ -129,31 +129,27 @@ def gen_brownian(
 
 
 def euler_simulate(
-    problem: ProblemSpec, control: StepFunction, bw: BrownianEnsemble
+    problem: GridProblem, control: StepFunction, bw: BrownianEnsemble
 ) -> PathEnsemble:
     """Forward Euler of the controlled state, path-parallel over the ensemble.
 
-    y_{n+1} = y_n + (b_y(t_n) y_n + b_u(t_n) u_n + m(t_n)) dt
+    y_{n+1} = y_n + (b_y[n] y_n + b_u[n] u_n + m[n]) dt
               + sigma(y_n, u_n) dW_{n+1}
     """
-    if control.grid != bw.grid:
-        raise ValueError("control and increments live on different grids")
+    if not (problem.grid == control.grid == bw.grid):
+        raise ValueError("problem, control and increments live on different grids")
     grid = bw.grid
     dt = grid.dt
-    drift, diff = problem.drift, problem.diffusion
-    by = [float(drift.b_y(t)) for t in grid.nodes[:-1]]
-    bu = [float(drift.b_u(t)) for t in grid.nodes[:-1]]
-    m = [float(drift.m(t)) for t in grid.nodes[:-1]]
+    by, bu, m = problem.b_y, problem.b_u, problem.m
+    sigma = problem.spec.diffusion.sigma
 
     states = np.empty((bw.L, grid.N + 1))
-    states[:, 0] = problem.y0
+    states[:, 0] = problem.spec.y0
     for n in range(grid.N):
         y = states[:, n]
         u = float(control.values[n])
         states[:, n + 1] = (
-            y
-            + (by[n] * y + bu[n] * u + m[n]) * dt
-            + diff.sigma(y, u) * bw.increments[:, n]
+            y + (by[n] * y + bu[n] * u + m[n]) * dt + sigma(y, u) * bw.increments[:, n]
         )
         if not np.all(np.isfinite(states[:, n + 1])):
             raise SimulationError(f"non-finite state at step {n + 1}")
@@ -163,8 +159,3 @@ def euler_simulate(
 def mean_state_integral(paths: PathEnsemble) -> float:
     """Trapezoidal rule applied to the cross-path nodal means."""
     return trapezoid(paths.states.mean(axis=0), paths.grid)
-
-
-def dump_paths(paths: PathEnsemble, fname: str, delimiter: str = "\t") -> None:
-    """Write one row per path, nodes as columns (debugging aid)."""
-    np.savetxt(fname, paths.states, delimiter=delimiter)

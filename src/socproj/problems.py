@@ -6,7 +6,8 @@ an expected-integral state constraint  int_0^T E[y_t] dt <= delta,  and a cost
 whose derivatives (h_y, j_u, g) are all the solver ever needs.
 
 Function-field conventions:
-  * time coefficients (b_y, b_u, m) map a scalar t to a float;
+  * time coefficients (b_y, b_u, m) map a scalar t to a float; the solver
+    reads them only through ``discretize``, once per grid;
   * state functions (sigma, sigma_y, sigma_u, h_y, g) are vectorized over a
     path-batch ndarray of states, with the control value passed as a scalar;
   * the tracking target may depend on time, so h_y has signature h_y(t, y).
@@ -27,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .gridfn import TimeFn
+from .gridfn import TimeFn, TimeGrid, nodal_sample
 
 StateFn = Callable[[np.ndarray, float], np.ndarray]
 
@@ -59,15 +60,6 @@ class LinearDrift:
         if self.lower_bound <= 0.0:
             raise ValueError("lower_bound on |b_u| must be positive")
 
-    def validate(self, T: float, samples: int = 101) -> None:
-        """Check the declared bounds on a uniform sample of [0, T]."""
-        for t in np.linspace(0.0, T, samples):
-            by, bu = abs(float(self.b_y(t))), abs(float(self.b_u(t)))
-            if bu < self.lower_bound:
-                raise ValueError(f"|b_u({t})| = {bu} below lower_bound")
-            if by + bu > self.lip_bound + 1e-12:
-                raise ValueError(f"|b_y|+|b_u| = {by + bu} exceeds lip_bound at t={t}")
-
 
 @dataclass(frozen=True)
 class Diffusion:
@@ -81,23 +73,6 @@ class Diffusion:
     sigma_u: StateFn
     bound: float
 
-    def validate(
-        self,
-        y_box: tuple[float, float] = (-5.0, 5.0),
-        u_box: tuple[float, float] = (-5.0, 5.0),
-        samples: int = 41,
-    ) -> None:
-        """Check |sigma_y| + |sigma_u| <= bound on a sampled box."""
-        ys = np.linspace(*y_box, samples)
-        for u in np.linspace(*u_box, samples):
-            total = np.abs(self.sigma_y(ys, float(u))) + np.abs(
-                self.sigma_u(ys, float(u))
-            )
-            if np.max(total) > self.bound + 1e-12:
-                raise ValueError(
-                    f"|sigma_y|+|sigma_u| reaches {np.max(total)} > bound at u={u}"
-                )
-
 
 @dataclass(frozen=True)
 class CostDerivatives:
@@ -107,18 +82,6 @@ class CostDerivatives:
     h_y: Callable[[float, np.ndarray], np.ndarray]
     j_u: Callable[[float], float]
     g: Callable[[np.ndarray], np.ndarray]
-
-    def linear_growth_bound(
-        self, T: float, y_box: tuple[float, float] = (-10.0, 10.0), samples: int = 201
-    ) -> float:
-        """max of |h_y| / (1 + |y|) over a sampled (t, y) box; finite for
-        derivatives with at most linear growth."""
-        ys = np.linspace(*y_box, samples)
-        worst = 0.0
-        for t in np.linspace(0.0, T, 21):
-            ratio = np.abs(self.h_y(float(t), ys)) / (1.0 + np.abs(ys))
-            worst = max(worst, float(np.max(ratio)))
-        return worst
 
 
 @dataclass(frozen=True)
@@ -164,6 +127,25 @@ class VectorProblem:
     @property
     def delta_vec(self) -> np.ndarray:
         return np.array([c.delta for c in self.components])
+
+
+@dataclass(frozen=True, eq=False)
+class GridProblem:
+    """``spec`` on one grid, with its drift coefficients at the left nodes
+    t_0 .. t_{N-1} as read-only arrays of length N."""
+
+    spec: ProblemSpec
+    grid: TimeGrid
+    b_y: np.ndarray
+    b_u: np.ndarray
+    m: np.ndarray
+
+
+def discretize(problem: ProblemSpec, grid: TimeGrid) -> GridProblem:
+    """Sample the drift coefficients of ``problem`` at the left nodes of ``grid``."""
+    drift = problem.drift
+    b_y, b_u, m = (nodal_sample(f, grid).values for f in (drift.b_y, drift.b_u, drift.m))
+    return GridProblem(spec=problem, grid=grid, b_y=b_y, b_u=b_u, m=m)
 
 
 def _zeros(y: np.ndarray, u: float) -> np.ndarray:
@@ -316,26 +298,3 @@ def example3(
         delta=delta,
         exact=exact,
     )
-
-
-def finite_difference_mismatch(
-    diffusion: Diffusion,
-    ys: np.ndarray,
-    us: np.ndarray,
-    h: float = 1e-6,
-) -> float:
-    """Worst relative gap between declared sigma derivatives and centered
-    differences of sigma over the given sample points."""
-    worst = 0.0
-    for u in np.atleast_1d(us):
-        u = float(u)
-        fd_y = (diffusion.sigma(ys + h, u) - diffusion.sigma(ys - h, u)) / (2 * h)
-        fd_u = (diffusion.sigma(ys, u + h) - diffusion.sigma(ys, u - h)) / (2 * h)
-        scale_y = np.maximum(np.abs(diffusion.sigma_y(ys, u)), 1.0)
-        scale_u = np.maximum(np.abs(diffusion.sigma_u(ys, u)), 1.0)
-        worst = max(
-            worst,
-            float(np.max(np.abs(fd_y - diffusion.sigma_y(ys, u)) / scale_y)),
-            float(np.max(np.abs(fd_u - diffusion.sigma_u(ys, u)) / scale_u)),
-        )
-    return worst

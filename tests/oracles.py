@@ -1,0 +1,174 @@
+"""Reference computations that only the tests use: Gauss-Legendre L2
+projection and distance, the closed-form kernel for a constant coefficient,
+the kernel integral identity, and checks of a problem's declared bounds and
+derivatives; plus a problem whose drift coefficients all vary in time."""
+
+import math
+from functools import lru_cache
+
+import numpy as np
+
+from socproj.detode import solve_kernels
+from socproj.gridfn import StepFunction, TimeFn, TimeGrid, nodal_sample, trapezoid
+from socproj.problems import CostDerivatives, Diffusion, LinearDrift, ProblemSpec
+
+
+def left_nodes(f: TimeFn, grid: TimeGrid) -> np.ndarray:
+    """f at the left nodes t_0 .. t_{N-1}, the array form the kernels take."""
+    return nodal_sample(f, grid).values
+
+
+def time_varying_problem() -> ProblemSpec:
+    """b_y = sin t, b_u = 1 + t, m = cos t, with state- and control-dependent
+    noise, so that reading any coefficient at the wrong node changes every
+    stage of an iteration."""
+    return ProblemSpec(
+        name="time-varying",
+        drift=LinearDrift(
+            b_y=math.sin, b_u=lambda t: 1.0 + t, m=math.cos, lip_bound=3.0, lower_bound=1.0
+        ),
+        diffusion=Diffusion(
+            sigma=lambda y, u: 0.1 * u + 0.2 * np.sqrt(1.0 + y * y),
+            sigma_y=lambda y, u: 0.2 * y / np.sqrt(1.0 + y * y),
+            sigma_u=lambda y, u: np.full_like(y, 0.1),
+            bound=0.3,
+        ),
+        costs=CostDerivatives(
+            h_y=lambda t, y: y - (1.0 + t), j_u=lambda u: u, g=lambda y: 0.5 * y
+        ),
+        y0=0.5,
+        T=1.0,
+        delta=0.8,
+    )
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = np.polynomial.legendre.leggauss(q)
+    return x, w
+
+
+def l2_project(f: TimeFn, grid: TimeGrid, q: int = 5) -> StepFunction:
+    """Interval averages of f computed with q-point Gauss-Legendre per interval."""
+    if q < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {q}")
+    x, w = _gauss_legendre(q)
+    half = 0.5 * grid.dt
+    values = np.empty(grid.N)
+    for n in range(grid.N):
+        mid = grid.nodes[n] + half
+        fx = np.array([float(f(mid + half * xi)) for xi in x])
+        values[n] = 0.5 * float(w @ fx)
+    return StepFunction(grid, values)
+
+
+def l2_dist_to_function(u: StepFunction, f: TimeFn, q: int = 5) -> float:
+    """L2([0,T]) distance between a step function and a smooth function.
+
+    Computed per interval with q-point Gauss-Legendre, so it is exact whenever
+    (f - u)^2 is a polynomial of degree <= 2q-1 on each interval.
+    """
+    if q < 3:
+        raise ValueError(f"quadrature order must be >= 3, got {q}")
+    x, w = _gauss_legendre(q)
+    grid = u.grid
+    half = 0.5 * grid.dt
+    acc = 0.0
+    for n in range(grid.N):
+        mid = grid.nodes[n] + half
+        fx = np.array([float(f(mid + half * xi)) for xi in x])
+        acc += half * float(w @ (fx - u.values[n]) ** 2)
+    return float(np.sqrt(acc))
+
+
+def analytic_psi_constant(c: float, T: float, t):
+    """Closed form of the backward kernel for constant coefficient c.
+
+    Returns (exp(c*(T-t)) - 1)/c, with the limit T - t at c = 0.  Accepts
+    scalar or array t.
+    """
+    tau = np.asarray(T, dtype=float) - np.asarray(t, dtype=float)
+    if abs(c) < 1e-14:
+        out = tau
+    else:
+        out = np.expm1(c * tau) / c
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def check_kernel_identity(grid: TimeGrid, b_y: TimeFn, b_u: TimeFn) -> float:
+    """Residual |int (psi*b_u)^2 dt - int varphi_tilde dt| on the given grid.
+
+    The two integrals agree in the continuum; with the discrete kernels and
+    trapezoidal quadrature the residual decays at first order in dt.
+    """
+    kern = solve_kernels(grid, left_nodes(b_y, grid), left_nodes(b_u, grid))
+    bu_nodes = np.array([float(b_u(t)) for t in grid.nodes])
+    lhs = trapezoid((kern.psi * bu_nodes) ** 2, grid)
+    return abs(lhs - kern.i_tilde)
+
+
+def validate_drift(drift: LinearDrift, T: float, samples: int = 101) -> None:
+    """Check the declared bounds on a uniform sample of [0, T]."""
+    for t in np.linspace(0.0, T, samples):
+        by, bu = abs(float(drift.b_y(t))), abs(float(drift.b_u(t)))
+        if bu < drift.lower_bound:
+            raise ValueError(f"|b_u({t})| = {bu} below lower_bound")
+        if by + bu > drift.lip_bound + 1e-12:
+            raise ValueError(f"|b_y|+|b_u| = {by + bu} exceeds lip_bound at t={t}")
+
+
+def validate_diffusion(
+    diffusion: Diffusion,
+    y_box: tuple[float, float] = (-5.0, 5.0),
+    u_box: tuple[float, float] = (-5.0, 5.0),
+    samples: int = 41,
+) -> None:
+    """Check |sigma_y| + |sigma_u| <= bound on a sampled box."""
+    ys = np.linspace(*y_box, samples)
+    for u in np.linspace(*u_box, samples):
+        total = np.abs(diffusion.sigma_y(ys, float(u))) + np.abs(
+            diffusion.sigma_u(ys, float(u))
+        )
+        if np.max(total) > diffusion.bound + 1e-12:
+            raise ValueError(
+                f"|sigma_y|+|sigma_u| reaches {np.max(total)} > bound at u={u}"
+            )
+
+
+def linear_growth_bound(
+    costs: CostDerivatives,
+    T: float,
+    y_box: tuple[float, float] = (-10.0, 10.0),
+    samples: int = 201,
+) -> float:
+    """max of |h_y| / (1 + |y|) over a sampled (t, y) box; finite for
+    derivatives with at most linear growth."""
+    ys = np.linspace(*y_box, samples)
+    worst = 0.0
+    for t in np.linspace(0.0, T, 21):
+        ratio = np.abs(costs.h_y(float(t), ys)) / (1.0 + np.abs(ys))
+        worst = max(worst, float(np.max(ratio)))
+    return worst
+
+
+def finite_difference_mismatch(
+    diffusion: Diffusion,
+    ys: np.ndarray,
+    us: np.ndarray,
+    h: float = 1e-6,
+) -> float:
+    """Worst relative gap between declared sigma derivatives and centered
+    differences of sigma over the given sample points."""
+    worst = 0.0
+    for u in np.atleast_1d(us):
+        u = float(u)
+        fd_y = (diffusion.sigma(ys + h, u) - diffusion.sigma(ys - h, u)) / (2 * h)
+        fd_u = (diffusion.sigma(ys, u + h) - diffusion.sigma(ys, u - h)) / (2 * h)
+        scale_y = np.maximum(np.abs(diffusion.sigma_y(ys, u)), 1.0)
+        scale_u = np.maximum(np.abs(diffusion.sigma_u(ys, u)), 1.0)
+        worst = max(
+            worst,
+            float(np.max(np.abs(fd_y - diffusion.sigma_y(ys, u)) / scale_y)),
+            float(np.max(np.abs(fd_u - diffusion.sigma_u(ys, u)) / scale_u)),
+        )
+    return worst

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import socproj as sp
-from socproj.detode import analytic_psi_constant, check_kernel_identity, solve_psi
+from socproj.detode import solve_psi
 from socproj.optimizer import gradient
+
+from tests.oracles import analytic_psi_constant, check_kernel_identity
 
 SEED = 12345
 
@@ -191,7 +193,7 @@ def test_criterion_4_psi_scheme_convergence():
     errors = {}
     for n in (16, 32, 64, 128, 256):
         grid = sp.TimeGrid(1.0, n)
-        psi = solve_psi(grid, lambda t: 1.0)
+        psi = solve_psi(grid, np.ones(n))
         exact = analytic_psi_constant(1.0, 1.0, grid.nodes)
         errors[n] = float(np.max(np.abs(psi - exact)))
     ratios = [errors[n] / errors[2 * n] for n in (16, 32, 64, 128)]
@@ -210,11 +212,12 @@ def test_criterion_5_shift_identity():
         grid = sp.TimeGrid(1.0, 20)
         u = sp.nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
         bw = sp.gen_brownian(SEED, 500, grid)
-        ens = sp.euler_simulate(prob, u, bw)
-        psi = solve_psi(grid, prob.drift.b_y)
+        gp = sp.discretize(prob, grid)
+        ens = sp.euler_simulate(gp, u, bw)
+        psi = solve_psi(grid, gp.b_y)
         basis = sp.BasisSpec("hypercube", 8)
-        hat = sp.solve_bsde_hat(ens, bw, prob, u, basis)
-        full = sp.solve_bsde_full(ens, bw, prob, u, basis, mu=0.7, psi=psi)
+        hat = sp.solve_bsde_hat(ens, bw, gp, u, basis)
+        full = sp.solve_bsde_full(ens, bw, gp, u, basis, mu=0.7, psi=psi)
         worst_p = max(worst_p, float(np.max(np.abs(full.p_hat - hat.p_hat - 0.7 * psi[None, :]))))
         worst_q = max(worst_q, float(np.max(np.abs(full.q_hat - hat.q_hat))))
     ok = worst_p <= 1e-10 and worst_q <= 1e-10
@@ -245,9 +248,10 @@ def _stationarity_residual(n: int, L: int) -> float:
     grid = sp.TimeGrid(1.0, n)
     u_star = sp.nodal_sample(prob.exact.u_star, grid)
     bw = sp.gen_brownian(SEED, L, grid)
-    ens = sp.euler_simulate(prob, u_star, bw)
-    adj = sp.solve_bsde_hat(ens, bw, prob, u_star, sp.BasisSpec("voronoi", 30))
-    grad = gradient(u_star, ens, adj, prob)
+    gp = sp.discretize(prob, grid)
+    ens = sp.euler_simulate(gp, u_star, bw)
+    adj = sp.solve_bsde_hat(ens, bw, gp, u_star, sp.BasisSpec("voronoi", 30))
+    grad = gradient(u_star, ens, adj, gp)
     # the optimality residual uses the closed-form kernel (b_y = 0 here)
     resid = grad.values + prob.exact.mu_star * analytic_psi_constant(
         0.0, prob.T, grid.nodes[:-1]

@@ -1,5 +1,7 @@
-"""The package's public names."""
+"""The package's public names and the rules its modules keep."""
 
+import ast
+import pathlib
 import types
 
 import socproj
@@ -19,3 +21,26 @@ def test_all_covers_every_public_non_module_name():
         and not isinstance(getattr(socproj, name), types.ModuleType)
     }
     assert public == set(socproj.__all__)
+
+
+def test_drift_coefficients_are_called_only_in_discretize():
+    """``problems.discretize`` is the one place that evaluates b_y, b_u or m;
+    every other stage reads its left-node arrays."""
+    src = pathlib.Path(socproj.__file__).parent
+    calls = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        skip = set()
+        if path.name == "problems.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "discretize":
+                    skip.update(id(sub) for sub in ast.walk(node))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("b_y", "b_u", "m")
+                and id(node) not in skip
+            ):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []

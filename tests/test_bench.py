@@ -1,13 +1,16 @@
 """Harness tests: rates, order fits, config parsing, reports, CLI."""
 
+import dataclasses
 import glob
 import importlib.util
 import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
+import socproj
 from socproj import cli
 from socproj.bench import (
     CSV_HEADER,
@@ -23,7 +26,9 @@ from socproj.bench import (
     run_single,
     run_sweep,
 )
-from socproj.problems import VectorProblem
+from socproj.lsmc import BasisSpec
+from socproj.optimizer import SolveConfig
+from socproj.problems import EXAMPLE2_DELTA, VectorProblem
 from tests.test_optimizer import contraction_problem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -153,7 +158,13 @@ output.formats = csv, json
 
     @pytest.mark.parametrize(
         "problem, key",
-        [("example1", "delta"), ("example2", "delta"), ("example2", "d"), ("example3", "d")],
+        [
+            ("example1", "delta"),
+            ("example2", "delta"),
+            ("example2", "d"),
+            ("example2", "mu_star"),
+            ("example3", "d"),
+        ],
     )
     def test_key_the_problem_ignores_rejected(self, tmp_path, problem, key):
         path = tmp_path / "bad.cfg"
@@ -179,6 +190,32 @@ output.formats = csv, json
             path = str(tmp_path / f"{workload}.cfg")
             run.write_config(workload, 7, str(tmp_path / workload), path)
             build_problem(parse_config(path))
+
+    def test_solve_config_takes_every_shared_field(self):
+        cfg = SweepConfig(
+            problem="example2",
+            N_list=[4],
+            L=123,
+            rho=0.3,
+            rho_schedule="harmonic",
+            eps0=2e-3,
+            max_iters=7,
+            basis_kind="hypercube",
+            basis_K=5,
+            basis_K_tilde=3,
+            basis_tau_rule=True,
+            normalize_increments=False,
+        )
+        assert cfg.solve_config(99) == SolveConfig(
+            rho=0.3,
+            eps0=2e-3,
+            L=123,
+            basis=BasisSpec("hypercube", 5, K_tilde=3, tau_rule=True),
+            seed=99,
+            rho_schedule="harmonic",
+            max_iters=7,
+            normalize_increments=False,
+        )
 
     def test_build_problem_dispatch(self):
         assert build_problem(SweepConfig(problem="example2", N_list=[8])).name == "example2"
@@ -281,6 +318,27 @@ class TestReports:
         assert r[1].control_rate == pytest.approx(
             rate(r[0].control_error, 4, r[1].control_error, 8)
         )
+
+    def test_json_metadata_holds_the_whole_config(self, tmp_path):
+        cfg = SweepConfig(
+            problem="example2",
+            N_list=[4],
+            L=50,
+            max_iters=2,
+            basis_K=4,
+            output_dir=str(tmp_path),
+            output_formats=["json"],
+        )
+        run_sweep(cfg)
+        payload = json.loads((tmp_path / "example2_voronoi_report.json").read_text())
+        meta = payload["metadata"]
+        for f in dataclasses.fields(SweepConfig):
+            if f.name != "delta":
+                assert meta[f.name] == getattr(cfg, f.name), f.name
+        # one constraint level per component, which perfbench zips with them
+        assert meta["delta"] == [EXAMPLE2_DELTA]
+        assert meta["socproj_version"] == socproj.__version__
+        assert meta["numpy_version"] == np.__version__
 
     def test_sweep_determinism_excluding_wall_time(self, tmp_path):
         cfg = SweepConfig(

@@ -5,35 +5,31 @@ import math
 import numpy as np
 import pytest
 
-from socproj.detode import (
-    analytic_psi_constant,
-    check_kernel_identity,
-    solve_kernels,
-    solve_psi,
-    solve_varphi_tilde,
-)
+from socproj.detode import solve_kernels, solve_psi, solve_varphi_tilde
 from socproj.gridfn import TimeGrid
+
+from tests.oracles import analytic_psi_constant, check_kernel_identity, left_nodes
 
 
 def _psi_error(n: int, c: float = 1.0) -> float:
     grid = TimeGrid(1.0, n)
-    psi = solve_psi(grid, lambda t: c)
+    psi = solve_psi(grid, np.full(grid.N, c))
     exact = analytic_psi_constant(c, 1.0, grid.nodes)
     return float(np.max(np.abs(psi - exact)))
 
 
 class TestSolvePsi:
     def test_zero_coefficient_is_remaining_time(self):
-        psi = solve_psi(TimeGrid(1.0, 4), lambda t: 0.0)
+        psi = solve_psi(TimeGrid(1.0, 4), np.zeros(4))
         np.testing.assert_allclose(psi, [1.0, 0.75, 0.5, 0.25, 0.0])
 
     def test_two_step_hand_recursion(self):
-        psi = solve_psi(TimeGrid(1.0, 2), lambda t: 1.0)
+        psi = solve_psi(TimeGrid(1.0, 2), np.ones(2))
         np.testing.assert_allclose(psi, [1.25, 0.5, 0.0])
 
     def test_against_closed_form_at_n64(self):
         grid = TimeGrid(1.0, 64)
-        psi = solve_psi(grid, lambda t: 1.0)
+        psi = solve_psi(grid, np.ones(grid.N))
         assert abs(psi[0] - (math.e - 1.0)) <= 0.05
 
     def test_first_order_halving(self):
@@ -42,14 +38,15 @@ class TestSolvePsi:
 
     def test_nonnegative_and_monotone(self):
         for b_y in (lambda t: 0.0, lambda t: 1.0, lambda t: -0.5, lambda t: t):
-            psi = solve_psi(TimeGrid(1.0, 32), b_y)
+            grid = TimeGrid(1.0, 32)
+            psi = solve_psi(grid, left_nodes(b_y, grid))
             assert np.all(psi >= 0.0)
             assert np.all(np.diff(psi) <= 1e-15)
 
     def test_bounded_by_constant_coefficient_envelope(self):
         # psi_n <= (e^{C(T-t_n)} - 1)/C + O(dt) with C bounding |b_y|
         grid = TimeGrid(1.0, 64)
-        psi = solve_psi(grid, lambda t: math.sin(3.0 * t))
+        psi = solve_psi(grid, left_nodes(lambda t: math.sin(3.0 * t), grid))
         envelope = analytic_psi_constant(1.0, 1.0, grid.nodes)
         assert np.all(psi <= envelope + 3.0 * grid.dt)
 
@@ -71,7 +68,8 @@ class TestSolvePsi:
         def gap(n):
             grid = TimeGrid(1.0, n)
             b_y = lambda t: math.sin(2.0 * t)
-            return float(np.max(np.abs(solve_psi(grid, b_y) - psi_right_endpoint(grid, b_y))))
+            psi = solve_psi(grid, left_nodes(b_y, grid))
+            return float(np.max(np.abs(psi - psi_right_endpoint(grid, b_y))))
 
         assert 1.6 <= gap(64) / gap(128) <= 2.4
 
@@ -94,22 +92,20 @@ class TestAnalyticPsi:
 class TestVarphiTilde:
     def test_zero_source(self):
         grid = TimeGrid(1.0, 4)
-        psi = solve_psi(grid, lambda t: 0.0)
-        v = solve_varphi_tilde(grid, lambda t: 0.0, lambda t: 0.0, psi)
+        psi = solve_psi(grid, np.zeros(grid.N))
+        v = solve_varphi_tilde(grid, np.zeros(grid.N), np.zeros(grid.N), psi)
         np.testing.assert_array_equal(v, np.zeros(5))
 
     def test_hand_recursion(self):
         grid = TimeGrid(1.0, 2)
-        v = solve_varphi_tilde(
-            grid, lambda t: 0.0, lambda t: 1.0, np.array([1.0, 0.5, 0.0])
-        )
+        v = solve_varphi_tilde(grid, np.zeros(2), np.ones(2), np.array([1.0, 0.5, 0.0]))
         np.testing.assert_allclose(v, [0.0, 0.5, 0.75])
 
     def test_integral_limit_first_order(self):
         # continuous response integral is T^3/3 for b_y=0, b_u=1
         def gap(n):
             grid = TimeGrid(1.0, n)
-            kern = solve_kernels(grid, lambda t: 0.0, lambda t: 1.0)
+            kern = solve_kernels(grid, np.zeros(grid.N), np.ones(grid.N))
             return abs(kern.i_tilde - 1.0 / 3.0)
 
         assert gap(256) < gap(128) < gap(64)
@@ -117,7 +113,7 @@ class TestVarphiTilde:
 
     def test_initial_and_terminal_values(self):
         grid = TimeGrid(1.0, 16)
-        kern = solve_kernels(grid, lambda t: 1.0, lambda t: 1.0)
+        kern = solve_kernels(grid, np.ones(grid.N), np.ones(grid.N))
         assert kern.psi[-1] == 0.0
         assert kern.varphi_tilde[0] == 0.0
 
@@ -131,7 +127,7 @@ class TestKernelIdentity:
         assert resid <= 0.01
         # both sides approach 1/3
         grid = TimeGrid(1.0, 512)
-        kern = solve_kernels(grid, lambda t: 0.0, lambda t: 1.0)
+        kern = solve_kernels(grid, np.zeros(grid.N), np.ones(grid.N))
         assert kern.i_tilde == pytest.approx(1.0 / 3.0, abs=5e-3)
 
     def test_residual_halves(self):

@@ -1,0 +1,152 @@
+"""The solver reads each drift coefficient only through ``discretize``.
+
+The references below evaluate ``b_y``, ``b_u`` and ``m`` node by node, at the
+left node t_n, inside each step, as the scheme is written.  The package reads
+them from the arrays ``discretize`` samples once per grid and must agree with
+the references bit for bit.
+"""
+
+import dataclasses
+import functools
+
+import numpy as np
+import pytest
+
+from socproj.detode import solve_kernels, solve_psi
+from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
+from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
+from socproj.optimizer import SolveConfig, gradient, project_update, solve
+from socproj.paths import euler_simulate, gen_brownian
+from socproj.problems import LinearDrift, discretize, example2
+from tests.oracles import time_varying_problem
+
+
+def reference_euler_simulate(problem, control, bw):
+    grid = bw.grid
+    dt = grid.dt
+    drift, diff = problem.drift, problem.diffusion
+    by = [float(drift.b_y(t)) for t in grid.nodes[:-1]]
+    bu = [float(drift.b_u(t)) for t in grid.nodes[:-1]]
+    m = [float(drift.m(t)) for t in grid.nodes[:-1]]
+    states = np.empty((bw.L, grid.N + 1))
+    states[:, 0] = problem.y0
+    for n in range(grid.N):
+        y = states[:, n]
+        u = float(control.values[n])
+        states[:, n + 1] = (
+            y
+            + (by[n] * y + bu[n] * u + m[n]) * dt
+            + diff.sigma(y, u) * bw.increments[:, n]
+        )
+    return states
+
+
+def reference_gradient(control, paths, adj, problem):
+    grid = control.grid
+    drift, diff, costs = problem.drift, problem.diffusion, problem.costs
+    mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
+    vals = np.empty(grid.N)
+    for n in range(grid.N):
+        tn = float(grid.nodes[n])
+        un = float(control.values[n])
+        q_term = float(np.mean(adj.q_hat[:, n] * diff.sigma_u(paths.states[:, n], un)))
+        vals[n] = mean_p[n] * float(drift.b_u(tn)) + q_term + costs.j_u(un)
+    return vals
+
+
+def reference_project_update(u_half, mu, psi, b_u, rho_i):
+    grid = u_half.grid
+    bu = np.array([float(b_u(t)) for t in grid.nodes[:-1]])
+    return u_half.values - rho_i * mu * psi[:-1] * bu
+
+
+def reference_solve_psi(grid, b_y):
+    dt = grid.dt
+    psi = np.zeros(grid.N + 1)
+    for n in range(grid.N - 1, -1, -1):
+        psi[n] = psi[n + 1] + (1.0 + psi[n + 1] * float(b_y(grid.nodes[n]))) * dt
+    return psi
+
+
+def reference_solve_varphi_tilde(grid, b_y, b_u, psi):
+    dt = grid.dt
+    v = np.zeros(grid.N + 1)
+    for n in range(grid.N):
+        t = grid.nodes[n]
+        v[n + 1] = v[n] + (float(b_y(t)) * v[n] + float(b_u(t)) ** 2 * psi[n]) * dt
+    return v
+
+
+CASES = pytest.mark.parametrize(
+    "make",
+    [time_varying_problem, lambda: example2(alpha=0.1)],
+    ids=["time-varying", "example2"],
+)
+
+
+@CASES
+def test_discretize_samples_each_coefficient_at_the_left_nodes(make):
+    prob = make()
+    grid = TimeGrid(1.0, 16)
+    gp = discretize(prob, grid)
+    assert gp.spec is prob and gp.grid == grid
+    for name in ("b_y", "b_u", "m"):
+        values = getattr(gp, name)
+        f = getattr(prob.drift, name)
+        assert np.array_equal(values, [float(f(t)) for t in grid.nodes[:-1]])
+        assert not values.flags.writeable
+
+
+@CASES
+def test_solver_stages_match_node_by_node_reference_bitwise(make):
+    prob = make()
+    grid = TimeGrid(1.0, 16)
+    gp = discretize(prob, grid)
+    u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
+    bw = gen_brownian(5, 300, grid)
+
+    ens = euler_simulate(gp, u, bw)
+    assert np.array_equal(ens.states, reference_euler_simulate(prob, u, bw))
+
+    kern = solve_kernels(grid, gp.b_y, gp.b_u)
+    assert np.array_equal(solve_psi(grid, gp.b_y), kern.psi)
+    psi = reference_solve_psi(grid, prob.drift.b_y)
+    assert np.array_equal(kern.psi, psi)
+    varphi = reference_solve_varphi_tilde(grid, prob.drift.b_y, prob.drift.b_u, psi)
+    assert np.array_equal(kern.varphi_tilde, varphi)
+
+    adj = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 8))
+    grad = gradient(u, ens, adj, gp)
+    assert np.array_equal(grad.values, reference_gradient(u, ens, adj, prob))
+
+    u_half = StepFunction(grid, u.values - 0.1 * grad.values)
+    got = project_update(u_half, 0.7, psi, gp.b_u, 0.1)
+    want = reference_project_update(u_half, 0.7, psi, prob.drift.b_u, 0.1)
+    assert np.array_equal(got.values, want)
+
+
+def test_solve_samples_the_drift_once():
+    prob = time_varying_problem()
+    calls = {"b_y": 0, "b_u": 0, "m": 0}
+
+    def counted(name, f):
+        @functools.wraps(f)
+        def call(t):
+            calls[name] += 1
+            return f(t)
+
+        return call
+
+    drift = LinearDrift(
+        **{name: counted(name, getattr(prob.drift, name)) for name in calls},
+        lip_bound=prob.drift.lip_bound,
+        lower_bound=prob.drift.lower_bound,
+    )
+    prob = dataclasses.replace(prob, drift=drift)
+    grid = TimeGrid(1.0, 12)
+    cfg = SolveConfig(
+        rho=0.1, eps0=1e-12, L=50, basis=BasisSpec(VORONOI, 4), seed=3, max_iters=4
+    )
+    res = solve(prob, cfg, nodal_sample(lambda t: 0.0, grid))
+    assert res.iterations == 4
+    assert calls == {"b_y": grid.N, "b_u": grid.N, "m": grid.N}

@@ -10,13 +10,13 @@ from socproj.gridfn import (
     TimeGrid,
     constant_control,
     l2_dist,
-    l2_dist_to_function,
-    l2_project,
     linf_dist,
     nodal_sample,
     trapezoid,
     zero_control,
 )
+
+from tests.oracles import l2_dist_to_function, l2_project
 
 
 class TestTimeGrid:

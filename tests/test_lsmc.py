@@ -21,6 +21,7 @@ from socproj.problems import (
     Diffusion,
     LinearDrift,
     ProblemSpec,
+    discretize,
     example2,
     example3,
 )
@@ -169,7 +170,7 @@ class TestBackwardSolver:
         grid = TimeGrid(1.0, n)
         u = zero_control(grid) if control is None else control(grid)
         bw = gen_brownian(seed, paths, grid)
-        ens = euler_simulate(prob, u, bw)
+        ens = euler_simulate(discretize(prob, grid), u, bw)
         return grid, u, bw, ens
 
     def test_zero_data_gives_zero_solution(self):
@@ -188,7 +189,7 @@ class TestBackwardSolver:
             delta=1e9,
         )
         grid, u, bw, ens = self._inputs(prob)
-        sol = solve_bsde_hat(ens, bw, prob, u, BasisSpec(HYPERCUBE, 4))
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
         np.testing.assert_array_equal(sol.p_hat, 0.0)
         np.testing.assert_array_equal(sol.q_hat, 0.0)
 
@@ -196,14 +197,14 @@ class TestBackwardSolver:
         # h_y = 1 with no couplings: P_hat_n = T - t_n in every cell
         prob = _unit_source_problem()
         grid, u, bw, ens = self._inputs(prob, n=10)
-        sol = solve_bsde_hat(ens, bw, prob, u, BasisSpec(VORONOI, 6))
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(VORONOI, 6))
         expected = grid.T - grid.nodes
         np.testing.assert_allclose(sol.p_hat, np.broadcast_to(expected, sol.p_hat.shape), atol=1e-12)
 
     def test_q_hat_clt_bound(self):
         prob = _unit_source_problem()
         grid, u, bw, ens = self._inputs(prob, n=10, paths=800)
-        sol = solve_bsde_hat(ens, bw, prob, u, BasisSpec(HYPERCUBE, 8))
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 8))
         for n in range(grid.N):
             part_q = sol.partitions[n][1]
             counts = np.bincount(part_q.assign(ens.states[:, n]), minlength=part_q.n_cells)
@@ -214,13 +215,13 @@ class TestBackwardSolver:
     def test_terminal_column_is_raw_g(self):
         prob = example3(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob)
-        sol = solve_bsde_hat(ens, bw, prob, u, BasisSpec(HYPERCUBE, 4))
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
         np.testing.assert_array_equal(sol.p_hat[:, -1], prob.costs.g(ens.states[:, -1]))
 
     def test_cellmates_share_values(self):
         prob = example2(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob, control=lambda g: nodal_sample(lambda t: 0.5, g))
-        sol = solve_bsde_hat(ens, bw, prob, u, BasisSpec(HYPERCUBE, 4))
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
         for n in range(grid.N):
             part_p, part_q = sol.partitions[n]
             idx = part_p.assign(ens.states[:, n])
@@ -230,9 +231,10 @@ class TestBackwardSolver:
     def test_mu_zero_reproduces_hat_solver_bitwise(self):
         prob = example2(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob)
-        psi = solve_psi(grid, prob.drift.b_y)
-        hat = solve_bsde_hat(ens, bw, prob, u, BasisSpec(VORONOI, 5))
-        full = solve_bsde_full(ens, bw, prob, u, BasisSpec(VORONOI, 5), mu=0.0, psi=psi)
+        gp = discretize(prob, grid)
+        psi = solve_psi(grid, gp.b_y)
+        hat = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5))
+        full = solve_bsde_full(ens, bw, gp, u, BasisSpec(VORONOI, 5), mu=0.0, psi=psi)
         np.testing.assert_array_equal(hat.p_hat, full.p_hat)
         np.testing.assert_array_equal(hat.q_hat, full.q_hat)
 
@@ -242,11 +244,12 @@ class TestBackwardSolver:
         grid = TimeGrid(1.0, 20)
         u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
         bw = gen_brownian(77, 500, grid)
-        ens = euler_simulate(prob, u, bw)
-        psi = solve_psi(grid, prob.drift.b_y)
+        gp = discretize(prob, grid)
+        ens = euler_simulate(gp, u, bw)
+        psi = solve_psi(grid, gp.b_y)
         spec = BasisSpec(HYPERCUBE, 8)
-        hat = solve_bsde_hat(ens, bw, prob, u, spec)
-        full = solve_bsde_full(ens, bw, prob, u, spec, mu=0.7, psi=psi)
+        hat = solve_bsde_hat(ens, bw, gp, u, spec)
+        full = solve_bsde_full(ens, bw, gp, u, spec, mu=0.7, psi=psi)
         assert np.max(np.abs(full.p_hat - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
         assert np.max(np.abs(full.q_hat - hat.q_hat)) <= 1e-10
 
@@ -259,8 +262,9 @@ class TestBackwardSolver:
             grid = TimeGrid(1.0, n)
             u = nodal_sample(prob.exact.u_star, grid)
             bw = gen_brownian(13, paths, grid)
-            ens = euler_simulate(prob, u, bw)
-            sol = solve_bsde_hat(ens, bw, prob, u, BasisSpec(VORONOI, 20))
+            gp = discretize(prob, grid)
+            ens = euler_simulate(gp, u, bw)
+            sol = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 20))
             return abs(float(sol.p_hat[0, 0]) - (-(1.0 + 0.2) * prob.T))
 
         coarse = p0_error(8, 400)
@@ -284,4 +288,4 @@ class TestBackwardSolver:
         )
         grid, u, bw, ens = self._inputs(bad)
         with pytest.raises(SimulationError):
-            solve_bsde_hat(ens, bw, bad, u, BasisSpec(HYPERCUBE, 4))
+            solve_bsde_hat(ens, bw, discretize(bad, grid), u, BasisSpec(HYPERCUBE, 4))

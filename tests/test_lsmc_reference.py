@@ -3,8 +3,8 @@
 The references below are the plain formulation of the same estimator:
 quantile centers from ``np.quantile``, cells from an unsorted
 ``searchsorted`` per regression, and a backward recursion that assigns the
-samples again for each of its two regressions.  The package must agree with
-them bit for bit.
+samples again for each of its two regressions and calls ``b_y`` at each t_n
+itself.  The package must agree with them bit for bit.
 """
 
 import math
@@ -28,7 +28,8 @@ from socproj.lsmc import (
     solve_bsde_hat,
 )
 from socproj.paths import euler_simulate, gen_brownian
-from socproj.problems import example2, example3
+from socproj.problems import discretize, example2, example3
+from tests.oracles import time_varying_problem
 
 
 def reference_build_partition(samples, spec, which="P", step=0, dt=None):
@@ -181,6 +182,11 @@ def _example3_hypercube():
     return prob, BasisSpec(HYPERCUBE, 10), lambda t: 0.3
 
 
+def _time_varying_voronoi():
+    # b_y = sin t: the driver must read it at the left node of each step
+    return time_varying_problem(), BasisSpec(VORONOI, 12), lambda t: 0.4 * (1.0 - t)
+
+
 def _separate_q_partition():
     prob = example2(alpha=0.1)
     return prob, BasisSpec(VORONOI, 12, K_tilde=5), lambda t: 0.2 + t
@@ -188,8 +194,8 @@ def _separate_q_partition():
 
 @pytest.mark.parametrize(
     "case",
-    [_example2_voronoi, _example3_hypercube, _separate_q_partition],
-    ids=["example2-voronoi", "example3-hypercube", "k-tilde-differs"],
+    [_example2_voronoi, _example3_hypercube, _time_varying_voronoi, _separate_q_partition],
+    ids=["example2-voronoi", "example3-hypercube", "time-varying", "k-tilde-differs"],
 )
 @pytest.mark.parametrize("full", [False, True], ids=["hat", "full"])
 def test_backward_pass_matches_reference_bitwise(case, full):
@@ -197,15 +203,16 @@ def test_backward_pass_matches_reference_bitwise(case, full):
     grid = TimeGrid(1.0, 16)
     u = nodal_sample(u_of_t, grid)
     bw = gen_brownian(31, 600, grid)
-    ens = euler_simulate(prob, u, bw)
+    gp = discretize(prob, grid)
+    ens = euler_simulate(gp, u, bw)
     if full:
-        psi = solve_psi(grid, prob.drift.b_y)
-        sol = solve_bsde_full(ens, bw, prob, u, spec, mu=0.7, psi=psi)
+        psi = solve_psi(grid, gp.b_y)
+        sol = solve_bsde_full(ens, bw, gp, u, spec, mu=0.7, psi=psi)
         p, q, partitions, coefficients = reference_backward(
             ens, bw, prob, u, spec, mu=0.7, psi=psi
         )
     else:
-        sol = solve_bsde_hat(ens, bw, prob, u, spec)
+        sol = solve_bsde_hat(ens, bw, gp, u, spec)
         p, q, partitions, coefficients = reference_backward(ens, bw, prob, u, spec)
 
     assert np.array_equal(sol.p_hat, p)

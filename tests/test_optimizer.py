@@ -28,6 +28,7 @@ from socproj.problems import (
     ExactSolution,
     LinearDrift,
     ProblemSpec,
+    discretize,
     example1,
     example2,
     example3,
@@ -76,8 +77,9 @@ class TestGradient:
         grid = TimeGrid(1.0, 2)
         bw = gen_brownian(1, 8, grid)
         u = StepFunction(grid, [3.0, 7.0])
-        ens = euler_simulate(prob, u, bw)
-        g = gradient(u, ens, _fake_adjoint(grid, 8, 0.0, 0.0), prob)
+        gp = discretize(prob, grid)
+        ens = euler_simulate(gp, u, bw)
+        g = gradient(u, ens, _fake_adjoint(grid, 8, 0.0, 0.0), gp)
         np.testing.assert_allclose(g.values, [3.0, 7.0])
 
     def test_reduces_to_mean_p_when_no_noise_coupling(self):
@@ -97,8 +99,9 @@ class TestGradient:
         grid = TimeGrid(1.0, 3)
         bw = gen_brownian(1, 16, grid)
         u = zero_control(grid)
-        ens = euler_simulate(prob, u, bw)
-        g = gradient(u, ens, _fake_adjoint(grid, 16, 1.75, 9.0), prob)
+        gp = discretize(prob, grid)
+        ens = euler_simulate(gp, u, bw)
+        g = gradient(u, ens, _fake_adjoint(grid, 16, 1.75, 9.0), gp)
         np.testing.assert_allclose(g.values, 1.75)  # q-term killed by sigma_u = 0
 
 
@@ -117,7 +120,7 @@ class TestComputeMultiplier:
 
     def test_fine_grid_response_integral(self):
         # with b_y = 0, b_u = 1 the response integral approaches 1/3
-        kern = solve_kernels(TimeGrid(1.0, 512), lambda t: 0.0, lambda t: 1.0)
+        kern = solve_kernels(TimeGrid(1.0, 512), np.zeros(512), np.ones(512))
         mu = compute_multiplier(0.16543 + 0.1, 0.16543, kern.i_tilde, 0.1)
         assert mu == pytest.approx(3.0, abs=0.05)
 
@@ -126,14 +129,14 @@ class TestProjectUpdate:
     def test_inactive_is_identity(self):
         grid = TimeGrid(1.0, 4)
         u = constant_control(grid, 1.5)
-        psi = solve_psi(grid, lambda t: 0.0)
-        out = project_update(u, 0.0, psi, lambda t: 1.0, 0.5)
+        psi = solve_psi(grid, np.zeros(grid.N))
+        out = project_update(u, 0.0, psi, np.ones(grid.N), 0.5)
         np.testing.assert_array_equal(out.values, u.values)
 
     def test_componentwise_product(self):
         grid = TimeGrid(1.0, 2)
         out = project_update(
-            zero_control(grid), 1.0, np.array([1.0, 0.5, 0.0]), lambda t: 1.0, 1.0
+            zero_control(grid), 1.0, np.array([1.0, 0.5, 0.0]), np.ones(2), 1.0
         )
         np.testing.assert_allclose(out.values, [-1.0, -0.5])
 
@@ -143,14 +146,15 @@ class TestProjectUpdate:
         prob = example1(d=1, mu=0.3, alpha=0.1).components[0]
         grid = TimeGrid(1.0, 16)
         bw = gen_brownian(3, 2000, grid)
-        kern = solve_kernels(grid, prob.drift.b_y, prob.drift.b_u)
+        gp = discretize(prob, grid)
+        kern = solve_kernels(grid, gp.b_y, gp.b_u)
         u_half = constant_control(grid, 1.2)  # infeasible half step
-        I_hat = mean_state_integral(euler_simulate(prob, u_half, bw))
+        I_hat = mean_state_integral(euler_simulate(gp, u_half, bw))
         assert I_hat > prob.delta
         rho = 0.5
         mu = compute_multiplier(I_hat, prob.delta, kern.i_tilde, rho)
-        u_new = project_update(u_half, mu, kern.psi, prob.drift.b_u, rho)
-        integral = mean_state_integral(euler_simulate(prob, u_new, bw))
+        u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho)
+        integral = mean_state_integral(euler_simulate(gp, u_new, bw))
         assert abs(integral - min(I_hat, prob.delta)) <= 1e-10
 
 
@@ -211,7 +215,9 @@ class TestSolve:
         res = solve(prob, cfg, zero_control(grid))
         bw = gen_brownian(cfg.seed, cfg.L, grid)
         for state in res.history[:: max(1, len(res.history) // 6)]:
-            integral = mean_state_integral(euler_simulate(prob, state.u, bw))
+            integral = mean_state_integral(
+                euler_simulate(discretize(prob, grid), state.u, bw)
+            )
             assert integral <= min(state.I_hat, prob.delta) + 1e-10
             assert abs(integral - min(state.I_hat, prob.delta)) <= 1e-10
 
@@ -223,7 +229,9 @@ class TestSolve:
         )
         res = solve(prob, cfg, zero_control(grid))
         bw = gen_brownian(cfg.seed, cfg.L, grid)
-        integral = mean_state_integral(euler_simulate(prob, res.u_final, bw))
+        integral = mean_state_integral(
+            euler_simulate(discretize(prob, grid), res.u_final, bw)
+        )
         assert integral <= prob.delta + 1e-3
 
     def test_determinism_bitwise(self):
@@ -254,7 +262,7 @@ class TestSolve:
         res = solve(prob, cfg, zero_control(grid))
         bw = gen_brownian(cfg.seed, cfg.L, grid, normalize=normalize)
         assert res.state_integral == mean_state_integral(
-            euler_simulate(prob, res.u_final, bw)
+            euler_simulate(discretize(prob, grid), res.u_final, bw)
         )
 
     def test_one_update_is_nonexpansive_when_affine(self):
@@ -267,11 +275,12 @@ class TestSolve:
         rng = np.random.default_rng(1)
         u = StepFunction(grid, rng.normal(size=6))
         v = StepFunction(grid, rng.normal(size=6))
+        gp = discretize(prob, grid)
 
         def one_update(w):
-            ens = euler_simulate(prob, w, bw)
-            adj = solve_bsde_hat(ens, bw, prob, w, basis)
-            grad = gradient(w, ens, adj, prob)
+            ens = euler_simulate(gp, w, bw)
+            adj = solve_bsde_hat(ens, bw, gp, w, basis)
+            grad = gradient(w, ens, adj, gp)
             return StepFunction(grid, w.values - rho * grad.values)
 
         lhs = linf_dist(one_update(u), one_update(v))
@@ -284,18 +293,19 @@ class TestSolve:
         grid = TimeGrid(1.0, 8)
         bw = gen_brownian(5, 400, grid)
         basis = BasisSpec("voronoi", 8)
-        psi = solve_psi(grid, prob.drift.b_y)
+        gp = discretize(prob, grid)
+        psi = solve_psi(grid, gp.b_y)
         rho, mu = 0.1, 0.2
         rng = np.random.default_rng(3)
         u = StepFunction(grid, rng.normal(size=8))
         v = StepFunction(grid, u.values + rng.normal(size=8, scale=0.1))
 
         def one_update(w):
-            ens = euler_simulate(prob, w, bw)
-            adj = solve_bsde_hat(ens, bw, prob, w, basis)
-            grad = gradient(w, ens, adj, prob)
+            ens = euler_simulate(gp, w, bw)
+            adj = solve_bsde_hat(ens, bw, gp, w, basis)
+            grad = gradient(w, ens, adj, gp)
             half = StepFunction(grid, w.values - rho * grad.values)
-            return project_update(half, mu, psi, prob.drift.b_u, rho)
+            return project_update(half, mu, psi, gp.b_u, rho)
 
         ratio = linf_dist(one_update(u), one_update(v)) / linf_dist(u, v)
         assert ratio <= 1.0 + rho * 3.0
@@ -373,7 +383,7 @@ class TestSolveVector:
         for k, (comp, res) in enumerate(zip(vp.components, results)):
             bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
             assert res.state_integral == mean_state_integral(
-                euler_simulate(comp, res.u_final, bw)
+                euler_simulate(discretize(comp, grid), res.u_final, bw)
             )
 
     def test_components_inherit_every_non_seed_knob(self):
@@ -404,7 +414,9 @@ class TestSolveVector:
         )
         for k, (comp, res) in enumerate(zip(vp.components, solve_vector(vp, cfg, zero_control(grid)))):
             bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
-            integral = mean_state_integral(euler_simulate(comp, res.u_final, bw))
+            integral = mean_state_integral(
+                euler_simulate(discretize(comp, grid), res.u_final, bw)
+            )
             assert integral <= comp.delta + 1e-10
 
 

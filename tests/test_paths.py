@@ -10,7 +10,6 @@ from socproj.paths import (
     _PATH_STRIDE,
     SimulationError,
     derive_seed,
-    dump_paths,
     euler_simulate,
     gen_brownian,
     mean_state_integral,
@@ -21,6 +20,7 @@ from socproj.problems import (
     ExactSolution,
     LinearDrift,
     ProblemSpec,
+    discretize,
     example2,
 )
 
@@ -155,14 +155,16 @@ class TestEulerSimulate:
     def test_frozen_dynamics(self):
         prob = _deterministic_problem(b_u=0.0, y0=7.0)
         grid = TimeGrid(1.0, 5)
-        paths = euler_simulate(prob, zero_control(grid), gen_brownian(1, 3, grid))
+        paths = euler_simulate(
+            discretize(prob, grid), zero_control(grid), gen_brownian(1, 3, grid)
+        )
         np.testing.assert_array_equal(paths.states, np.full((3, 6), 7.0))
 
     def test_deterministic_ramp(self):
         prob = _deterministic_problem()
         grid = TimeGrid(1.0, 4)
         paths = euler_simulate(
-            prob, constant_control(grid, 1.0), gen_brownian(1, 2, grid)
+            discretize(prob, grid), constant_control(grid, 1.0), gen_brownian(1, 2, grid)
         )
         np.testing.assert_allclose(paths.states[0], [0.0, 0.25, 0.5, 0.75, 1.0])
 
@@ -170,14 +172,18 @@ class TestEulerSimulate:
         prob = _deterministic_problem()
         with pytest.raises(ValueError):
             euler_simulate(
-                prob, zero_control(TimeGrid(1.0, 4)), gen_brownian(1, 2, TimeGrid(1.0, 8))
+                discretize(prob, TimeGrid(1.0, 4)),
+                zero_control(TimeGrid(1.0, 4)),
+                gen_brownian(1, 2, TimeGrid(1.0, 8)),
             )
 
     def test_nonfinite_state_raises(self):
         prob = _deterministic_problem(m=float("nan"))
         grid = TimeGrid(1.0, 4)
         with pytest.raises(SimulationError):
-            euler_simulate(prob, zero_control(grid), gen_brownian(1, 2, grid))
+            euler_simulate(
+                discretize(prob, grid), zero_control(grid), gen_brownian(1, 2, grid)
+            )
 
     def test_exact_control_reproduces_constraint_level(self):
         # with normalized increments the mean path is deterministic, so the
@@ -186,7 +192,7 @@ class TestEulerSimulate:
         grid = TimeGrid(1.0, 256)
         u = nodal_sample(prob.exact.u_star, grid)
         bw = gen_brownian(31, 4000, grid)
-        integral = mean_state_integral(euler_simulate(prob, u, bw))
+        integral = mean_state_integral(euler_simulate(discretize(prob, grid), u, bw))
         assert abs(integral - prob.delta) <= 0.5 * grid.dt
 
     def test_exact_control_within_three_standard_errors_raw(self):
@@ -194,7 +200,7 @@ class TestEulerSimulate:
         grid = TimeGrid(1.0, 256)
         u = nodal_sample(prob.exact.u_star, grid)
         bw = gen_brownian(31, 4000, grid, normalize=False)
-        paths = euler_simulate(prob, u, bw)
+        paths = euler_simulate(discretize(prob, grid), u, bw)
         per_path = np.array(
             [
                 grid.dt * (0.5 * row[0] + row[1:-1].sum() + 0.5 * row[-1])
@@ -215,8 +221,8 @@ class TestCommonRandomNumbers:
         rng = np.random.default_rng(0)
         u = StepFunction(grid, rng.normal(size=8))
         v = StepFunction(grid, rng.normal(size=8))
-        mu = euler_simulate(prob, u, bw).states.mean(axis=0)
-        mv = euler_simulate(prob, v, bw).states.mean(axis=0)
+        mu = euler_simulate(discretize(prob, grid), u, bw).states.mean(axis=0)
+        mv = euler_simulate(discretize(prob, grid), v, bw).states.mean(axis=0)
         diff = mu - mv
         for n in range(8):
             predicted = (1.0 + 0.4 * grid.dt) * diff[n] + (
@@ -233,7 +239,7 @@ class TestCommonRandomNumbers:
             grid = TimeGrid(1.0, n)
             u = nodal_sample(prob.exact.u_star, grid)
             bw = gen_brownian(5, 2000, grid)
-            integral = mean_state_integral(euler_simulate(prob, u, bw))
+            integral = mean_state_integral(euler_simulate(discretize(prob, grid), u, bw))
             return abs(integral - 0.16542657786208414)  # exact continuous value
 
         b64, b128 = mean_bias(64), mean_bias(128)
@@ -244,14 +250,16 @@ class TestMeanStateIntegral:
     def test_constant_ensemble(self):
         grid = TimeGrid(1.0, 4)
         prob = _deterministic_problem(b_u=0.0, y0=3.0)
-        paths = euler_simulate(prob, zero_control(grid), gen_brownian(1, 10, grid))
+        paths = euler_simulate(
+            discretize(prob, grid), zero_control(grid), gen_brownian(1, 10, grid)
+        )
         assert mean_state_integral(paths) == pytest.approx(3.0)
 
     def test_ramp_ensemble(self):
         prob = _deterministic_problem()
         grid = TimeGrid(1.0, 4)
         paths = euler_simulate(
-            prob, constant_control(grid, 1.0), gen_brownian(1, 2, grid)
+            discretize(prob, grid), constant_control(grid, 1.0), gen_brownian(1, 2, grid)
         )
         assert mean_state_integral(paths) == pytest.approx(0.5)
 
@@ -261,13 +269,3 @@ class TestMeanStateIntegral:
         grid = TimeGrid(1.0, 2)
         paths = PathEnsemble(grid=grid, states=np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 4.0]]))
         assert mean_state_integral(paths) == pytest.approx(1.0)
-
-
-def test_dump_paths(tmp_path):
-    prob = _deterministic_problem()
-    grid = TimeGrid(1.0, 3)
-    paths = euler_simulate(prob, constant_control(grid, 1.0), gen_brownian(1, 4, grid))
-    out = tmp_path / "paths.tsv"
-    dump_paths(paths, str(out))
-    loaded = np.loadtxt(out, delimiter="\t")
-    np.testing.assert_allclose(loaded, paths.states)

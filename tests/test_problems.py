@@ -10,10 +10,17 @@ from socproj.paths import euler_simulate, gen_brownian, mean_state_integral
 from socproj.problems import (
     EXAMPLE2_DELTA,
     EXAMPLE3_DELTA_ACTIVE,
+    discretize,
     example1,
     example2,
     example3,
+)
+
+from tests.oracles import (
     finite_difference_mismatch,
+    linear_growth_bound,
+    validate_diffusion,
+    validate_drift,
 )
 
 
@@ -59,7 +66,7 @@ class TestExample1:
         grid = TimeGrid(1.0, 128)
         u = nodal_sample(comp.exact.u_star, grid)
         bw = gen_brownian(11, 2000, grid)
-        integral = mean_state_integral(euler_simulate(comp, u, bw))
+        integral = mean_state_integral(euler_simulate(discretize(comp, grid), u, bw))
         assert abs(integral - comp.delta) <= 0.5 * grid.dt
 
 
@@ -138,9 +145,9 @@ class TestDeclaredBounds:
         ids=["example1", "example2", "example3"],
     )
     def test_validators_accept_builtins(self, prob):
-        prob.drift.validate(prob.T)
-        prob.diffusion.validate()
-        assert prob.costs.linear_growth_bound(prob.T) < 10.0
+        validate_drift(prob.drift, prob.T)
+        validate_diffusion(prob.diffusion)
+        assert linear_growth_bound(prob.costs, prob.T) < 10.0
 
     def test_diffusion_derivatives_match_finite_differences(self):
         ys = np.linspace(-3.0, 3.0, 13)
