@@ -60,6 +60,7 @@ from .paths import (
     euler_simulate,
     gen_brownian,
     mean_state_integral,
+    path_mean,
 )
 from .problems import (
     EXAMPLE2_DELTA,
@@ -130,6 +131,7 @@ __all__ = [
     "euler_simulate",
     "gen_brownian",
     "mean_state_integral",
+    "path_mean",
     # problems
     "EXAMPLE2_DELTA",
     "EXAMPLE2_MU_STAR",

@@ -222,8 +222,11 @@ def regress(
 @dataclass(frozen=True, eq=False)
 class BsdeSolution:
     """Regressed adjoint values on each path: p_hat is (L, N+1) with the raw
-    terminal column, q_hat is (L, N); partitions and per-cell coefficients
-    are kept per step for inspection."""
+    terminal column, q_hat is (L, N), both column-major like the ensembles,
+    so step n's values are the contiguous column [:, n]; average them over
+    paths with ``paths.path_mean`` (path order), not ``.mean(axis=0)``
+    (pairwise on this layout).  Partitions and per-cell coefficients are kept
+    per step for inspection."""
 
     grid: TimeGrid
     p_hat: np.ndarray
@@ -251,8 +254,8 @@ def _solve_backward(
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
 
-    p = np.empty((L, N + 1))
-    q = np.empty((L, N))
+    p = np.empty((L, N + 1), order="F")
+    q = np.empty((L, N), order="F")
     p[:, N] = costs.g(y[:, N])
     partitions: list[tuple[Partition, Partition]] = [None] * N  # type: ignore[list-item]
     coefficients: list[tuple[np.ndarray, np.ndarray]] = [None] * N  # type: ignore[list-item]

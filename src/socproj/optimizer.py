@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detode import solve_kernels
+from .detode import _values, solve_kernels
 from .gridfn import StepFunction, linf_dist
 from .lsmc import BasisSpec, BsdeSolution, solve_bsde_hat
 from .paths import (
@@ -35,6 +35,7 @@ from .paths import (
     euler_simulate,
     gen_brownian,
     mean_state_integral,
+    path_mean,
 )
 from .problems import GridProblem, ProblemSpec, VectorProblem, discretize
 
@@ -113,7 +114,7 @@ def gradient(
     if not (paths.grid == adj.grid == problem.grid == grid):
         raise ValueError("control, paths, adjoint and problem must share one grid")
     diff, costs = problem.spec.diffusion, problem.spec.costs
-    mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
+    mean_p = path_mean(adj.p_hat[:, : grid.N])
     vals = np.empty(grid.N)
     for n in range(grid.N):
         un = float(control.values[n])
@@ -145,6 +146,7 @@ def project_update(
     psi = np.asarray(psi, dtype=float)
     if psi.shape != (grid.N + 1,):
         raise ValueError("psi must carry one value per grid node")
+    b_u = _values(b_u, grid.N, "b_u")
     return StepFunction(grid, u_half.values - rho_i * mu * psi[:-1] * b_u)
 
 

@@ -12,6 +12,15 @@ on the state; it can be disabled per ensemble.
 One ensemble is generated per solve and reused for every iteration, so
 control perturbations propagate through identical noise (common random
 numbers).
+
+Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
+``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
+column-major, shape (L, steps), so one time step's L path values, column
+``[:, n]``, are one contiguous block for the forward and backward sweeps.
+Path-order sum rule: a mean across paths adds the paths in path order, as
+``.mean(axis=0)`` does on a row-major array; ``path_mean`` does so on any
+layout.  On these column-major arrays ``.mean(axis=0)`` is a pairwise sum
+and gives other bits.
 """
 
 from __future__ import annotations
@@ -22,6 +31,10 @@ import numpy as np
 
 from .gridfn import StepFunction, TimeGrid, trapezoid
 from .problems import GridProblem
+
+# Rows per block of ``path_mean``: a (block, columns) row-major buffer, small
+# beside the ensemble, is what one reduction reads.
+_MEAN_BLOCK = 1024
 
 # Philox counter blocks reserved per path substream; each block yields four
 # 64-bit words, so this supports ~2e6 normals per path without overlap.
@@ -47,7 +60,9 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class BrownianEnsemble:
-    """L seeded Brownian increment paths on a grid, shape (L, N)."""
+    """L seeded Brownian increment paths on a grid, shape (L, N), stored
+    column-major (a row-major array is converted once): step n's increments
+    are the contiguous column [:, n].  Average over paths with ``path_mean``."""
 
     grid: TimeGrid
     seed: int
@@ -57,6 +72,7 @@ class BrownianEnsemble:
     def __post_init__(self) -> None:
         if self.increments.shape[1] != self.grid.N:
             raise ValueError("increments do not match the grid")
+        object.__setattr__(self, "increments", np.asfortranarray(self.increments))
         self.increments.setflags(write=False)
 
     @property
@@ -66,7 +82,9 @@ class BrownianEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class PathEnsemble:
-    """L Euler state trajectories on a grid, shape (L, N+1)."""
+    """L Euler state trajectories on a grid, shape (L, N+1), stored
+    column-major (a row-major array is converted once): node n's states are
+    the contiguous column [:, n].  Average over paths with ``path_mean``."""
 
     grid: TimeGrid
     states: np.ndarray
@@ -74,6 +92,7 @@ class PathEnsemble:
     def __post_init__(self) -> None:
         if self.states.shape[1] != self.grid.N + 1:
             raise ValueError("states do not match the grid")
+        object.__setattr__(self, "states", np.asfortranarray(self.states))
         self.states.setflags(write=False)
 
     @property
@@ -109,20 +128,22 @@ def gen_brownian(
 
     With ``normalize`` (the default) each step's column is shifted and scaled
     to sample mean 0 and sample variance dt exactly; requires L >= 2 and is
-    skipped otherwise.
+    skipped otherwise.  Paths are filled and normalized row-major, one
+    substream per row; the ensemble stores them column-major.
     """
     if L < 1:
         raise ValueError(f"path count must be >= 1, got {L}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    dw = _substream_normals(seed, L, grid.N) * np.sqrt(grid.dt)
+    dw = _substream_normals(seed, L, grid.N)
+    dw *= np.sqrt(grid.dt)
     did_normalize = bool(normalize) and L >= 2
     if did_normalize:
-        dw = dw - dw.mean(axis=0)
+        dw -= dw.mean(axis=0)
         scale = np.sqrt(np.mean(dw * dw, axis=0))
         if np.any(scale <= 0.0):
             raise SimulationError("degenerate increment column")
-        dw = dw * (np.sqrt(grid.dt) / scale)
+        dw *= np.sqrt(grid.dt) / scale
     return BrownianEnsemble(
         grid=grid, seed=seed, increments=dw, normalized=did_normalize
     )
@@ -143,7 +164,7 @@ def euler_simulate(
     by, bu, m = problem.b_y, problem.b_u, problem.m
     sigma = problem.spec.diffusion.sigma
 
-    states = np.empty((bw.L, grid.N + 1))
+    states = np.empty((bw.L, grid.N + 1), order="F")
     states[:, 0] = problem.spec.y0
     for n in range(grid.N):
         y = states[:, n]
@@ -156,6 +177,30 @@ def euler_simulate(
     return PathEnsemble(grid=grid, states=states)
 
 
+def path_mean(a: np.ndarray) -> np.ndarray:
+    """Mean over paths (axis 0) of an (L, M) array, bit for bit
+    ``np.ascontiguousarray(a).mean(axis=0)`` for any layout of ``a``: the
+    paths are added in path order, except in a single column (M = 1), which
+    numpy sums pairwise in either layout.
+
+    Each block of rows is copied row-major into one small buffer behind the
+    running sum and reduced there: a row-major reduction over axis 0 adds
+    row after row onto the identity 0.0.
+    """
+    L, M = a.shape
+    if M == 1:
+        return a.mean(axis=0)
+    buf = np.empty((min(L, _MEAN_BLOCK) + 1, M))
+    total = np.zeros(M)
+    for start in range(0, L, _MEAN_BLOCK):
+        block = a[start : start + _MEAN_BLOCK]
+        rows = buf[: len(block) + 1]
+        rows[0] = total
+        rows[1:] = block
+        np.add.reduce(rows, axis=0, out=total)
+    return total / L
+
+
 def mean_state_integral(paths: PathEnsemble) -> float:
     """Trapezoidal rule applied to the cross-path nodal means."""
-    return trapezoid(paths.states.mean(axis=0), paths.grid)
+    return trapezoid(path_mean(paths.states), paths.grid)

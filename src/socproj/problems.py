@@ -124,10 +124,6 @@ class VectorProblem:
     def d(self) -> int:
         return len(self.components)
 
-    @property
-    def delta_vec(self) -> np.ndarray:
-        return np.array([c.delta for c in self.components])
-
 
 @dataclass(frozen=True, eq=False)
 class GridProblem:

@@ -140,6 +140,13 @@ class TestProjectUpdate:
         )
         np.testing.assert_allclose(out.values, [-1.0, -0.5])
 
+    @pytest.mark.parametrize("b_u", [1.0, np.ones(1), np.ones(3), np.ones((2, 1))])
+    def test_rejects_b_u_of_wrong_shape(self, b_u):
+        grid = TimeGrid(1.0, 2)
+        psi = np.array([1.0, 0.5, 0.0])
+        with pytest.raises(ValueError, match=r"b_u must have 2 values, got shape"):
+            project_update(zero_control(grid), 1.0, psi, b_u, 1.0)
+
     def test_feasibility_chain_exact_for_constant_sigma(self):
         # after the multiplier update, re-simulating on the same ensemble
         # yields the trapezoidal integral min(I_hat, delta) to 1e-10

@@ -28,7 +28,7 @@ class TestExample1:
     def test_constraint_levels(self):
         vp = example1(d=5, mu=0.3, alpha=0.1)
         np.testing.assert_allclose(
-            vp.delta_vec, [5 / 12, 5 / 24, 5 / 36, 5 / 48, 5 / 60]
+            [c.delta for c in vp.components], [5 / 12, 5 / 24, 5 / 36, 5 / 48, 5 / 60]
         )
 
     def test_exact_control_values(self):
