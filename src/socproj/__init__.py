@@ -9,7 +9,6 @@ from .bench import (
     RunRow,
     SweepConfig,
     build_problem,
-    fit_order,
     parse_config,
     rate,
     run_single,
@@ -29,7 +28,6 @@ from .gridfn import (
     linf_dist,
     nodal_sample,
     trapezoid,
-    zero_control,
 )
 from .lsmc import (
     HYPERCUBE,
@@ -39,7 +37,6 @@ from .lsmc import (
     Partition,
     build_partition,
     regress,
-    solve_bsde_full,
     solve_bsde_hat,
 )
 from .optimizer import (
@@ -85,7 +82,6 @@ __all__ = [
     "RunRow",
     "SweepConfig",
     "build_problem",
-    "fit_order",
     "parse_config",
     "rate",
     "run_single",
@@ -103,7 +99,6 @@ __all__ = [
     "linf_dist",
     "nodal_sample",
     "trapezoid",
-    "zero_control",
     # lsmc
     "HYPERCUBE",
     "VORONOI",
@@ -112,7 +107,6 @@ __all__ = [
     "Partition",
     "build_partition",
     "regress",
-    "solve_bsde_full",
     "solve_bsde_hat",
     # optimizer
     "IterationState",

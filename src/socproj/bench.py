@@ -86,7 +86,6 @@ class SweepConfig:
     u0: float = 0.0
     self_convergence: bool = False
     normalize_increments: bool = True
-    N: Optional[int] = None
     output_dir: str = "out"
     output_formats: list[str] = field(default_factory=lambda: ["csv", "json"])
 
@@ -97,6 +96,10 @@ class SweepConfig:
             raise ValueError("every N in N_list must be >= 2")
         if any(b >= a for a, b in zip(self.N_list[1:], self.N_list)):
             raise ValueError("N_list must be strictly increasing")
+        if not self.output_formats or set(self.output_formats) - {"csv", "json"}:
+            raise ValueError(
+                f"output.formats must be csv and/or json, got {self.output_formats}"
+            )
         self.solve_config(self.seed)  # bad solver knobs fail at parse time, not per N
 
     def basis(self) -> BasisSpec:
@@ -148,7 +151,6 @@ CONFIG_KEYS = {
     "mu_star": ("mu_star", float),
     "delta": ("delta", float),
     "N_list": ("N_list", _parse_int_list),
-    "N": ("N", int),
     "L": ("L", int),
     "rho": ("rho", float),
     "rho_schedule": ("rho_schedule", str.strip),
@@ -188,11 +190,13 @@ def parse_config(path: str) -> SweepConfig:
             key, value = (part.strip() for part in stripped.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in raw:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             raw[key] = value
     if "problem" not in raw:
         raise ValueError(f"{path}: missing required key 'problem'")
-    if "N_list" not in raw and "N" not in raw:
-        raise ValueError(f"{path}: need N_list (or N)")
+    if "N_list" not in raw:
+        raise ValueError(f"{path}: missing required key 'N_list'")
     for key in IGNORED_KEYS.get(raw["problem"], ()):
         if key in raw:
             raise ValueError(
@@ -202,8 +206,6 @@ def parse_config(path: str) -> SweepConfig:
     for key, value in raw.items():
         attr, parser = CONFIG_KEYS[key]
         kwargs[attr] = parser(value)
-    if "N_list" not in kwargs:
-        kwargs["N_list"] = [kwargs["N"]]
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         kwargs["output_dir"] = env_dir
@@ -257,22 +259,6 @@ def rate(e1: float, N1: int, e2: float, N2: int) -> float:
     if N2 <= N1:
         raise ValueError("need N2 > N1")
     return math.log(e1 / e2) / math.log(N2 / N1)
-
-
-def fit_order(report: RunReport, column: str = "control_error") -> float:
-    """Least-squares slope of log error against log N, sign-normalized so a
-    first-order column maps to ~1.0.  Needs at least three usable rows."""
-    pts = [
-        (row.N, getattr(row, column))
-        for row in report.rows
-        if getattr(row, column) is not None and getattr(row, column) > 0.0
-    ]
-    if len(pts) < 3:
-        raise ValueError(f"need >= 3 positive rows in {column!r}, have {len(pts)}")
-    logn = np.log([p[0] for p in pts])
-    loge = np.log([p[1] for p in pts])
-    slope = np.polyfit(logn, loge, 1)[0]
-    return float(-slope)
 
 
 def _fill_rates(rows: list[RunRow], err_attr: str, rate_attr: str) -> None:
@@ -482,9 +468,9 @@ def run_single(
     N: Optional[int] = None,
     problem: Optional[Union[ProblemSpec, VectorProblem]] = None,
 ) -> tuple[list[SolveResult], list[RunRow]]:
-    """One solve at a single N (default: the N key, else the first entry of
-    N_list); returns the raw results and one report row per component."""
-    n = (cfg.N if cfg.N is not None else cfg.N_list[0]) if N is None else N
+    """One solve at a single N (default: the first entry of N_list); returns
+    the raw results and one report row per component."""
+    n = cfg.N_list[0] if N is None else N
     prob = build_problem(cfg) if problem is None else problem
     components = prob.components if isinstance(prob, VectorProblem) else (prob,)
     results = _solve_one_n(cfg, prob, components, n)

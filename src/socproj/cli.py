@@ -61,48 +61,7 @@ def _cmd_sweep(args) -> int:
             elif row.converged is False:
                 failed = True
                 print(f"# N={row.N} NOT converged in {row.iterations} iterations")
-    if args.plot:
-        _emit_plots(cfg, reports)
     return 1 if (failed and args.strict) else 0
-
-
-def _emit_plots(cfg, reports) -> None:
-    """Optional SVG emission: log-log error decay per component."""
-    try:
-        import matplotlib
-
-        matplotlib.use("Agg")
-        import matplotlib.pyplot as plt
-    except ImportError:
-        print("matplotlib not available; skipping plots", file=sys.stderr)
-        return
-    import os
-
-    for report in reports:
-        pts = [
-            (row.N, row.control_error, row.multiplier_error)
-            for row in report.rows
-            if row.failure is None
-        ]
-        if not pts:
-            continue
-        fig, ax = plt.subplots(figsize=(4.0, 3.2))
-        ns = [p[0] for p in pts]
-        anchor = None
-        for idx, label in ((1, "control"), (2, "multiplier")):
-            errs = [p[idx] for p in pts]
-            if all(e is not None and e > 0 for e in errs):
-                ax.loglog(ns, errs, "o-", label=label)
-                anchor = anchor or errs[0]
-        if anchor is not None:
-            ax.loglog(ns, [anchor * ns[0] / n for n in ns], "k--", label="order 1")
-        ax.set_xlabel("N")
-        ax.set_ylabel("error")
-        ax.legend()
-        fig.tight_layout()
-        stem = f"{cfg.problem}_{cfg.basis_kind}_c{report.component}_errors.svg"
-        fig.savefig(os.path.join(cfg.output_dir, stem))
-        plt.close(fig)
 
 
 def main(argv=None) -> int:
@@ -119,7 +78,6 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run the configured convergence sweep")
     _add_config_arg(p_sweep)
-    p_sweep.add_argument("--plot", action="store_true", help="emit SVG error plots")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_list = sub.add_parser("list-problems", help="print the built-in problem ids")

@@ -67,19 +67,6 @@ class StepFunction:
         idx = np.clip(idx, 0, self.grid.N - 1)
         return self.values[idx]
 
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        _require_same_grid(self, other)
-        return StepFunction(self.grid, self.values + other.values)
-
-    def __sub__(self, other: "StepFunction") -> "StepFunction":
-        _require_same_grid(self, other)
-        return StepFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, c: float) -> "StepFunction":
-        return StepFunction(self.grid, self.values * c)
-
-    __rmul__ = __mul__
-
 
 def _require_same_grid(u: StepFunction, v: StepFunction) -> None:
     if u.grid != v.grid:
@@ -114,11 +101,6 @@ def trapezoid(values: np.ndarray, grid: TimeGrid) -> float:
         )
     inner = float(values[1:-1].sum()) if grid.N > 1 else 0.0
     return grid.dt * (0.5 * values[0] + inner + 0.5 * values[-1])
-
-
-def zero_control(grid: TimeGrid) -> StepFunction:
-    """The zero step function, the default initial control."""
-    return StepFunction(grid, np.zeros(grid.N))
 
 
 def constant_control(grid: TimeGrid, c: float) -> StepFunction:

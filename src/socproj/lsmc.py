@@ -9,7 +9,7 @@ mean of its targets and every empty cell zero.
 A Voronoi partition costs one argsort of the step's samples: its K quantiles
 are read off the sorted column with the same arithmetic as
 ``np.quantile(method="linear")``, so they match it bit for bit, and every
-sample's cell comes from rank cuts in that sorted column.  ``_solve_backward``
+sample's cell comes from rank cuts in that sorted column.  ``solve_bsde_hat``
 asks ``build_partition`` for that cell array and hands it to both regressions
 of the step when the P- and Q-regressions share a partition.
 
@@ -18,12 +18,8 @@ dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
 p_{n+1} + f(t_n, y_n, p_{n+1}, Q_n(y_n), u_n) dt, where p_{n+1} are the
 step-(n+1) fitted values (terminal values are the raw g(y_N)).
 
-``solve_bsde_hat`` uses the multiplier-free driver.  ``solve_bsde_full`` runs
-the same recursion with the multiplier in the driver; its Q-regression drops
-the deterministic mu*psi_{n+1} component of p_{n+1} first, because the
-conditional expectation of dW times a deterministic coefficient is exactly
-zero, which keeps the shift identity P = P_hat + mu*psi, Q = Q_hat exact at
-the sample level.
+The driver is multiplier-free: the multiplier enters the adjoint only through
+the shift identity P = P_hat + mu*psi, Q = Q_hat.
 """
 
 from __future__ import annotations
@@ -235,15 +231,15 @@ class BsdeSolution:
     coefficients: list[tuple[np.ndarray, np.ndarray]]
 
 
-def _solve_backward(
+def solve_bsde_hat(
     paths: PathEnsemble,
     bw: BrownianEnsemble,
     problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
-    mu: float,
-    psi: Optional[np.ndarray],
 ) -> BsdeSolution:
+    """Backward LSMC with the multiplier-free driver
+    f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u)."""
     if not (paths.grid == bw.grid == control.grid == problem.grid):
         raise ValueError("paths, increments, control and problem must share one grid")
     if paths.L != bw.L:
@@ -276,19 +272,13 @@ def _solve_backward(
         )
 
         p_next = p[:, n + 1]
-        if psi is None:
-            target_q = dw[:, n] * p_next / dt
-        else:
-            # E[dW * mu*psi_{n+1} | F_n] = 0 exactly (deterministic factor),
-            # so only the random component of p_{n+1} is regressed.
-            target_q = dw[:, n] * (p_next - mu * psi[n + 1]) / dt
+        target_q = dw[:, n] * p_next / dt
         q_coef, q_fit = regress(part_q, yn, target_q, cells=cells_q)
 
         f = (
             costs.h_y(tn, yn)
             + p_next * problem.b_y[n]
             + q_fit * diff.sigma_y(yn, un)
-            + mu
         )
         target_p = p_next + f * dt
         if not np.all(np.isfinite(target_p)):
@@ -304,34 +294,3 @@ def _solve_backward(
         grid=grid, p_hat=p, q_hat=q, partitions=partitions, coefficients=coefficients
     )
 
-
-def solve_bsde_hat(
-    paths: PathEnsemble,
-    bw: BrownianEnsemble,
-    problem: GridProblem,
-    control: StepFunction,
-    spec: BasisSpec,
-) -> BsdeSolution:
-    """Backward LSMC with the multiplier-free driver
-    f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u)."""
-    return _solve_backward(paths, bw, problem, control, spec, mu=0.0, psi=None)
-
-
-def solve_bsde_full(
-    paths: PathEnsemble,
-    bw: BrownianEnsemble,
-    problem: GridProblem,
-    control: StepFunction,
-    spec: BasisSpec,
-    mu: float,
-    psi: np.ndarray,
-) -> BsdeSolution:
-    """Backward LSMC with the multiplier in the driver, f = f_hat + mu.
-
-    On shared paths and partitions the result relates to ``solve_bsde_hat``
-    by P = P_hat + mu*psi_n and Q = Q_hat, exactly.
-    """
-    psi = np.asarray(psi, dtype=float)
-    if psi.shape != (paths.grid.N + 1,):
-        raise ValueError("psi must carry one value per grid node")
-    return _solve_backward(paths, bw, problem, control, spec, mu=float(mu), psi=psi)

@@ -81,7 +81,6 @@ class IterationState:
     u: StepFunction
     mu: float
     I_hat: float
-    I_tilde: float
     error: float
 
 
@@ -178,7 +177,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
         u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho_i)
         error = linf_dist(u_new, u)
         history.append(
-            IterationState(i=i, u=u_new, mu=mu, I_hat=I_hat, I_tilde=I_tilde, error=error)
+            IterationState(i=i, u=u_new, mu=mu, I_hat=I_hat, error=error)
         )
         u = u_new
         if error <= config.eps0:

@@ -45,15 +45,13 @@ EXAMPLE3_DELTA_ACTIVE = 1.34150
 class LinearDrift:
     """Coefficients of the linear drift b(t, y, u) = b_y(t) y + b_u(t) u + m(t).
 
-    ``lip_bound`` bounds |b_y| + |b_u| on [0, T]; ``lower_bound`` is a strictly
-    positive lower bound on |b_u|, required for the projection kernel to be
-    nondegenerate.
+    ``lower_bound`` is a strictly positive lower bound on |b_u|, required for
+    the projection kernel to be nondegenerate.
     """
 
     b_y: TimeFn
     b_u: TimeFn
     m: TimeFn
-    lip_bound: float
     lower_bound: float
 
     def __post_init__(self) -> None:
@@ -63,15 +61,11 @@ class LinearDrift:
 
 @dataclass(frozen=True)
 class Diffusion:
-    """Diffusion coefficient and its state/control derivatives.
-
-    ``bound`` is the declared constant dominating |sigma_y| + |sigma_u|.
-    """
+    """Diffusion coefficient and its state/control derivatives."""
 
     sigma: StateFn
     sigma_y: StateFn
     sigma_u: StateFn
-    bound: float
 
 
 @dataclass(frozen=True)
@@ -119,10 +113,6 @@ class VectorProblem:
     def __post_init__(self) -> None:
         if len(self.components) < 1:
             raise ValueError("need at least one component")
-
-    @property
-    def d(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +176,12 @@ def example1(d: int, mu: float, alpha: float, T: float = 1.0) -> VectorProblem:
                     b_y=lambda t: 0.0,
                     b_u=lambda t: 1.0,
                     m=lambda t: 0.0,
-                    lip_bound=1.0,
                     lower_bound=1.0,
                 ),
                 diffusion=Diffusion(
                     sigma=lambda y, u, _a=alpha: np.full_like(y, _a, dtype=float),
                     sigma_y=_zeros,
                     sigma_u=_zeros,
-                    bound=0.0,
                 ),
                 costs=CostDerivatives(h_y=h_y, j_u=_identity, g=_zero_terminal),
                 y0=0.0,
@@ -236,14 +224,12 @@ def example2(alpha: float, T: float = 1.0) -> ProblemSpec:
             b_y=lambda t: 0.0,
             b_u=lambda t: 1.0,
             m=lambda t: -r(t),
-            lip_bound=1.0,
             lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _a=alpha: np.full_like(y, _a * u, dtype=float),
             sigma_y=_zeros,
             sigma_u=lambda y, u, _a=alpha: np.full_like(y, _a, dtype=float),
-            bound=abs(alpha),
         ),
         costs=CostDerivatives(h_y=h_y, j_u=_identity, g=_zero_terminal),
         y0=0.0,
@@ -279,14 +265,12 @@ def example3(
             b_y=lambda t: 1.0,
             b_u=lambda t: 1.0,
             m=lambda t: 0.0,
-            lip_bound=2.0,
             lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _a=alpha: _a * np.sqrt(1.0 + y * y),
             sigma_y=lambda y, u, _a=alpha: _a * y / np.sqrt(1.0 + y * y),
             sigma_u=_zeros,
-            bound=abs(alpha),
         ),
         costs=CostDerivatives(h_y=h_y, j_u=_identity, g=_zero_terminal),
         y0=1.0,

@@ -1,15 +1,19 @@
 """Reference computations that only the tests use: Gauss-Legendre L2
 projection and distance, the closed-form kernel for a constant coefficient,
-the kernel integral identity, and checks of a problem's declared bounds and
-derivatives; plus a problem whose drift coefficients all vary in time."""
+the kernel integral identity, checks of a problem's bounds and derivatives,
+the order fit of a report column, and the plain formulation of the backward
+LSMC pass with the multiplier in its driver; plus a problem whose drift
+coefficients all vary in time."""
 
 import math
 from functools import lru_cache
 
 import numpy as np
 
+from socproj.bench import RunReport
 from socproj.detode import solve_kernels
 from socproj.gridfn import StepFunction, TimeFn, TimeGrid, nodal_sample, trapezoid
+from socproj.lsmc import HYPERCUBE, VORONOI, Partition
 from socproj.problems import CostDerivatives, Diffusion, LinearDrift, ProblemSpec
 
 
@@ -25,13 +29,12 @@ def time_varying_problem() -> ProblemSpec:
     return ProblemSpec(
         name="time-varying",
         drift=LinearDrift(
-            b_y=math.sin, b_u=lambda t: 1.0 + t, m=math.cos, lip_bound=3.0, lower_bound=1.0
+            b_y=math.sin, b_u=lambda t: 1.0 + t, m=math.cos, lower_bound=1.0
         ),
         diffusion=Diffusion(
             sigma=lambda y, u: 0.1 * u + 0.2 * np.sqrt(1.0 + y * y),
             sigma_y=lambda y, u: 0.2 * y / np.sqrt(1.0 + y * y),
             sigma_u=lambda y, u: np.full_like(y, 0.1),
-            bound=0.3,
         ),
         costs=CostDerivatives(
             h_y=lambda t, y: y - (1.0 + t), j_u=lambda u: u, g=lambda y: 0.5 * y
@@ -107,18 +110,22 @@ def check_kernel_identity(grid: TimeGrid, b_y: TimeFn, b_u: TimeFn) -> float:
     return abs(lhs - kern.i_tilde)
 
 
-def validate_drift(drift: LinearDrift, T: float, samples: int = 101) -> None:
-    """Check the declared bounds on a uniform sample of [0, T]."""
+def validate_drift(
+    drift: LinearDrift, T: float, lip_bound: float, samples: int = 101
+) -> None:
+    """Check |b_u| >= lower_bound and |b_y| + |b_u| <= lip_bound on a uniform
+    sample of [0, T]."""
     for t in np.linspace(0.0, T, samples):
         by, bu = abs(float(drift.b_y(t))), abs(float(drift.b_u(t)))
         if bu < drift.lower_bound:
             raise ValueError(f"|b_u({t})| = {bu} below lower_bound")
-        if by + bu > drift.lip_bound + 1e-12:
+        if by + bu > lip_bound + 1e-12:
             raise ValueError(f"|b_y|+|b_u| = {by + bu} exceeds lip_bound at t={t}")
 
 
 def validate_diffusion(
     diffusion: Diffusion,
+    bound: float,
     y_box: tuple[float, float] = (-5.0, 5.0),
     u_box: tuple[float, float] = (-5.0, 5.0),
     samples: int = 41,
@@ -129,7 +136,7 @@ def validate_diffusion(
         total = np.abs(diffusion.sigma_y(ys, float(u))) + np.abs(
             diffusion.sigma_u(ys, float(u))
         )
-        if np.max(total) > diffusion.bound + 1e-12:
+        if np.max(total) > bound + 1e-12:
             raise ValueError(
                 f"|sigma_y|+|sigma_u| reaches {np.max(total)} > bound at u={u}"
             )
@@ -172,3 +179,102 @@ def finite_difference_mismatch(
             float(np.max(np.abs(fd_u - diffusion.sigma_u(ys, u)) / scale_u)),
         )
     return worst
+
+
+def fit_order(report: RunReport, column: str = "control_error") -> float:
+    """Least-squares slope of log error against log N, sign-normalized so a
+    first-order column maps to ~1.0.  Needs at least three usable rows."""
+    pts = [
+        (row.N, getattr(row, column))
+        for row in report.rows
+        if getattr(row, column) is not None and getattr(row, column) > 0.0
+    ]
+    if len(pts) < 3:
+        raise ValueError(f"need >= 3 positive rows in {column!r}, have {len(pts)}")
+    logn = np.log([p[0] for p in pts])
+    loge = np.log([p[1] for p in pts])
+    slope = np.polyfit(logn, loge, 1)[0]
+    return float(-slope)
+
+
+# The backward pass of ``socproj.lsmc`` in its plain formulation: quantile
+# centers from ``np.quantile``, cells from an unsorted ``searchsorted`` per
+# regression, and a recursion that assigns the samples again for each of its
+# two regressions and calls ``b_y`` at each t_n itself.
+
+
+def reference_build_partition(samples, spec, which="P", step=0, dt=None):
+    samples = np.asarray(samples, dtype=float)
+    k = spec.K if which == "P" else spec.k_for_q
+    lo, hi = float(samples.min()), float(samples.max())
+    if hi == lo:
+        return Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
+    if spec.tau_rule:
+        k = max(1, math.ceil((hi - lo) / dt**1.5))
+    if spec.kind == HYPERCUBE:
+        return Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
+    qs = np.quantile(samples, np.arange(1, k + 1) / (k + 1))
+    centers = np.unique(qs)
+    if len(centers) == 1:
+        return Partition(step=step, kind=VORONOI, n_cells=1, lo=lo, hi=hi)
+    boundaries = 0.5 * (centers[:-1] + centers[1:])
+    return Partition(
+        step=step,
+        kind=VORONOI,
+        n_cells=len(centers),
+        lo=lo,
+        hi=hi,
+        centers=centers,
+        boundaries=boundaries,
+    )
+
+
+def reference_regress(partition, x, z):
+    idx = partition.assign(np.asarray(x, dtype=float))
+    counts = np.bincount(idx, minlength=partition.n_cells)
+    sums = np.bincount(idx, weights=z, minlength=partition.n_cells)
+    coef = np.divide(sums, counts, out=np.zeros(partition.n_cells), where=counts > 0)
+    return coef, coef[idx]
+
+
+def reference_backward(paths, bw, problem, control, spec, mu=0.0, psi=None):
+    """(p, q, partitions, coefficients) of the recursion in ``socproj.lsmc``.
+
+    Given ``psi``, the driver carries the multiplier, f = f_hat + mu, and the
+    Q-target drops the deterministic mu*psi_{n+1} part of p_{n+1}, whose
+    product with dW has conditional mean exactly zero; on the same samples
+    the result is then P = P_hat + mu*psi, Q = Q_hat up to roundoff.
+    """
+    grid = paths.grid
+    N, L, dt = grid.N, paths.L, grid.dt
+    y, dw = paths.states, bw.increments
+    drift, diff, costs = problem.drift, problem.diffusion, problem.costs
+    p = np.empty((L, N + 1))
+    q = np.empty((L, N))
+    p[:, N] = costs.g(y[:, N])
+    partitions, coefficients = [None] * N, [None] * N
+    shared = spec.K_tilde is None or spec.K_tilde == spec.K
+    for n in range(N - 1, -1, -1):
+        yn = y[:, n]
+        tn = float(grid.nodes[n])
+        un = float(control.values[n])
+        part_p = reference_build_partition(yn, spec, "P", step=n, dt=dt)
+        part_q = part_p if shared else reference_build_partition(yn, spec, "Q", step=n, dt=dt)
+        p_next = p[:, n + 1]
+        if psi is None:
+            target_q = dw[:, n] * p_next / dt
+        else:
+            target_q = dw[:, n] * (p_next - mu * psi[n + 1]) / dt
+        q_coef, q_fit = reference_regress(part_q, yn, target_q)
+        f = (
+            costs.h_y(tn, yn)
+            + p_next * float(drift.b_y(tn))
+            + q_fit * diff.sigma_y(yn, un)
+            + mu
+        )
+        p_coef, p_fit = reference_regress(part_p, yn, p_next + f * dt)
+        p[:, n] = p_fit
+        q[:, n] = q_fit
+        partitions[n] = (part_p, part_q)
+        coefficients[n] = (p_coef, q_coef)
+    return p, q, partitions, coefficients

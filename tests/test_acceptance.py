@@ -13,7 +13,12 @@ import socproj as sp
 from socproj.detode import solve_psi
 from socproj.optimizer import gradient
 
-from tests.oracles import analytic_psi_constant, check_kernel_identity
+from tests.oracles import (
+    analytic_psi_constant,
+    check_kernel_identity,
+    fit_order,
+    reference_backward,
+)
 
 SEED = 12345
 
@@ -90,8 +95,8 @@ def test_criterion_1_table2_reproduction(table2_reports):
                 problems.append(f"{kind} N={row.N} multiplier {row.multiplier_error:.3e} vs {ref_m:.3e}")
             if abs(row.state_integral - 0.16543) > 1e-4:
                 problems.append(f"{kind} N={row.N} integral {row.state_integral:.6f}")
-        oc = sp.fit_order(report, "control_error")
-        om = sp.fit_order(report, "multiplier_error")
+        oc = fit_order(report, "control_error")
+        om = fit_order(report, "multiplier_error")
         if not 0.85 <= oc <= 1.15:
             problems.append(f"{kind} control order {oc:.3f}")
         if not 0.8 <= om <= 1.2:
@@ -101,8 +106,8 @@ def test_criterion_1_table2_reproduction(table2_reports):
         problems.append(f"runtime {elapsed:.1f}s exceeds 2 minutes")
     detail = (
         f"both bases within x2 of the published columns, orders "
-        f"ctrl={sp.fit_order(table2_reports['voronoi'], 'control_error'):.2f}/"
-        f"{sp.fit_order(table2_reports['hypercube'], 'control_error'):.2f}, "
+        f"ctrl={fit_order(table2_reports['voronoi'], 'control_error'):.2f}/"
+        f"{fit_order(table2_reports['hypercube'], 'control_error'):.2f}, "
         f"integrals at 0.16543, {elapsed:.1f}s"
         if not problems
         else "; ".join(problems)
@@ -116,8 +121,8 @@ def test_criterion_2_five_component_tracking(example1_reports):
     problems = []
     orders = []
     for k, report in enumerate(reports):
-        oc = sp.fit_order(report, "control_error")
-        om = sp.fit_order(report, "multiplier_error")
+        oc = fit_order(report, "control_error")
+        om = fit_order(report, "multiplier_error")
         orders.append((oc, om))
         if not 0.8 <= oc <= 1.2:
             problems.append(f"component {k + 1} control order {oc:.3f}")
@@ -173,7 +178,7 @@ def test_criterion_3_delta_sweep_and_multiplier_trend():
         basis_K=30,
     )
     report = sp.run_sweep(cfg, write=False)[0]
-    om = sp.fit_order(report, "multiplier_error")
+    om = fit_order(report, "multiplier_error")
     if not 0.7 <= om <= 1.3:
         problems.append(f"multiplier order {om:.3f}")
     for row, ref in zip(report.rows, TABLE4_VP_MULT):
@@ -217,9 +222,9 @@ def test_criterion_5_shift_identity():
         psi = solve_psi(grid, gp.b_y)
         basis = sp.BasisSpec("hypercube", 8)
         hat = sp.solve_bsde_hat(ens, bw, gp, u, basis)
-        full = sp.solve_bsde_full(ens, bw, gp, u, basis, mu=0.7, psi=psi)
-        worst_p = max(worst_p, float(np.max(np.abs(full.p_hat - hat.p_hat - 0.7 * psi[None, :]))))
-        worst_q = max(worst_q, float(np.max(np.abs(full.q_hat - hat.q_hat))))
+        p, q, _, _ = reference_backward(ens, bw, prob, u, basis, mu=0.7, psi=psi)
+        worst_p = max(worst_p, float(np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :]))))
+        worst_q = max(worst_q, float(np.max(np.abs(q - hat.q_hat))))
     ok = worst_p <= 1e-10 and worst_q <= 1e-10
     _verdict(5, "multiplier shift identity", ok, f"max P gap {worst_p:.2e}, max Q gap {worst_q:.2e}")
 
@@ -310,8 +315,8 @@ def test_criterion_9_determinism():
     cfg = sp.SolveConfig(
         rho=0.1, eps0=1e-4, L=600, basis=sp.BasisSpec("voronoi", 12), seed=SEED
     )
-    a = sp.solve(prob, cfg, sp.zero_control(grid))
-    b = sp.solve(prob, cfg, sp.zero_control(grid))
+    a = sp.solve(prob, cfg, sp.constant_control(grid, 0.0))
+    b = sp.solve(prob, cfg, sp.constant_control(grid, 0.0))
     solve_ok = (
         np.array_equal(a.u_final.values, b.u_final.values)
         and a.mu_final == b.mu_final

@@ -44,3 +44,43 @@ def test_drift_coefficients_are_called_only_in_discretize():
             ):
                 calls.append(f"{path.name}:{node.lineno}")
     assert calls == []
+
+
+# Public names that no module of the package references, each with the reason
+# it stays a library entry point.  Any other such name is dead code.
+UNCALLED_ENTRY_POINTS: dict[str, str] = {}
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Every name in ``__all__`` is referenced, as a name or as a module
+    attribute, somewhere in ``src/socproj`` outside its own top-level
+    definition and ``__init__.py``."""
+    src = pathlib.Path(socproj.__file__).parent
+    referenced = set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {}  # id of each node inside a top-level definition -> defined name
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                names = [top.name]
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in names:
+                own.update((id(node), name) for node in ast.walk(top))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if own.get(id(node)) != name:
+                referenced.add(name)
+    assert set(UNCALLED_ENTRY_POINTS) <= set(socproj.__all__)
+    uncalled = set(socproj.__all__) - referenced - set(UNCALLED_ENTRY_POINTS)
+    assert sorted(uncalled) == []

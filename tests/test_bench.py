@@ -19,7 +19,6 @@ from socproj.bench import (
     RunRow,
     SweepConfig,
     build_problem,
-    fit_order,
     parse_config,
     rate,
     report_csv_lines,
@@ -29,6 +28,7 @@ from socproj.bench import (
 from socproj.lsmc import BasisSpec
 from socproj.optimizer import SolveConfig
 from socproj.problems import EXAMPLE2_DELTA, VectorProblem
+from tests.oracles import fit_order
 from tests.test_optimizer import contraction_problem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -131,6 +131,28 @@ output.formats = csv, json
         with pytest.raises(ValueError, match="problem"):
             parse_config(str(path))
 
+    def test_missing_n_list_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("problem = example2\n")
+        with pytest.raises(ValueError, match="missing required key 'N_list'"):
+            parse_config(str(path))
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("problem = example2\nN_list = 8\nrho = 0.1\n\nrho = 0.5\n")
+        with pytest.raises(ValueError) as info:
+            parse_config(str(path))
+        assert str(info.value) == f"{path}:5: repeated key 'rho'"
+
+    @pytest.mark.parametrize(
+        "formats", ["jsn", "csv, jsn", "csv json", ""], ids=["jsn", "csv-jsn", "no-comma", "empty"]
+    )
+    def test_unknown_output_format_rejected(self, tmp_path, formats):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = example2\nN_list = 8\noutput.formats = {formats}\n")
+        with pytest.raises(ValueError, match="output.formats must be csv and/or json"):
+            parse_config(str(path))
+
     def test_env_var_overrides_output_dir(self, tmp_path, monkeypatch):
         path = tmp_path / "ok.cfg"
         path.write_text("problem = example2\nN_list = 8, 16\noutput.dir = a\n")
@@ -220,7 +242,7 @@ output.formats = csv, json
     def test_build_problem_dispatch(self):
         assert build_problem(SweepConfig(problem="example2", N_list=[8])).name == "example2"
         vp = build_problem(SweepConfig(problem="example1", N_list=[8], d=3))
-        assert isinstance(vp, VectorProblem) and vp.d == 3
+        assert isinstance(vp, VectorProblem) and len(vp.components) == 3
         e3 = build_problem(SweepConfig(problem="example3", N_list=[8], delta=0.5))
         assert e3.delta == 0.5
         with pytest.raises(ValueError, match="unknown problem"):
@@ -273,7 +295,6 @@ class TestReports:
                 b_y=lambda t: float("nan"),
                 b_u=lambda t: 1.0,
                 m=lambda t: 0.0,
-                lip_bound=2.0,
                 lower_bound=1.0,
             ),
             diffusion=bad.diffusion,

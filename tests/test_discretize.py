@@ -143,7 +143,6 @@ def test_solve_samples_the_drift_once():
 
     drift = LinearDrift(
         **{name: counted(name, getattr(prob.drift, name)) for name in calls},
-        lip_bound=prob.drift.lip_bound,
         lower_bound=prob.drift.lower_bound,
     )
     prob = dataclasses.replace(prob, drift=drift)

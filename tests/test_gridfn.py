@@ -13,7 +13,6 @@ from socproj.gridfn import (
     linf_dist,
     nodal_sample,
     trapezoid,
-    zero_control,
 )
 
 from tests.oracles import l2_dist_to_function, l2_project
@@ -51,14 +50,6 @@ class TestStepFunction:
     def test_length_check(self):
         with pytest.raises(ValueError):
             StepFunction(TimeGrid(1.0, 4), [1.0, 2.0])
-
-    def test_arithmetic(self):
-        grid = TimeGrid(1.0, 3)
-        u = StepFunction(grid, [1.0, 2.0, 3.0])
-        v = StepFunction(grid, [0.5, 0.5, 0.5])
-        np.testing.assert_array_equal((u - v).values, [0.5, 1.5, 2.5])
-        np.testing.assert_array_equal((u + v).values, [1.5, 2.5, 3.5])
-        np.testing.assert_array_equal((2.0 * u).values, [2.0, 4.0, 6.0])
 
 
 class TestNodalSample:
@@ -119,7 +110,9 @@ class TestDistances:
 
     def test_linf_grid_mismatch(self):
         with pytest.raises(ValueError):
-            linf_dist(zero_control(TimeGrid(1.0, 2)), zero_control(TimeGrid(1.0, 3)))
+            linf_dist(
+                constant_control(TimeGrid(1.0, 2), 0.0), constant_control(TimeGrid(1.0, 3), 0.0)
+            )
 
     def test_l2_dist_to_function_exact_representation(self):
         grid = TimeGrid(1.0, 4)
@@ -127,7 +120,7 @@ class TestDistances:
         assert l2_dist_to_function(u, lambda t: 2.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_l2_dist_to_function_linear_vs_zero(self):
-        u = zero_control(TimeGrid(1.0, 5))
+        u = constant_control(TimeGrid(1.0, 5), 0.0)
         assert l2_dist_to_function(u, lambda t: t) == pytest.approx(
             math.sqrt(1.0 / 3.0), abs=1e-12
         )
@@ -195,5 +188,5 @@ class TestProjectionProperties:
 
     def test_zero_and_constant_controls(self):
         grid = TimeGrid(1.0, 3)
-        np.testing.assert_array_equal(zero_control(grid).values, np.zeros(3))
+        np.testing.assert_array_equal(constant_control(grid, 0.0).values, np.zeros(3))
         np.testing.assert_array_equal(constant_control(grid, 2.5).values, [2.5] * 3)

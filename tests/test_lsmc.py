@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from socproj.detode import solve_psi
-from socproj.gridfn import TimeGrid, nodal_sample, zero_control
+from socproj.gridfn import TimeGrid, constant_control, nodal_sample
 from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
@@ -12,7 +12,6 @@ from socproj.lsmc import (
     Partition,
     build_partition,
     regress,
-    solve_bsde_full,
     solve_bsde_hat,
 )
 from socproj.paths import SimulationError, euler_simulate, gen_brownian
@@ -26,6 +25,8 @@ from socproj.problems import (
     example3,
 )
 
+from tests.oracles import reference_backward
+
 
 def _unit_source_problem():
     """h_y = 1, no state coupling anywhere: the adjoint telescopes to T - t."""
@@ -35,14 +36,12 @@ def _unit_source_problem():
             b_y=lambda t: 0.0,
             b_u=lambda t: 1.0,
             m=lambda t: 0.0,
-            lip_bound=1.0,
             lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u: np.full_like(y, 0.4),
             sigma_y=lambda y, u: np.zeros_like(y),
             sigma_u=lambda y, u: np.zeros_like(y),
-            bound=0.0,
         ),
         costs=CostDerivatives(
             h_y=lambda t, y: np.ones_like(y),
@@ -168,7 +167,7 @@ class TestRegress:
 class TestBackwardSolver:
     def _inputs(self, prob, n=8, paths=400, seed=21, control=None):
         grid = TimeGrid(1.0, n)
-        u = zero_control(grid) if control is None else control(grid)
+        u = constant_control(grid, 0.0) if control is None else control(grid)
         bw = gen_brownian(seed, paths, grid)
         ens = euler_simulate(discretize(prob, grid), u, bw)
         return grid, u, bw, ens
@@ -234,9 +233,9 @@ class TestBackwardSolver:
         gp = discretize(prob, grid)
         psi = solve_psi(grid, gp.b_y)
         hat = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5))
-        full = solve_bsde_full(ens, bw, gp, u, BasisSpec(VORONOI, 5), mu=0.0, psi=psi)
-        np.testing.assert_array_equal(hat.p_hat, full.p_hat)
-        np.testing.assert_array_equal(hat.q_hat, full.q_hat)
+        p, q, _, _ = reference_backward(ens, bw, prob, u, BasisSpec(VORONOI, 5), 0.0, psi)
+        np.testing.assert_array_equal(hat.p_hat, p)
+        np.testing.assert_array_equal(hat.q_hat, q)
 
     @pytest.mark.parametrize("make", [example2, example3], ids=["example2", "example3"])
     def test_shift_identity(self, make):
@@ -249,9 +248,9 @@ class TestBackwardSolver:
         psi = solve_psi(grid, gp.b_y)
         spec = BasisSpec(HYPERCUBE, 8)
         hat = solve_bsde_hat(ens, bw, gp, u, spec)
-        full = solve_bsde_full(ens, bw, gp, u, spec, mu=0.7, psi=psi)
-        assert np.max(np.abs(full.p_hat - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
-        assert np.max(np.abs(full.q_hat - hat.q_hat)) <= 1e-10
+        p, q, _, _ = reference_backward(ens, bw, prob, u, spec, mu=0.7, psi=psi)
+        assert np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
+        assert np.max(np.abs(q - hat.q_hat)) <= 1e-10
 
     def test_adjoint_value_improves_under_refinement(self):
         # at the exact control of example2 the time-zero adjoint mean is

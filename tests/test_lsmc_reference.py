@@ -1,13 +1,7 @@
-"""Bitwise checks of the sort-based partitions and of the backward pass.
-
-The references below are the plain formulation of the same estimator:
-quantile centers from ``np.quantile``, cells from an unsorted
-``searchsorted`` per regression, and a backward recursion that assigns the
-samples again for each of its two regressions and calls ``b_y`` at each t_n
-itself.  The package must agree with them bit for bit.
+"""Bitwise checks of the sort-based partitions and of the backward pass
+against their plain formulation in ``tests.oracles``; the package must agree
+with it bit for bit.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -21,86 +15,17 @@ from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
     BasisSpec,
-    Partition,
     _linear_quantiles,
     build_partition,
-    solve_bsde_full,
     solve_bsde_hat,
 )
 from socproj.paths import euler_simulate, gen_brownian
 from socproj.problems import discretize, example2, example3
-from tests.oracles import time_varying_problem
-
-
-def reference_build_partition(samples, spec, which="P", step=0, dt=None):
-    samples = np.asarray(samples, dtype=float)
-    k = spec.K if which == "P" else spec.k_for_q
-    lo, hi = float(samples.min()), float(samples.max())
-    if hi == lo:
-        return Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
-    if spec.tau_rule:
-        k = max(1, math.ceil((hi - lo) / dt**1.5))
-    if spec.kind == HYPERCUBE:
-        return Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
-    qs = np.quantile(samples, np.arange(1, k + 1) / (k + 1))
-    centers = np.unique(qs)
-    if len(centers) == 1:
-        return Partition(step=step, kind=VORONOI, n_cells=1, lo=lo, hi=hi)
-    boundaries = 0.5 * (centers[:-1] + centers[1:])
-    return Partition(
-        step=step,
-        kind=VORONOI,
-        n_cells=len(centers),
-        lo=lo,
-        hi=hi,
-        centers=centers,
-        boundaries=boundaries,
-    )
-
-
-def reference_regress(partition, x, z):
-    idx = partition.assign(np.asarray(x, dtype=float))
-    counts = np.bincount(idx, minlength=partition.n_cells)
-    sums = np.bincount(idx, weights=z, minlength=partition.n_cells)
-    coef = np.divide(sums, counts, out=np.zeros(partition.n_cells), where=counts > 0)
-    return coef, coef[idx]
-
-
-def reference_backward(paths, bw, problem, control, spec, mu=0.0, psi=None):
-    """(p, q, partitions, coefficients) of the recursion in ``socproj.lsmc``."""
-    grid = paths.grid
-    N, L, dt = grid.N, paths.L, grid.dt
-    y, dw = paths.states, bw.increments
-    drift, diff, costs = problem.drift, problem.diffusion, problem.costs
-    p = np.empty((L, N + 1))
-    q = np.empty((L, N))
-    p[:, N] = costs.g(y[:, N])
-    partitions, coefficients = [None] * N, [None] * N
-    shared = spec.K_tilde is None or spec.K_tilde == spec.K
-    for n in range(N - 1, -1, -1):
-        yn = y[:, n]
-        tn = float(grid.nodes[n])
-        un = float(control.values[n])
-        part_p = reference_build_partition(yn, spec, "P", step=n, dt=dt)
-        part_q = part_p if shared else reference_build_partition(yn, spec, "Q", step=n, dt=dt)
-        p_next = p[:, n + 1]
-        if psi is None:
-            target_q = dw[:, n] * p_next / dt
-        else:
-            target_q = dw[:, n] * (p_next - mu * psi[n + 1]) / dt
-        q_coef, q_fit = reference_regress(part_q, yn, target_q)
-        f = (
-            costs.h_y(tn, yn)
-            + p_next * float(drift.b_y(tn))
-            + q_fit * diff.sigma_y(yn, un)
-            + mu
-        )
-        p_coef, p_fit = reference_regress(part_p, yn, p_next + f * dt)
-        p[:, n] = p_fit
-        q[:, n] = q_fit
-        partitions[n] = (part_p, part_q)
-        coefficients[n] = (p_coef, q_coef)
-    return p, q, partitions, coefficients
+from tests.oracles import (
+    reference_backward,
+    reference_build_partition,
+    time_varying_problem,
+)
 
 
 def assert_same_partition(part, ref):
@@ -197,6 +122,8 @@ def _separate_q_partition():
     [_example2_voronoi, _example3_hypercube, _time_varying_voronoi, _separate_q_partition],
     ids=["example2-voronoi", "example3-hypercube", "time-varying", "k-tilde-differs"],
 )
+# "full" runs the reference with its multiplier driver engaged at mu = 0,
+# which must still give the package's multiplier-free pass bit for bit.
 @pytest.mark.parametrize("full", [False, True], ids=["hat", "full"])
 def test_backward_pass_matches_reference_bitwise(case, full):
     prob, spec, u_of_t = case()
@@ -205,15 +132,9 @@ def test_backward_pass_matches_reference_bitwise(case, full):
     bw = gen_brownian(31, 600, grid)
     gp = discretize(prob, grid)
     ens = euler_simulate(gp, u, bw)
-    if full:
-        psi = solve_psi(grid, gp.b_y)
-        sol = solve_bsde_full(ens, bw, gp, u, spec, mu=0.7, psi=psi)
-        p, q, partitions, coefficients = reference_backward(
-            ens, bw, prob, u, spec, mu=0.7, psi=psi
-        )
-    else:
-        sol = solve_bsde_hat(ens, bw, gp, u, spec)
-        p, q, partitions, coefficients = reference_backward(ens, bw, prob, u, spec)
+    sol = solve_bsde_hat(ens, bw, gp, u, spec)
+    psi = solve_psi(grid, gp.b_y) if full else None
+    p, q, partitions, coefficients = reference_backward(ens, bw, prob, u, spec, psi=psi)
 
     assert np.array_equal(sol.p_hat, p)
     assert np.array_equal(sol.q_hat, q)

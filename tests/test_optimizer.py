@@ -9,7 +9,6 @@ from socproj.gridfn import (
     TimeGrid,
     constant_control,
     linf_dist,
-    zero_control,
 )
 from socproj.lsmc import BasisSpec, BsdeSolution, solve_bsde_hat
 from socproj.optimizer import (
@@ -44,14 +43,12 @@ def contraction_problem(b_y=0.5, sigma=0.3):
             b_y=lambda t: b_y,
             b_u=lambda t: 1.0,
             m=lambda t: 0.0,
-            lip_bound=abs(b_y) + 1.0,
             lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _s=sigma: np.full_like(y, _s),
             sigma_y=lambda y, u: np.zeros_like(y),
             sigma_u=lambda y, u: np.zeros_like(y),
-            bound=0.0,
         ),
         costs=CostDerivatives(
             h_y=lambda t, y: np.zeros_like(y),
@@ -98,7 +95,7 @@ class TestGradient:
         )
         grid = TimeGrid(1.0, 3)
         bw = gen_brownian(1, 16, grid)
-        u = zero_control(grid)
+        u = constant_control(grid, 0.0)
         gp = discretize(prob, grid)
         ens = euler_simulate(gp, u, bw)
         g = gradient(u, ens, _fake_adjoint(grid, 16, 1.75, 9.0), gp)
@@ -136,7 +133,7 @@ class TestProjectUpdate:
     def test_componentwise_product(self):
         grid = TimeGrid(1.0, 2)
         out = project_update(
-            zero_control(grid), 1.0, np.array([1.0, 0.5, 0.0]), np.ones(2), 1.0
+            constant_control(grid, 0.0), 1.0, np.array([1.0, 0.5, 0.0]), np.ones(2), 1.0
         )
         np.testing.assert_allclose(out.values, [-1.0, -0.5])
 
@@ -145,7 +142,7 @@ class TestProjectUpdate:
         grid = TimeGrid(1.0, 2)
         psi = np.array([1.0, 0.5, 0.0])
         with pytest.raises(ValueError, match=r"b_u must have 2 values, got shape"):
-            project_update(zero_control(grid), 1.0, psi, b_u, 1.0)
+            project_update(constant_control(grid, 0.0), 1.0, psi, b_u, 1.0)
 
     def test_feasibility_chain_exact_for_constant_sigma(self):
         # after the multiplier update, re-simulating on the same ensemble
@@ -190,7 +187,7 @@ class TestSolve:
         cfg = SolveConfig(
             rho=0.1, eps0=1e-4, L=500, basis=BasisSpec("voronoi", 10), seed=4
         )
-        res = solve(prob, cfg, zero_control(grid))
+        res = solve(prob, cfg, constant_control(grid, 0.0))
         assert res.converged
         assert res.history[-1].error <= cfg.eps0
         assert all(st.mu >= 0.0 for st in res.history)
@@ -207,7 +204,7 @@ class TestSolve:
             seed=4,
             max_iters=3,
         )
-        res = solve(prob, cfg, zero_control(grid))
+        res = solve(prob, cfg, constant_control(grid, 0.0))
         assert not res.converged
         assert res.iterations == 3
 
@@ -219,7 +216,7 @@ class TestSolve:
         cfg = SolveConfig(
             rho=0.1, eps0=1e-4, L=400, basis=BasisSpec("voronoi", 8), seed=6
         )
-        res = solve(prob, cfg, zero_control(grid))
+        res = solve(prob, cfg, constant_control(grid, 0.0))
         bw = gen_brownian(cfg.seed, cfg.L, grid)
         for state in res.history[:: max(1, len(res.history) // 6)]:
             integral = mean_state_integral(
@@ -234,7 +231,7 @@ class TestSolve:
         cfg = SolveConfig(
             rho=0.1, eps0=1e-4, L=2000, basis=BasisSpec("voronoi", 20), seed=8
         )
-        res = solve(prob, cfg, zero_control(grid))
+        res = solve(prob, cfg, constant_control(grid, 0.0))
         bw = gen_brownian(cfg.seed, cfg.L, grid)
         integral = mean_state_integral(
             euler_simulate(discretize(prob, grid), res.u_final, bw)
@@ -247,8 +244,8 @@ class TestSolve:
         cfg = SolveConfig(
             rho=0.1, eps0=1e-4, L=500, basis=BasisSpec("hypercube", 10), seed=12
         )
-        a = solve(prob, cfg, zero_control(grid))
-        b = solve(prob, cfg, zero_control(grid))
+        a = solve(prob, cfg, constant_control(grid, 0.0))
+        b = solve(prob, cfg, constant_control(grid, 0.0))
         np.testing.assert_array_equal(a.u_final.values, b.u_final.values)
         assert a.mu_final == b.mu_final
         assert [s.error for s in a.history] == [s.error for s in b.history]
@@ -266,7 +263,7 @@ class TestSolve:
             seed=21,
             normalize_increments=normalize,
         )
-        res = solve(prob, cfg, zero_control(grid))
+        res = solve(prob, cfg, constant_control(grid, 0.0))
         bw = gen_brownian(cfg.seed, cfg.L, grid, normalize=normalize)
         assert res.state_integral == mean_state_integral(
             euler_simulate(discretize(prob, grid), res.u_final, bw)
@@ -336,7 +333,7 @@ class TestPathCountFloor:
                 seed=seed,
                 normalize_increments=False,
             )
-            res = solve(prob, cfg, zero_control(grid))
+            res = solve(prob, cfg, constant_control(grid, 0.0))
             d = res.u_final.values - star
             return float(np.sqrt(grid.dt * np.dot(d, d)))
 
@@ -353,7 +350,7 @@ class TestSolveVector:
         cfg = SolveConfig(
             rho=0.5, eps0=1e-4, L=800, basis=BasisSpec("voronoi", 10), seed=42
         )
-        vec = solve_vector(vp, cfg, zero_control(grid))
+        vec = solve_vector(vp, cfg, constant_control(grid, 0.0))
         assert len(vec) == 1
         scalar_cfg = SolveConfig(
             rho=0.5,
@@ -362,7 +359,7 @@ class TestSolveVector:
             basis=BasisSpec("voronoi", 10),
             seed=derive_seed(42, 0),
         )
-        ref = solve(vp.components[0], scalar_cfg, zero_control(grid))
+        ref = solve(vp.components[0], scalar_cfg, constant_control(grid, 0.0))
         np.testing.assert_array_equal(vec[0].u_final.values, ref.u_final.values)
         assert vec[0].mu_final == ref.mu_final
 
@@ -372,7 +369,7 @@ class TestSolveVector:
         cfg = SolveConfig(
             rho=0.5, eps0=5e-4, L=2000, basis=BasisSpec("voronoi", 20), seed=9
         )
-        results = solve_vector(vp, cfg, zero_control(grid))
+        results = solve_vector(vp, cfg, constant_control(grid, 0.0))
         errs = []
         for comp, res in zip(vp.components, results):
             star = np.array([comp.exact.u_star(t) for t in grid.nodes[:-1]])
@@ -386,7 +383,7 @@ class TestSolveVector:
         cfg = SolveConfig(
             rho=0.5, eps0=5e-4, L=500, basis=BasisSpec("voronoi", 8), seed=17
         )
-        results = solve_vector(vp, cfg, zero_control(grid))
+        results = solve_vector(vp, cfg, constant_control(grid, 0.0))
         for k, (comp, res) in enumerate(zip(vp.components, results)):
             bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
             assert res.state_integral == mean_state_integral(
@@ -405,9 +402,9 @@ class TestSolveVector:
             max_iters=4,
             normalize_increments=False,
         )
-        results = solve_vector(vp, SolveConfig(seed=5, **knobs), zero_control(grid))
+        results = solve_vector(vp, SolveConfig(seed=5, **knobs), constant_control(grid, 0.0))
         for k, (comp, res) in enumerate(zip(vp.components, results)):
-            ref = solve(comp, SolveConfig(seed=derive_seed(5, k), **knobs), zero_control(grid))
+            ref = solve(comp, SolveConfig(seed=derive_seed(5, k), **knobs), constant_control(grid, 0.0))
             assert res.iterations == ref.iterations == 4
             np.testing.assert_array_equal(res.u_final.values, ref.u_final.values)
             assert res.mu_final == ref.mu_final
@@ -419,7 +416,7 @@ class TestSolveVector:
         cfg = SolveConfig(
             rho=0.5, eps0=5e-4, L=1000, basis=BasisSpec("voronoi", 10), seed=13
         )
-        for k, (comp, res) in enumerate(zip(vp.components, solve_vector(vp, cfg, zero_control(grid)))):
+        for k, (comp, res) in enumerate(zip(vp.components, solve_vector(vp, cfg, constant_control(grid, 0.0)))):
             bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
             integral = mean_state_integral(
                 euler_simulate(discretize(comp, grid), res.u_final, bw)

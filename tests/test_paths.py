@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample, zero_control
+from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample
 from socproj.paths import (
     _PATH_STRIDE,
     SimulationError,
@@ -32,14 +32,12 @@ def _deterministic_problem(b_y=0.0, b_u=1.0, m=0.0, sigma=0.0, y0=0.0):
             b_y=lambda t: b_y,
             b_u=lambda t: b_u,
             m=lambda t: m,
-            lip_bound=abs(b_y) + abs(b_u) + 1.0,
             lower_bound=max(abs(b_u), 1e-6),
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _s=sigma: np.full_like(y, _s),
             sigma_y=lambda y, u: np.zeros_like(y),
             sigma_u=lambda y, u: np.zeros_like(y),
-            bound=0.0,
         ),
         costs=CostDerivatives(
             h_y=lambda t, y: np.zeros_like(y),
@@ -156,7 +154,7 @@ class TestEulerSimulate:
         prob = _deterministic_problem(b_u=0.0, y0=7.0)
         grid = TimeGrid(1.0, 5)
         paths = euler_simulate(
-            discretize(prob, grid), zero_control(grid), gen_brownian(1, 3, grid)
+            discretize(prob, grid), constant_control(grid, 0.0), gen_brownian(1, 3, grid)
         )
         np.testing.assert_array_equal(paths.states, np.full((3, 6), 7.0))
 
@@ -173,7 +171,7 @@ class TestEulerSimulate:
         with pytest.raises(ValueError):
             euler_simulate(
                 discretize(prob, TimeGrid(1.0, 4)),
-                zero_control(TimeGrid(1.0, 4)),
+                constant_control(TimeGrid(1.0, 4), 0.0),
                 gen_brownian(1, 2, TimeGrid(1.0, 8)),
             )
 
@@ -182,7 +180,7 @@ class TestEulerSimulate:
         grid = TimeGrid(1.0, 4)
         with pytest.raises(SimulationError):
             euler_simulate(
-                discretize(prob, grid), zero_control(grid), gen_brownian(1, 2, grid)
+                discretize(prob, grid), constant_control(grid, 0.0), gen_brownian(1, 2, grid)
             )
 
     def test_exact_control_reproduces_constraint_level(self):
@@ -251,7 +249,7 @@ class TestMeanStateIntegral:
         grid = TimeGrid(1.0, 4)
         prob = _deterministic_problem(b_u=0.0, y0=3.0)
         paths = euler_simulate(
-            discretize(prob, grid), zero_control(grid), gen_brownian(1, 10, grid)
+            discretize(prob, grid), constant_control(grid, 0.0), gen_brownian(1, 10, grid)
         )
         assert mean_state_integral(paths) == pytest.approx(3.0)
 

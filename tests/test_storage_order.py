@@ -12,9 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from socproj.detode import solve_psi
 from socproj.gridfn import TimeGrid, nodal_sample, trapezoid
-from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_full, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
 from socproj.paths import (
     _MEAN_BLOCK,
     BrownianEnsemble,
@@ -39,22 +38,18 @@ def stages():
     u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
     bw = gen_brownian(5, _MEAN_BLOCK + 200, grid)
     ens = euler_simulate(gp, u, bw)
-    spec = BasisSpec(VORONOI, 8)
-    hat = solve_bsde_hat(ens, bw, gp, u, spec)
-    full = solve_bsde_full(ens, bw, gp, u, spec, 0.7, solve_psi(grid, gp.b_y))
-    return bw, ens, hat, full
+    hat = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 8))
+    return bw, ens, hat
 
 
 def test_ensembles_and_adjoints_store_each_step_contiguously(stages):
-    bw, ens, hat, full = stages
+    bw, ens, hat = stages
     L, N = bw.L, bw.grid.N
     arrays_ = {
         "increments": (bw.increments, (L, N)),
         "states": (ens.states, (L, N + 1)),
         "p_hat": (hat.p_hat, (L, N + 1)),
         "q_hat": (hat.q_hat, (L, N)),
-        "full p_hat": (full.p_hat, (L, N + 1)),
-        "full q_hat": (full.q_hat, (L, N)),
     }
     for name, (a, shape) in arrays_.items():
         assert a.shape == shape, name
@@ -81,13 +76,13 @@ def test_ensembles_store_a_row_major_array_column_major():
 
 
 def test_mean_state_integral_is_the_row_major_formula_bitwise(stages):
-    _, ens, _, _ = stages
+    _, ens, _ = stages
     want = trapezoid(row_major_mean(ens.states), ens.grid)
     assert mean_state_integral(ens) == want
 
 
 def test_adjoint_path_mean_is_the_row_major_mean_bitwise(stages):
-    _, _, hat, _ = stages
+    _, _, hat = stages
     N = hat.grid.N
     assert np.array_equal(path_mean(hat.p_hat[:, :N]), row_major_mean(hat.p_hat[:, :N]))
 
