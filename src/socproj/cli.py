@@ -34,10 +34,12 @@ def _cmd_solve(args) -> int:
         status = "converged" if res.converged else "NOT converged"
         print(
             f"{cfg.problem} component {k + 1}: {status} in "
-            f"{res.iterations} iterations ({res.wall_time:.3f}s)"
+            f"{res.iterations} iterations ({res.wall_time:.3f}s, "
+            f"of which set-up {res.setup_time:.3f}s)"
         )
         print(f"  multiplier     = {res.mu_final:.6g}")
         print(f"  state integral = {row.state_integral:.6g}")
+        print(f"  feasibility    = {res.feasibility_residual:.3g}")
         if row.control_error is not None:
             print(f"  control error  = {row.control_error:.6g}")
         if row.multiplier_error is not None:
@@ -84,6 +86,8 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list_problems)
 
     args = parser.parse_args(argv)
+    if args.command == "solve" and args.N is not None and args.N < 2:
+        p_solve.error(f"--N must be >= 2, got {args.N}")
     return args.func(args)
 
 

@@ -87,7 +87,10 @@ class IterationState:
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of one solve; ``state_integral`` is the mean-state integral of
-    ``u_final`` on the solve's own ensemble."""
+    ``u_final`` on the solve's own ensemble, and ``feasibility_residual`` its
+    distance from min(I_hat, delta) of the last iteration.  ``setup_time`` is
+    the part of ``wall_time`` spent before the first iteration: the ensemble,
+    the discretized problem and the kernels."""
 
     u_final: StepFunction
     mu_final: float
@@ -95,7 +98,9 @@ class SolveResult:
     history: list[IterationState]
     converged: bool
     wall_time: float
+    setup_time: float
     state_integral: float
+    feasibility_residual: float
 
 
 def gradient(
@@ -158,6 +163,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
     gp = discretize(problem, grid)
     kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
+    setup_time = time.perf_counter() - start
 
     u = u0
     mu = 0.0
@@ -192,7 +198,9 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
         history=history,
         converged=converged,
         wall_time=time.perf_counter() - start,
+        setup_time=setup_time,
         state_integral=state_integral,
+        feasibility_residual=abs(state_integral - min(history[-1].I_hat, problem.delta)),
     )
 
 

@@ -25,6 +25,7 @@ and gives other bits.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +101,31 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
+def _philox_c_state(
+    bg: np.random.Philox, state: dict
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Views (counter, int32 words) of ``bg``'s C ``philox_state``: pointers
+    to the counter and the key, then ``buffer_pos`` (int32 word 4), the
+    4-word buffer and ``has_uint32`` (word 14).  None if a pointer leaves
+    ``bg`` itself or the views disagree with ``state``, a ``bg.state`` read."""
+    lo, hi = id(bg), id(bg) + type(bg).__basicsize__
+    addr = bg.ctypes.state_address
+    if not lo <= addr <= hi - 64:
+        return None
+    ctr_p, key_p = (ctypes.c_uint64 * 2).from_address(addr)
+    if not (lo <= ctr_p <= hi - 32 and lo <= key_p <= hi - 16):
+        return None
+    ctr = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(ctr_p))
+    key = np.ctypeslib.as_array((ctypes.c_uint64 * 2).from_address(key_p))
+    ints = np.ctypeslib.as_array((ctypes.c_int32 * 16).from_address(addr))
+    same = (
+        np.array_equal(ctr, state["state"]["counter"])
+        and np.array_equal(key, state["state"]["key"])
+        and (ints[4], ints[14]) == (state["buffer_pos"], state["has_uint32"])
+    )
+    return (ctr, ints) if same else None
+
+
 def _substream_normals(seed: int, L: int, N: int) -> np.ndarray:
     """Row lambda holds N standard normals from the Philox stream keyed by
     ``seed`` with its counter at lambda * _PATH_STRIDE.
@@ -107,17 +133,29 @@ def _substream_normals(seed: int, L: int, N: int) -> np.ndarray:
     One bit generator serves every path: Philox output depends only on (key,
     counter), so resetting the counter and emptying the output buffer before
     each path gives exactly the stream a fresh ``Philox(key=seed)`` advanced
-    by lambda * _PATH_STRIDE would produce.
+    by lambda * _PATH_STRIDE would produce.  The reset writes the counter and
+    ``buffer_pos`` in the C state, whose layout is checked against ``bg.state``
+    once per call; on a mismatch, or if the counter ends outside path L-1's
+    substream, every path is redrawn by setting ``bg.state``.
     """
     bg = np.random.Philox(key=seed)
-    gen = np.random.Generator(bg)
+    normal = np.random.Generator(bg).standard_normal
     state = bg.state  # fresh: empty buffer (buffer_pos 4), no cached uint32
-    counter = state["state"]["counter"]
     out = np.empty((L, N))
-    for lam in range(L):
+    c_state = _philox_c_state(bg, state)
+    if c_state is not None:
+        ctr, ints = c_state
+        for lam, row in enumerate(out):
+            ctr[0] = lam * _PATH_STRIDE
+            ints[4] = 4  # buffer_pos; standard_normal never caches a uint32
+            normal(out=row)
+        if int(bg.state["state"]["counter"][0]) // _PATH_STRIDE == L - 1:
+            return out
+    counter = state["state"]["counter"]
+    for lam, row in enumerate(out):
         counter[0] = lam * _PATH_STRIDE
         bg.state = state
-        gen.standard_normal(out=out[lam])
+        normal(out=row)
     return out
 
 

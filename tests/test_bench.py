@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import socproj
-from socproj import cli
+from socproj import bench, cli
 from socproj.bench import (
     CSV_HEADER,
     OUTPUT_DIR_ENV,
@@ -287,6 +287,31 @@ class TestReports:
             assert row.failure is None
             assert row.control_error <= 1e-8
 
+    @pytest.mark.parametrize("problem, d", [("example1", 2), ("example3", 1)])
+    def test_sweep_solves_record_a_finite_feasibility_residual(
+        self, monkeypatch, problem, d
+    ):
+        results = []
+
+        def recording(fn):
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                results.extend(out if isinstance(out, list) else [out])
+                return out
+
+            return wrapped
+
+        monkeypatch.setattr(bench, "solve", recording(bench.solve))
+        monkeypatch.setattr(bench, "solve_vector", recording(bench.solve_vector))
+        cfg = SweepConfig(
+            problem=problem, d=d, N_list=[4, 8], L=200, rho=0.5, eps0=1e-3, basis_K=6
+        )
+        run_sweep(cfg, write=False)
+        assert len(results) == 2 * d
+        for res in results:
+            assert np.isfinite(res.feasibility_residual)
+            assert 0.0 <= res.setup_time <= res.wall_time
+
     def test_failures_recorded_and_sweep_continues(self):
         bad = contraction_problem()
         bad = type(bad)(
@@ -420,10 +445,20 @@ class TestRunSingleAndCli:
         assert cli.main(["solve", "--config", str(cfg_path), "--N", "8"]) == 0
         out = capsys.readouterr().out
         assert "state integral" in out
+        assert "of which set-up" in out and "feasibility" in out
         assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
         out = capsys.readouterr().out
         assert CSV_HEADER in out
         assert (tmp_path / "example2_voronoi_report.csv").exists()
+
+    @pytest.mark.parametrize("N", ["0", "1", "-3"])
+    def test_cli_solve_rejects_grid_size_below_two(self, tmp_path, capsys, N):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text("problem = example2\nN_list = 4\nL = 50\nseed = 1\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--config", str(cfg_path), "--N", N])
+        assert exc.value.code == 2
+        assert f"--N must be >= 2, got {N}" in capsys.readouterr().err
 
     def test_cli_strict_propagates_failure(self, monkeypatch, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from socproj import optimizer
 from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import (
     StepFunction,
@@ -422,6 +423,36 @@ class TestSolveVector:
                 euler_simulate(discretize(comp, grid), res.u_final, bw)
             )
             assert integral <= comp.delta + 1e-10
+
+
+class TestSetupNames:
+    """Timing ``optimizer.gen_brownian`` and ``optimizer.solve_kernels``, as
+    perfbench's set-up timer does, covers a solve's whole set-up only if
+    every solve makes exactly one call to each through those names."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"gen_brownian": 0, "solve_kernels": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _fn=getattr(optimizer, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(optimizer, name, counted)
+        return calls
+
+    def test_one_ensemble_and_one_kernel_pair_per_solve(self, calls):
+        cfg = SolveConfig(rho=0.1, eps0=1e-4, L=200, basis=BasisSpec("voronoi", 8), seed=3)
+        res = solve(example2(alpha=0.1), cfg, constant_control(TimeGrid(1.0, 8), 0.0))
+        assert res.iterations > 1
+        assert calls == {"gen_brownian": 1, "solve_kernels": 1}
+        assert 0.0 <= res.setup_time <= res.wall_time
+
+    def test_solve_vector_sets_up_once_per_component(self, calls):
+        cfg = SolveConfig(rho=0.5, eps0=1e-3, L=200, basis=BasisSpec("voronoi", 8), seed=3)
+        solve_vector(example1(d=3, mu=0.3, alpha=0.1), cfg, constant_control(TimeGrid(1.0, 8), 0.0))
+        assert calls == {"gen_brownian": 3, "solve_kernels": 3}
 
 
 class TestSolveConfig:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from socproj import paths
 from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample
 from socproj.paths import (
     _PATH_STRIDE,
@@ -77,6 +78,41 @@ class TestGenBrownian:
                 bw = gen_brownian(seed, L, grid, normalize=normalize)
                 ref = _reference_brownian(seed, L, grid, normalize)
                 assert np.array_equal(bw.increments, ref), (L, N)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    @pytest.mark.parametrize("N", [8, 16])
+    def test_matches_fresh_generator_per_path_at_tracking5d_size(self, N, normalize):
+        grid = TimeGrid(1.0, N)
+        bw = gen_brownian(90817, 10_000, grid, normalize=normalize)
+        ref = _reference_brownian(90817, 10_000, grid, normalize)
+        assert np.array_equal(bw.increments, ref)
+
+    def test_c_state_views_match_this_numpy(self):
+        # the per-path reset writes the generator's C state only when its
+        # layout checks out; on this numpy it must, or every call falls back
+        bg = np.random.Philox(key=12345)
+        assert paths._philox_c_state(bg, bg.state) is not None
+        other_key = np.random.Philox(key=12346).state
+        assert paths._philox_c_state(bg, other_key) is None
+
+    @pytest.mark.parametrize(
+        "views",
+        [
+            lambda bg, state: None,  # layout check fails
+            # views that are not the generator's state: the per-path resets
+            # miss, so the counter check must redraw every path
+            lambda bg, state: (np.zeros(4, np.uint64), np.zeros(16, np.int32)),
+        ],
+        ids=["layout-mismatch", "writes-miss"],
+    )
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_state_setter_fallback_is_bitwise_equal(self, monkeypatch, views, normalize):
+        monkeypatch.setattr(paths, "_philox_c_state", views)
+        for L, N in ((2, 3), (7, 2), (2000, 40)):
+            grid = TimeGrid(1.0, N)
+            bw = gen_brownian(12345, L, grid, normalize=normalize)
+            ref = _reference_brownian(12345, L, grid, normalize)
+            assert np.array_equal(bw.increments, ref), (L, N)
 
     def test_same_seed_reproduces_bitwise(self):
         grid = TimeGrid(1.0, 8)

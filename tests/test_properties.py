@@ -140,3 +140,5 @@ def test_feasibility_restoration_is_exact_for_state_free_sigma(
     res = solve(prob, cfg, constant_control(grid, u0))
     target = min(res.history[-1].I_hat, prob.delta)
     assert abs(res.state_integral - target) <= 1e-12 * (1.0 + abs(target))
+    assert res.feasibility_residual == abs(res.state_integral - target)
+    assert res.feasibility_residual <= 1e-12 * (1.0 + abs(target))
