@@ -81,8 +81,6 @@ class SweepConfig:
     delta: Optional[float] = None
     basis_kind: str = VORONOI
     basis_K: int = 30
-    basis_K_tilde: Optional[int] = None
-    basis_tau_rule: bool = False
     u0: float = 0.0
     self_convergence: bool = False
     normalize_increments: bool = True
@@ -103,12 +101,7 @@ class SweepConfig:
         self.solve_config(self.seed)  # bad solver knobs fail at parse time, not per N
 
     def basis(self) -> BasisSpec:
-        return BasisSpec(
-            kind=self.basis_kind,
-            K=self.basis_K,
-            K_tilde=self.basis_K_tilde,
-            tau_rule=self.basis_tau_rule,
-        )
+        return BasisSpec(kind=self.basis_kind, K=self.basis_K)
 
     def solve_config(self, seed: int) -> SolveConfig:
         """SolveConfig from the fields of the same name, the basis and ``seed``."""
@@ -162,8 +155,6 @@ CONFIG_KEYS = {
     "normalize_increments": ("normalize_increments", _parse_bool),
     "basis.kind": ("basis_kind", _parse_basis_kind),
     "basis.K": ("basis_K", int),
-    "basis.K_tilde": ("basis_K_tilde", int),
-    "basis.tau_rule": ("basis_tau_rule", _parse_bool),
     "output.dir": ("output_dir", str.strip),
     "output.formats": ("output_formats", _parse_str_list),
 }
@@ -178,8 +169,9 @@ IGNORED_KEYS = {
 
 
 def parse_config(path: str) -> SweepConfig:
-    """Read a flat ``key = value`` UTF-8 file; '#' starts a comment."""
-    raw: dict[str, str] = {}
+    """Read a flat ``key = value`` UTF-8 file; '#' starts a comment.  Every
+    error names the file (a bad value its line and key); the problem is built."""
+    raw: dict[str, tuple[int, str]] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -192,24 +184,31 @@ def parse_config(path: str) -> SweepConfig:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            raw[key] = value
+            raw[key] = (lineno, value)
     if "problem" not in raw:
         raise ValueError(f"{path}: missing required key 'problem'")
     if "N_list" not in raw:
         raise ValueError(f"{path}: missing required key 'N_list'")
-    for key in IGNORED_KEYS.get(raw["problem"], ()):
+    problem = raw["problem"][1]
+    for key in IGNORED_KEYS.get(problem, ()):
         if key in raw:
-            raise ValueError(
-                f"{path}: key {key!r} does not apply to problem {raw['problem']}"
-            )
+            raise ValueError(f"{path}: key {key!r} does not apply to problem {problem}")
     kwargs = {}
-    for key, value in raw.items():
+    for key, (lineno, value) in raw.items():
         attr, parser = CONFIG_KEYS[key]
-        kwargs[attr] = parser(value)
+        try:
+            kwargs[attr] = parser(value)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     env_dir = os.environ.get(OUTPUT_DIR_ENV)
     if env_dir:
         kwargs["output_dir"] = env_dir
-    return SweepConfig(**kwargs)
+    try:
+        cfg = SweepConfig(**kwargs)
+        build_problem(cfg)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return cfg
 
 
 def build_problem(cfg: SweepConfig) -> Union[ProblemSpec, VectorProblem]:

@@ -24,16 +24,15 @@ def _cmd_list_problems(_args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = bench.parse_config(args.config)
     try:
-        results, rows = bench.run_single(cfg, N=args.N)
+        results, rows = bench.run_single(args.cfg, N=args.N)
     except Exception as exc:
         print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1 if args.strict else 0
     for k, (res, row) in enumerate(zip(results, rows)):
         status = "converged" if res.converged else "NOT converged"
         print(
-            f"{cfg.problem} component {k + 1}: {status} in "
+            f"{args.cfg.problem} component {k + 1}: {status} in "
             f"{res.iterations} iterations ({res.wall_time:.3f}s, "
             f"of which set-up {res.setup_time:.3f}s)"
         )
@@ -49,11 +48,10 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = bench.parse_config(args.config)
-    reports = bench.run_sweep(cfg)
+    reports = bench.run_sweep(args.cfg)
     failed = False
     for report in reports:
-        print(f"# {cfg.problem} component {report.component} ({cfg.basis_kind})")
+        print(f"# {args.cfg.problem} component {report.component} ({args.cfg.basis_kind})")
         for line in bench.report_csv_lines(report):
             print(line)
         for row in report.rows:
@@ -88,6 +86,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and args.N is not None and args.N < 2:
         p_solve.error(f"--N must be >= 2, got {args.N}")
+    if args.command in ("solve", "sweep"):
+        try:
+            args.cfg = bench.parse_config(args.config)
+        except (OSError, ValueError) as exc:
+            sub.choices[args.command].error(str(exc))
     return args.func(args)
 
 

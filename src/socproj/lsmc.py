@@ -11,7 +11,7 @@ are read off the sorted column with the same arithmetic as
 ``np.quantile(method="linear")``, so they match it bit for bit, and every
 sample's cell comes from rank cuts in that sorted column.  ``solve_bsde_hat``
 asks ``build_partition`` for that cell array and hands it to both regressions
-of the step when the P- and Q-regressions share a partition.
+of the step: the P- and Q-regressions share one partition per step.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -40,30 +40,17 @@ VORONOI = "voronoi"
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Indicator-basis family and cell counts per time step.
-
-    ``K`` sizes the P-regression, ``K_tilde`` the Q-regression (defaults to
-    K, in which case the two share one partition per step).  With
-    ``tau_rule`` the hypercube edge length is tied to dt**1.5 and K is
-    ignored for cell sizing.
-    """
+    """Indicator-basis family and the number of cells per time step, which
+    sizes the one partition both regressions of a step use."""
 
     kind: str
     K: int
-    K_tilde: Optional[int] = None
-    tau_rule: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in (HYPERCUBE, VORONOI):
             raise ValueError(f"unknown basis kind {self.kind!r}")
         if self.K < 1:
             raise ValueError("K must be >= 1")
-        if self.K_tilde is not None and self.K_tilde < 1:
-            raise ValueError("K_tilde must be >= 1")
-
-    @property
-    def k_for_q(self) -> int:
-        return self.K if self.K_tilde is None else self.K_tilde
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,16 +112,13 @@ def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
 def build_partition(
     samples: np.ndarray,
     spec: BasisSpec,
-    which: str = "P",
     step: int = 0,
-    dt: Optional[float] = None,
     cells: Optional[np.ndarray] = None,
 ) -> Partition:
-    """Build the step's partition from the sampled states.
+    """Build the step's partition of ``spec.K`` cells from the sampled states.
 
-    ``which`` selects the cell budget ("P" uses K, "Q" uses K_tilde).  A
-    Voronoi partition takes its centers from one argsort of the samples (the
-    quantiles equal ``np.quantile(method="linear")`` bit for bit).  If
+    A Voronoi partition takes its centers from one argsort of the samples
+    (the quantiles equal ``np.quantile(method="linear")`` bit for bit).  If
     ``cells`` is given, an intp array of len(samples), it is filled with each
     sample's cell, equal to ``part.assign(samples)``: a Voronoi step takes it
     from rank cuts in the same sorted column, a hypercube step from one pass
@@ -143,18 +127,13 @@ def build_partition(
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
-    k = spec.K if which == "P" else spec.k_for_q
     lo, hi = float(samples.min()), float(samples.max())
     if hi == lo:
         part = Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
+    elif spec.kind == VORONOI:
+        return _voronoi_partition(samples, spec.K, step, lo, hi, cells)
     else:
-        if spec.tau_rule:
-            if dt is None:
-                raise ValueError("tau_rule sizing needs the time step dt")
-            k = max(1, math.ceil((hi - lo) / dt**1.5))
-        if spec.kind == VORONOI:
-            return _voronoi_partition(samples, k, step, lo, hi, cells)
-        part = Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
+        part = Partition(step=step, kind=HYPERCUBE, n_cells=spec.K, lo=lo, hi=hi)
     if cells is not None:
         cells[:] = part.assign(samples)
     return part
@@ -221,13 +200,13 @@ class BsdeSolution:
     terminal column, q_hat is (L, N), both column-major like the ensembles,
     so step n's values are the contiguous column [:, n]; average them over
     paths with ``paths.path_mean`` (path order), not ``.mean(axis=0)``
-    (pairwise on this layout).  Partitions and per-cell coefficients are kept
-    per step for inspection."""
+    (pairwise on this layout).  Each step's partition and its (P, Q) per-cell
+    coefficients are kept for inspection."""
 
     grid: TimeGrid
     p_hat: np.ndarray
     q_hat: np.ndarray
-    partitions: list[tuple[Partition, Partition]]
+    partitions: list[Partition]
     coefficients: list[tuple[np.ndarray, np.ndarray]]
 
 
@@ -253,27 +232,20 @@ def solve_bsde_hat(
     p = np.empty((L, N + 1), order="F")
     q = np.empty((L, N), order="F")
     p[:, N] = costs.g(y[:, N])
-    partitions: list[tuple[Partition, Partition]] = [None] * N  # type: ignore[list-item]
+    partitions: list[Partition] = [None] * N  # type: ignore[list-item]
     coefficients: list[tuple[np.ndarray, np.ndarray]] = [None] * N  # type: ignore[list-item]
 
-    shared = spec.K_tilde is None or spec.K_tilde == spec.K
     # Each step's cells, overwritten by the next step; never kept on a Partition.
-    cells_p = np.empty(L, dtype=np.intp)
-    cells_q = cells_p if shared else np.empty(L, dtype=np.intp)
+    cells = np.empty(L, dtype=np.intp)
     for n in range(N - 1, -1, -1):
         yn = y[:, n]
         tn = float(grid.nodes[n])
         un = float(control.values[n])
-        part_p = build_partition(yn, spec, "P", step=n, dt=dt, cells=cells_p)
-        part_q = (
-            part_p
-            if shared
-            else build_partition(yn, spec, "Q", step=n, dt=dt, cells=cells_q)
-        )
+        part = build_partition(yn, spec, step=n, cells=cells)
 
         p_next = p[:, n + 1]
         target_q = dw[:, n] * p_next / dt
-        q_coef, q_fit = regress(part_q, yn, target_q, cells=cells_q)
+        q_coef, q_fit = regress(part, yn, target_q, cells=cells)
 
         f = (
             costs.h_y(tn, yn)
@@ -283,11 +255,11 @@ def solve_bsde_hat(
         target_p = p_next + f * dt
         if not np.all(np.isfinite(target_p)):
             raise SimulationError(f"non-finite regression target at step {n}")
-        p_coef, p_fit = regress(part_p, yn, target_p, cells=cells_p)
+        p_coef, p_fit = regress(part, yn, target_p, cells=cells)
 
         p[:, n] = p_fit
         q[:, n] = q_fit
-        partitions[n] = (part_p, part_q)
+        partitions[n] = part
         coefficients[n] = (p_coef, q_coef)
 
     return BsdeSolution(

@@ -33,10 +33,6 @@ import numpy as np
 from .gridfn import StepFunction, TimeGrid, trapezoid
 from .problems import GridProblem
 
-# Rows per block of ``path_mean``: a (block, columns) row-major buffer, small
-# beside the ensemble, is what one reduction reads.
-_MEAN_BLOCK = 1024
-
 # Philox counter blocks reserved per path substream; each block yields four
 # 64-bit words, so this supports ~2e6 normals per path without overlap.
 _PATH_STRIDE = 1 << 20
@@ -216,27 +212,11 @@ def euler_simulate(
 
 
 def path_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over paths (axis 0) of an (L, M) array, bit for bit
-    ``np.ascontiguousarray(a).mean(axis=0)`` for any layout of ``a``: the
-    paths are added in path order, except in a single column (M = 1), which
-    numpy sums pairwise in either layout.
-
-    Each block of rows is copied row-major into one small buffer behind the
-    running sum and reduced there: a row-major reduction over axis 0 adds
-    row after row onto the identity 0.0.
-    """
-    L, M = a.shape
-    if M == 1:
-        return a.mean(axis=0)
-    buf = np.empty((min(L, _MEAN_BLOCK) + 1, M))
-    total = np.zeros(M)
-    for start in range(0, L, _MEAN_BLOCK):
-        block = a[start : start + _MEAN_BLOCK]
-        rows = buf[: len(block) + 1]
-        rows[0] = total
-        rows[1:] = block
-        np.add.reduce(rows, axis=0, out=total)
-    return total / L
+    """Mean over paths (axis 0) of an (L, M) array with the paths added in
+    path order on any layout: a row-major copy reduces row after row, while
+    ``.mean(axis=0)`` on a column-major array sums each column pairwise.  A
+    contiguous (L, 1) column is not copied; numpy sums it pairwise either way."""
+    return np.ascontiguousarray(a).mean(axis=0)
 
 
 def mean_state_integral(paths: PathEnsemble) -> float:

@@ -203,14 +203,12 @@ def fit_order(report: RunReport, column: str = "control_error") -> float:
 # two regressions and calls ``b_y`` at each t_n itself.
 
 
-def reference_build_partition(samples, spec, which="P", step=0, dt=None):
+def reference_build_partition(samples, spec, step=0):
     samples = np.asarray(samples, dtype=float)
-    k = spec.K if which == "P" else spec.k_for_q
+    k = spec.K
     lo, hi = float(samples.min()), float(samples.max())
     if hi == lo:
         return Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
-    if spec.tau_rule:
-        k = max(1, math.ceil((hi - lo) / dt**1.5))
     if spec.kind == HYPERCUBE:
         return Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
     qs = np.quantile(samples, np.arange(1, k + 1) / (k + 1))
@@ -253,28 +251,26 @@ def reference_backward(paths, bw, problem, control, spec, mu=0.0, psi=None):
     q = np.empty((L, N))
     p[:, N] = costs.g(y[:, N])
     partitions, coefficients = [None] * N, [None] * N
-    shared = spec.K_tilde is None or spec.K_tilde == spec.K
     for n in range(N - 1, -1, -1):
         yn = y[:, n]
         tn = float(grid.nodes[n])
         un = float(control.values[n])
-        part_p = reference_build_partition(yn, spec, "P", step=n, dt=dt)
-        part_q = part_p if shared else reference_build_partition(yn, spec, "Q", step=n, dt=dt)
+        part = reference_build_partition(yn, spec, step=n)
         p_next = p[:, n + 1]
         if psi is None:
             target_q = dw[:, n] * p_next / dt
         else:
             target_q = dw[:, n] * (p_next - mu * psi[n + 1]) / dt
-        q_coef, q_fit = reference_regress(part_q, yn, target_q)
+        q_coef, q_fit = reference_regress(part, yn, target_q)
         f = (
             costs.h_y(tn, yn)
             + p_next * float(drift.b_y(tn))
             + q_fit * diff.sigma_y(yn, un)
             + mu
         )
-        p_coef, p_fit = reference_regress(part_p, yn, p_next + f * dt)
+        p_coef, p_fit = reference_regress(part, yn, p_next + f * dt)
         p[:, n] = p_fit
         q[:, n] = q_fit
-        partitions[n] = (part_p, part_q)
+        partitions[n] = part
         coefficients[n] = (p_coef, q_coef)
     return p, q, partitions, coefficients

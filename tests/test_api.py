@@ -5,6 +5,8 @@ import pathlib
 import types
 
 import socproj
+from socproj import bench
+from tests.test_bench import load_perfbench_run
 
 
 def test_all_is_explicit_and_lists_no_modules():
@@ -84,3 +86,40 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert set(UNCALLED_ENTRY_POINTS) <= set(socproj.__all__)
     uncalled = set(socproj.__all__) - referenced - set(UNCALLED_ENTRY_POINTS)
     assert sorted(uncalled) == []
+
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Config keys that no shipped config and no benchmark workload sets, each with
+# the reason it stays an option.  Any other such key is a knob nothing runs.
+UNSET_CONFIG_KEYS = {
+    "u0": "the initial control; every table starts from the default 0",
+    "normalize_increments": "switches to the raw-ensemble Monte Carlo scheme",
+}
+
+
+def _config_file_keys(path):
+    keys = set()
+    for line in path.read_text(encoding="utf-8").splitlines():
+        stripped = line.split("#", 1)[0].strip()
+        if stripped:
+            keys.add(stripped.split("=", 1)[0].strip())
+    return keys
+
+
+def test_every_config_key_is_set_by_a_shipped_config_or_workload(monkeypatch):
+    used = set()
+    for path in sorted((REPO_ROOT / "configs").glob("*.cfg")):
+        used |= _config_file_keys(path)
+    for workload in load_perfbench_run(monkeypatch).WORKLOADS.values():
+        used |= set(workload["cfg"])
+    assert set(UNSET_CONFIG_KEYS) <= set(bench.CONFIG_KEYS) - used
+    assert sorted(set(bench.CONFIG_KEYS) - used - set(UNSET_CONFIG_KEYS)) == []
+
+
+def test_readme_config_table_lists_exactly_the_config_keys():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config files", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = [row.split("`", 2)[1] for row in rows]
+    assert sorted(keys) == sorted(bench.CONFIG_KEYS)

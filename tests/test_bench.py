@@ -33,6 +33,25 @@ from tests.test_optimizer import contraction_problem
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+
+def load_perfbench_run(monkeypatch):
+    """``perfbench/run.py`` as a module, without running it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(REPO_ROOT, "perfbench", "run.py")
+    )
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
+    spec.loader.exec_module(run)
+    return run
+
+
+# Configs whose problem cannot be built, with the message each must give.
+BAD_PROBLEMS = {
+    "misspelt": ("problem = exmaple2\nN_list = 8\n", "unknown problem 'exmaple2'"),
+    "example1-d0": ("problem = example1\nN_list = 8\nd = 0\n", "dimension must be >= 1, got 0"),
+    "example2-alpha0": ("problem = example2\nN_list = 8\nalpha = 0\n", "alpha must be nonzero"),
+}
+
 # Published convergence table for the quantile-cell basis (control column).
 TABLE_VP_CONTROL = [
     (8, 2.56788e-2),
@@ -121,9 +140,42 @@ output.formats = csv, json
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("problem = example2\nN_list = 8\nwat = 1\n")
-        with pytest.raises(ValueError, match="unknown key"):
+        # the basis keys are the Q-regression knobs that are no longer options
+        for line in ("wat = 1", "basis.K_tilde = 3", "basis.tau_rule = true"):
+            path.write_text(f"problem = example2\nN_list = 8\n{line}\n")
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_config(str(path))
+
+    @pytest.mark.parametrize(
+        "line, key, detail",
+        [
+            ("L = abc", "L", "invalid literal for int() with base 10: 'abc'"),
+            ("max_iters = 1.5", "max_iters", "invalid literal for int() with base 10: '1.5'"),
+            ("rho = fast", "rho", "could not convert string to float: 'fast'"),
+            ("self_convergence = maybe", "self_convergence", "not a boolean: 'maybe'"),
+            (
+                "basis.kind = poly",
+                "basis.kind",
+                "unknown basis kind 'poly' (use hypercube/HC or voronoi/VP)",
+            ),
+        ],
+    )
+    def test_bad_value_names_path_line_and_key(self, tmp_path, line, key, detail):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"problem = example2\nN_list = 8\n# a comment\n{line}\n")
+        with pytest.raises(ValueError) as info:
             parse_config(str(path))
+        assert str(info.value) == f"{path}:4: bad value for '{key}': {detail}"
+
+    @pytest.mark.parametrize("case", list(BAD_PROBLEMS))
+    def test_bad_problem_parameters_rejected_at_parse_time(self, tmp_path, case):
+        text, message = BAD_PROBLEMS[case]
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            parse_config(str(path))
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
 
     def test_missing_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -201,12 +253,7 @@ output.formats = csv, json
             build_problem(parse_config(path))
 
     def test_benchmark_configs_parse(self, tmp_path, monkeypatch):
-        spec = importlib.util.spec_from_file_location(
-            "perfbench_run", os.path.join(REPO_ROOT, "perfbench", "run.py")
-        )
-        run = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
-        spec.loader.exec_module(run)
+        run = load_perfbench_run(monkeypatch)
         assert len(run.WORKLOADS) == 3
         for workload in run.WORKLOADS:
             path = str(tmp_path / f"{workload}.cfg")
@@ -224,15 +271,13 @@ output.formats = csv, json
             max_iters=7,
             basis_kind="hypercube",
             basis_K=5,
-            basis_K_tilde=3,
-            basis_tau_rule=True,
             normalize_increments=False,
         )
         assert cfg.solve_config(99) == SolveConfig(
             rho=0.3,
             eps0=2e-3,
             L=123,
-            basis=BasisSpec("hypercube", 5, K_tilde=3, tau_rule=True),
+            basis=BasisSpec("hypercube", 5),
             seed=99,
             rho_schedule="harmonic",
             max_iters=7,
@@ -459,6 +504,33 @@ class TestRunSingleAndCli:
             cli.main(["solve", "--config", str(cfg_path), "--N", N])
         assert exc.value.code == 2
         assert f"--N must be >= 2, got {N}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["solve", "sweep"])
+    @pytest.mark.parametrize("case", list(BAD_PROBLEMS))
+    def test_cli_rejects_bad_problem_parameters(self, tmp_path, capsys, cmd, case):
+        text, message = BAD_PROBLEMS[case]
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(text + f"L = 20\noutput.dir = {tmp_path / 'out'}\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main([cmd, "--config", str(cfg_path), "--strict"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and str(cfg_path) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cmd", ["solve", "sweep"])
+    def test_cli_reports_parse_errors_without_traceback(self, tmp_path, capsys, cmd):
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text("problem = example2\nN_list = 8\nL = abc\n")
+        for path, message in (
+            (cfg_path, f"{cfg_path}:3: bad value for 'L'"),
+            (tmp_path / "missing.cfg", "No such file"),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([cmd, "--config", str(path)])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert message in err and "Traceback" not in err
 
     def test_cli_strict_propagates_failure(self, monkeypatch, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"

@@ -89,20 +89,6 @@ class TestBuildPartition:
         assert part.assign(np.array([0.5]))[0] == 0
         assert part.assign(np.array([0.5000001]))[0] == 1
 
-    def test_q_budget_uses_k_tilde(self):
-        samples = np.linspace(0.0, 1.0, 100)
-        spec = BasisSpec(HYPERCUBE, 8, K_tilde=3)
-        assert build_partition(samples, spec, "P").n_cells == 8
-        assert build_partition(samples, spec, "Q").n_cells == 3
-
-    def test_tau_rule_sizing(self):
-        samples = np.linspace(0.0, 1.0, 100)
-        spec = BasisSpec(HYPERCUBE, 4, tau_rule=True)
-        part = build_partition(samples, spec, dt=0.25)
-        assert part.n_cells == int(np.ceil(1.0 / 0.25**1.5))
-        with pytest.raises(ValueError):
-            build_partition(samples, spec)  # dt required
-
     def test_basis_spec_validation(self):
         with pytest.raises(ValueError):
             BasisSpec("polynomial", 4)
@@ -205,8 +191,8 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob, n=10, paths=800)
         sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 8))
         for n in range(grid.N):
-            part_q = sol.partitions[n][1]
-            counts = np.bincount(part_q.assign(ens.states[:, n]), minlength=part_q.n_cells)
+            part = sol.partitions[n]
+            counts = np.bincount(part.assign(ens.states[:, n]), minlength=part.n_cells)
             l_min = counts[counts > 0].min()
             bound = 6.0 * grid.T / np.sqrt(grid.dt * l_min)
             assert np.max(np.abs(sol.q_hat[:, n])) <= bound
@@ -222,8 +208,7 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob, control=lambda g: nodal_sample(lambda t: 0.5, g))
         sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
         for n in range(grid.N):
-            part_p, part_q = sol.partitions[n]
-            idx = part_p.assign(ens.states[:, n])
+            idx = sol.partitions[n].assign(ens.states[:, n])
             for c in np.unique(idx):
                 assert np.unique(sol.p_hat[idx == c, n]).size == 1
 

@@ -398,7 +398,7 @@ class TestSolveVector:
             rho=0.3,
             eps0=1e-9,
             L=200,
-            basis=BasisSpec("hypercube", 6, K_tilde=3),
+            basis=BasisSpec("hypercube", 6),
             rho_schedule="harmonic",
             max_iters=4,
             normalize_increments=False,

@@ -73,7 +73,6 @@ def basis_spec():
         BasisSpec,
         kind=st.sampled_from([HYPERCUBE, VORONOI]),
         K=st.integers(1, 12),
-        K_tilde=st.one_of(st.none(), st.integers(1, 12)),
     )
 
 
