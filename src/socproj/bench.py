@@ -94,6 +94,8 @@ class SweepConfig:
             raise ValueError("every N in N_list must be >= 2")
         if any(b >= a for a, b in zip(self.N_list[1:], self.N_list)):
             raise ValueError("N_list must be strictly increasing")
+        if not self.output_dir:
+            raise ValueError("output.dir must not be empty")
         if not self.output_formats or set(self.output_formats) - {"csv", "json"}:
             raise ValueError(
                 f"output.formats must be csv and/or json, got {self.output_formats}"
@@ -121,6 +123,13 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
+def _parse_float(s: str) -> float:
+    value = float(s)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {s!r}")
+    return value
+
+
 def _parse_int_list(s: str) -> list[int]:
     return [int(tok) for tok in s.replace(",", " ").split()]
 
@@ -140,17 +149,17 @@ def _parse_basis_kind(s: str) -> str:
 CONFIG_KEYS = {
     "problem": ("problem", str.strip),
     "d": ("d", int),
-    "alpha": ("alpha", float),
-    "mu_star": ("mu_star", float),
-    "delta": ("delta", float),
+    "alpha": ("alpha", _parse_float),
+    "mu_star": ("mu_star", _parse_float),
+    "delta": ("delta", _parse_float),
     "N_list": ("N_list", _parse_int_list),
     "L": ("L", int),
-    "rho": ("rho", float),
+    "rho": ("rho", _parse_float),
     "rho_schedule": ("rho_schedule", str.strip),
-    "eps0": ("eps0", float),
+    "eps0": ("eps0", _parse_float),
     "max_iters": ("max_iters", int),
     "seed": ("seed", int),
-    "u0": ("u0", float),
+    "u0": ("u0", _parse_float),
     "self_convergence": ("self_convergence", _parse_bool),
     "normalize_increments": ("normalize_increments", _parse_bool),
     "basis.kind": ("basis_kind", _parse_basis_kind),

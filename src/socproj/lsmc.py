@@ -9,9 +9,10 @@ mean of its targets and every empty cell zero.
 A Voronoi partition costs one argsort of the step's samples: its K quantiles
 are read off the sorted column with the same arithmetic as
 ``np.quantile(method="linear")``, so they match it bit for bit, and every
-sample's cell comes from rank cuts in that sorted column.  ``solve_bsde_hat``
-asks ``build_partition`` for that cell array and hands it to both regressions
-of the step: the P- and Q-regressions share one partition per step.
+sample's cell comes from rank cuts in that sorted column.  The cell array is
+the only link between partition and regression: ``build_partition`` fills one
+per step, and ``regress`` takes it for both the P- and the Q-regression of
+that step.  Nothing of a step outlives it except its fitted values.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -59,20 +60,18 @@ class Partition:
 
     Hypercube partitions carry (lo, hi) and split the range into n_cells
     equal cells, the last one closed on the right; Voronoi partitions carry
-    sorted centers (the unique ``np.quantile(method="linear")`` values, bit
-    for bit, read from one sort of the step's samples) and assign by nearest
-    center with ties to the lower index.  A degenerate sample (all values
-    equal) collapses to a single cell.  No per-sample array is kept: the cells
-    of the samples a partition was built from are handed out by
-    ``build_partition`` and live only for that step.
+    the midpoints between their sorted centers (the unique
+    ``np.quantile(method="linear")`` values, bit for bit, read from one sort
+    of the step's samples) and assign by nearest center with ties to the
+    lower index.  A degenerate sample (all values equal) collapses to a
+    single cell.  No per-sample array is kept: the cells of the samples a
+    partition was built from go into the array handed to ``build_partition``.
     """
 
-    step: int
     kind: str
     n_cells: int
     lo: float = math.nan
     hi: float = math.nan
-    centers: Optional[np.ndarray] = None
     boundaries: Optional[np.ndarray] = None
 
     def assign(self, y: np.ndarray) -> np.ndarray:
@@ -109,89 +108,63 @@ def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_partition(
-    samples: np.ndarray,
-    spec: BasisSpec,
-    step: int = 0,
-    cells: Optional[np.ndarray] = None,
-) -> Partition:
-    """Build the step's partition of ``spec.K`` cells from the sampled states.
+def build_partition(samples: np.ndarray, spec: BasisSpec, cells: np.ndarray) -> Partition:
+    """Build the step's partition of ``spec.K`` cells from the sampled states
+    and fill ``cells``, an intp array of len(samples), with each sample's cell
+    (equal to ``part.assign(samples)``).
 
-    A Voronoi partition takes its centers from one argsort of the samples
-    (the quantiles equal ``np.quantile(method="linear")`` bit for bit).  If
-    ``cells`` is given, an intp array of len(samples), it is filled with each
-    sample's cell, equal to ``part.assign(samples)``: a Voronoi step takes it
-    from rank cuts in the same sorted column, a hypercube step from one pass
-    of its floor rule.
+    A Voronoi step reads its quantiles (equal to ``np.quantile(method="linear")``
+    bit for bit) and its cells from one argsort of the samples; a hypercube
+    step takes its cells from one pass of its floor rule.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
     lo, hi = float(samples.min()), float(samples.max())
     if hi == lo:
-        part = Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
+        part = Partition(kind=spec.kind, n_cells=1, lo=lo, hi=hi)
     elif spec.kind == VORONOI:
-        return _voronoi_partition(samples, spec.K, step, lo, hi, cells)
+        return _voronoi_partition(samples, spec.K, lo, hi, cells)
     else:
-        part = Partition(step=step, kind=HYPERCUBE, n_cells=spec.K, lo=lo, hi=hi)
-    if cells is not None:
-        cells[:] = part.assign(samples)
+        part = Partition(kind=HYPERCUBE, n_cells=spec.K, lo=lo, hi=hi)
+    cells[:] = part.assign(samples)
     return part
 
 
 def _voronoi_partition(
-    samples: np.ndarray,
-    k: int,
-    step: int,
-    lo: float,
-    hi: float,
-    cells: Optional[np.ndarray],
+    samples: np.ndarray, k: int, lo: float, hi: float, cells: np.ndarray
 ) -> Partition:
     """Cells around the k quantiles, all read from one argsort of the samples."""
     order = np.argsort(samples)
     ordered = samples[order]
     centers = np.unique(_linear_quantiles(ordered, np.arange(1, k + 1) / (k + 1)))
     if len(centers) == 1:
-        if cells is not None:
-            cells[:] = 0
-        return Partition(step=step, kind=VORONOI, n_cells=1, lo=lo, hi=hi)
+        cells[:] = 0
+        return Partition(kind=VORONOI, n_cells=1, lo=lo, hi=hi)
     boundaries = 0.5 * (centers[:-1] + centers[1:])
-    if cells is not None:
-        # A sample's cell is the number of boundaries below it, so cell c
-        # holds the sorted ranks cuts[c] .. cuts[c+1]-1.
-        cuts = np.empty(len(centers) + 1, dtype=np.intp)
-        cuts[0], cuts[-1] = 0, len(ordered)
-        cuts[1:-1] = np.searchsorted(ordered, boundaries, side="right")
-        cells[order] = np.repeat(np.arange(len(centers)), np.diff(cuts))
+    # A sample's cell is the number of boundaries below it, so cell c
+    # holds the sorted ranks cuts[c] .. cuts[c+1]-1.
+    cuts = np.empty(len(centers) + 1, dtype=np.intp)
+    cuts[0], cuts[-1] = 0, len(ordered)
+    cuts[1:-1] = np.searchsorted(ordered, boundaries, side="right")
+    cells[order] = np.repeat(np.arange(len(centers)), np.diff(cuts))
     return Partition(
-        step=step,
-        kind=VORONOI,
-        n_cells=len(centers),
-        lo=lo,
-        hi=hi,
-        centers=centers,
-        boundaries=boundaries,
+        kind=VORONOI, n_cells=len(centers), lo=lo, hi=hi, boundaries=boundaries
     )
 
 
 def regress(
-    partition: Partition,
-    x: np.ndarray,
-    z: np.ndarray,
-    cells: Optional[np.ndarray] = None,
+    cells: np.ndarray, z: np.ndarray, n_cells: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-cell means of z grouped by the cell of x.
-
-    ``cells``, if given, must equal ``partition.assign(x)`` (as filled in by
-    ``build_partition``) and is used instead of assigning again.
+    """Per-cell means of z grouped by ``cells`` (as filled in by
+    ``build_partition``, each in 0 .. n_cells-1).
     Returns (coefficients, fitted values); empty cells get coefficient 0.
     """
-    idx = partition.assign(np.asarray(x, dtype=float)) if cells is None else cells
     z = np.asarray(z, dtype=float)
-    counts = np.bincount(idx, minlength=partition.n_cells)
-    sums = np.bincount(idx, weights=z, minlength=partition.n_cells)
-    coef = np.divide(sums, counts, out=np.zeros(partition.n_cells), where=counts > 0)
-    return coef, coef[idx]
+    counts = np.bincount(cells, minlength=n_cells)
+    sums = np.bincount(cells, weights=z, minlength=n_cells)
+    coef = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+    return coef, coef[cells]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,14 +173,12 @@ class BsdeSolution:
     terminal column, q_hat is (L, N), both column-major like the ensembles,
     so step n's values are the contiguous column [:, n]; average them over
     paths with ``paths.path_mean`` (path order), not ``.mean(axis=0)``
-    (pairwise on this layout).  Each step's partition and its (P, Q) per-cell
-    coefficients are kept for inspection."""
+    (pairwise on this layout).  No step's partition, cells or coefficients
+    are kept."""
 
     grid: TimeGrid
     p_hat: np.ndarray
     q_hat: np.ndarray
-    partitions: list[Partition]
-    coefficients: list[tuple[np.ndarray, np.ndarray]]
 
 
 def solve_bsde_hat(
@@ -232,20 +203,18 @@ def solve_bsde_hat(
     p = np.empty((L, N + 1), order="F")
     q = np.empty((L, N), order="F")
     p[:, N] = costs.g(y[:, N])
-    partitions: list[Partition] = [None] * N  # type: ignore[list-item]
-    coefficients: list[tuple[np.ndarray, np.ndarray]] = [None] * N  # type: ignore[list-item]
 
-    # Each step's cells, overwritten by the next step; never kept on a Partition.
+    # Each step's cells, overwritten by the next step.
     cells = np.empty(L, dtype=np.intp)
     for n in range(N - 1, -1, -1):
         yn = y[:, n]
         tn = float(grid.nodes[n])
         un = float(control.values[n])
-        part = build_partition(yn, spec, step=n, cells=cells)
+        n_cells = build_partition(yn, spec, cells).n_cells
 
         p_next = p[:, n + 1]
         target_q = dw[:, n] * p_next / dt
-        q_coef, q_fit = regress(part, yn, target_q, cells=cells)
+        _, q_fit = regress(cells, target_q, n_cells)
 
         f = (
             costs.h_y(tn, yn)
@@ -255,14 +224,10 @@ def solve_bsde_hat(
         target_p = p_next + f * dt
         if not np.all(np.isfinite(target_p)):
             raise SimulationError(f"non-finite regression target at step {n}")
-        p_coef, p_fit = regress(part, yn, target_p, cells=cells)
+        _, p_fit = regress(cells, target_p, n_cells)
 
         p[:, n] = p_fit
         q[:, n] = q_fit
-        partitions[n] = part
-        coefficients[n] = (p_coef, q_coef)
 
-    return BsdeSolution(
-        grid=grid, p_hat=p, q_hat=q, partitions=partitions, coefficients=coefficients
-    )
+    return BsdeSolution(grid=grid, p_hat=p, q_hat=q)
 

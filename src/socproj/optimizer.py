@@ -21,6 +21,7 @@ this restoration is exact in floating point whenever sigma_y = 0.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -57,10 +58,10 @@ class SolveConfig:
     normalize_increments: bool = True
 
     def __post_init__(self) -> None:
-        if self.rho <= 0.0:
-            raise ValueError("rho must be positive")
-        if self.eps0 <= 0.0:
-            raise ValueError("eps0 must be positive")
+        if not 0.0 < self.rho < math.inf:
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not 0.0 < self.eps0 < math.inf:
+            raise ValueError(f"eps0 must be positive and finite, got {self.eps0}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.L < 1:

@@ -45,18 +45,13 @@ EXAMPLE3_DELTA_ACTIVE = 1.34150
 class LinearDrift:
     """Coefficients of the linear drift b(t, y, u) = b_y(t) y + b_u(t) u + m(t).
 
-    ``lower_bound`` is a strictly positive lower bound on |b_u|, required for
-    the projection kernel to be nondegenerate.
+    b_u must not vanish on the grid: the multiplier step divides by the
+    response-kernel integral, and a solve rejects one that is not positive.
     """
 
     b_y: TimeFn
     b_u: TimeFn
     m: TimeFn
-    lower_bound: float
-
-    def __post_init__(self) -> None:
-        if self.lower_bound <= 0.0:
-            raise ValueError("lower_bound on |b_u| must be positive")
 
 
 @dataclass(frozen=True)
@@ -176,7 +171,6 @@ def example1(d: int, mu: float, alpha: float, T: float = 1.0) -> VectorProblem:
                     b_y=lambda t: 0.0,
                     b_u=lambda t: 1.0,
                     m=lambda t: 0.0,
-                    lower_bound=1.0,
                 ),
                 diffusion=Diffusion(
                     sigma=lambda y, u, _a=alpha: np.full_like(y, _a, dtype=float),
@@ -224,7 +218,6 @@ def example2(alpha: float, T: float = 1.0) -> ProblemSpec:
             b_y=lambda t: 0.0,
             b_u=lambda t: 1.0,
             m=lambda t: -r(t),
-            lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _a=alpha: np.full_like(y, _a * u, dtype=float),
@@ -265,7 +258,6 @@ def example3(
             b_y=lambda t: 1.0,
             b_u=lambda t: 1.0,
             m=lambda t: 0.0,
-            lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _a=alpha: _a * np.sqrt(1.0 + y * y),

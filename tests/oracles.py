@@ -28,9 +28,7 @@ def time_varying_problem() -> ProblemSpec:
     stage of an iteration."""
     return ProblemSpec(
         name="time-varying",
-        drift=LinearDrift(
-            b_y=math.sin, b_u=lambda t: 1.0 + t, m=math.cos, lower_bound=1.0
-        ),
+        drift=LinearDrift(b_y=math.sin, b_u=lambda t: 1.0 + t, m=math.cos),
         diffusion=Diffusion(
             sigma=lambda y, u: 0.1 * u + 0.2 * np.sqrt(1.0 + y * y),
             sigma_y=lambda y, u: 0.2 * y / np.sqrt(1.0 + y * y),
@@ -111,13 +109,13 @@ def check_kernel_identity(grid: TimeGrid, b_y: TimeFn, b_u: TimeFn) -> float:
 
 
 def validate_drift(
-    drift: LinearDrift, T: float, lip_bound: float, samples: int = 101
+    drift: LinearDrift, T: float, lower_bound: float, lip_bound: float, samples: int = 101
 ) -> None:
     """Check |b_u| >= lower_bound and |b_y| + |b_u| <= lip_bound on a uniform
     sample of [0, T]."""
     for t in np.linspace(0.0, T, samples):
         by, bu = abs(float(drift.b_y(t))), abs(float(drift.b_u(t)))
-        if bu < drift.lower_bound:
+        if bu < lower_bound:
             raise ValueError(f"|b_u({t})| = {bu} below lower_bound")
         if by + bu > lip_bound + 1e-12:
             raise ValueError(f"|b_y|+|b_u| = {by + bu} exceeds lip_bound at t={t}")
@@ -203,27 +201,21 @@ def fit_order(report: RunReport, column: str = "control_error") -> float:
 # two regressions and calls ``b_y`` at each t_n itself.
 
 
-def reference_build_partition(samples, spec, step=0):
+def reference_build_partition(samples, spec):
     samples = np.asarray(samples, dtype=float)
     k = spec.K
     lo, hi = float(samples.min()), float(samples.max())
     if hi == lo:
-        return Partition(step=step, kind=spec.kind, n_cells=1, lo=lo, hi=hi)
+        return Partition(kind=spec.kind, n_cells=1, lo=lo, hi=hi)
     if spec.kind == HYPERCUBE:
-        return Partition(step=step, kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
+        return Partition(kind=HYPERCUBE, n_cells=k, lo=lo, hi=hi)
     qs = np.quantile(samples, np.arange(1, k + 1) / (k + 1))
     centers = np.unique(qs)
     if len(centers) == 1:
-        return Partition(step=step, kind=VORONOI, n_cells=1, lo=lo, hi=hi)
+        return Partition(kind=VORONOI, n_cells=1, lo=lo, hi=hi)
     boundaries = 0.5 * (centers[:-1] + centers[1:])
     return Partition(
-        step=step,
-        kind=VORONOI,
-        n_cells=len(centers),
-        lo=lo,
-        hi=hi,
-        centers=centers,
-        boundaries=boundaries,
+        kind=VORONOI, n_cells=len(centers), lo=lo, hi=hi, boundaries=boundaries
     )
 
 
@@ -236,7 +228,7 @@ def reference_regress(partition, x, z):
 
 
 def reference_backward(paths, bw, problem, control, spec, mu=0.0, psi=None):
-    """(p, q, partitions, coefficients) of the recursion in ``socproj.lsmc``.
+    """(p, q) of the recursion in ``socproj.lsmc``.
 
     Given ``psi``, the driver carries the multiplier, f = f_hat + mu, and the
     Q-target drops the deterministic mu*psi_{n+1} part of p_{n+1}, whose
@@ -250,27 +242,24 @@ def reference_backward(paths, bw, problem, control, spec, mu=0.0, psi=None):
     p = np.empty((L, N + 1))
     q = np.empty((L, N))
     p[:, N] = costs.g(y[:, N])
-    partitions, coefficients = [None] * N, [None] * N
     for n in range(N - 1, -1, -1):
         yn = y[:, n]
         tn = float(grid.nodes[n])
         un = float(control.values[n])
-        part = reference_build_partition(yn, spec, step=n)
+        part = reference_build_partition(yn, spec)
         p_next = p[:, n + 1]
         if psi is None:
             target_q = dw[:, n] * p_next / dt
         else:
             target_q = dw[:, n] * (p_next - mu * psi[n + 1]) / dt
-        q_coef, q_fit = reference_regress(part, yn, target_q)
+        _, q_fit = reference_regress(part, yn, target_q)
         f = (
             costs.h_y(tn, yn)
             + p_next * float(drift.b_y(tn))
             + q_fit * diff.sigma_y(yn, un)
             + mu
         )
-        p_coef, p_fit = reference_regress(part, yn, p_next + f * dt)
+        _, p_fit = reference_regress(part, yn, p_next + f * dt)
         p[:, n] = p_fit
         q[:, n] = q_fit
-        partitions[n] = part
-        coefficients[n] = (p_coef, q_coef)
-    return p, q, partitions, coefficients
+    return p, q

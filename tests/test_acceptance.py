@@ -222,7 +222,7 @@ def test_criterion_5_shift_identity():
         psi = solve_psi(grid, gp.b_y)
         basis = sp.BasisSpec("hypercube", 8)
         hat = sp.solve_bsde_hat(ens, bw, gp, u, basis)
-        p, q, _, _ = reference_backward(ens, bw, prob, u, basis, mu=0.7, psi=psi)
+        p, q = reference_backward(ens, bw, prob, u, basis, mu=0.7, psi=psi)
         worst_p = max(worst_p, float(np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :]))))
         worst_q = max(worst_q, float(np.max(np.abs(q - hat.q_hat))))
     ok = worst_p <= 1e-10 and worst_q <= 1e-10
@@ -282,8 +282,9 @@ def test_criterion_8_oracle_equivalences():
     for kind in ("hypercube", "voronoi"):
         x = rng.normal(size=100)
         z = np.cos(x) + rng.normal(size=100, scale=0.3)
-        part = sp.build_partition(x, sp.BasisSpec(kind, 8))
-        coef, fitted = sp.regress(part, x, z)
+        cells = np.empty(100, dtype=np.intp)
+        part = sp.build_partition(x, sp.BasisSpec(kind, 8), cells)
+        coef, fitted = sp.regress(cells, z, part.n_cells)
         design = np.zeros((100, part.n_cells))
         design[np.arange(100), part.assign(x)] = 1.0
         dense, *_ = np.linalg.lstsq(design, z, rcond=None)

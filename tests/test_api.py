@@ -6,7 +6,7 @@ import types
 
 import socproj
 from socproj import bench
-from tests.test_bench import load_perfbench_run
+from tests.test_bench import load_perfbench
 
 
 def test_all_is_explicit_and_lists_no_modules():
@@ -111,7 +111,7 @@ def test_every_config_key_is_set_by_a_shipped_config_or_workload(monkeypatch):
     used = set()
     for path in sorted((REPO_ROOT / "configs").glob("*.cfg")):
         used |= _config_file_keys(path)
-    for workload in load_perfbench_run(monkeypatch).WORKLOADS.values():
+    for workload in load_perfbench(monkeypatch, "run").WORKLOADS.values():
         used |= set(workload["cfg"])
     assert set(UNSET_CONFIG_KEYS) <= set(bench.CONFIG_KEYS) - used
     assert sorted(set(bench.CONFIG_KEYS) - used - set(UNSET_CONFIG_KEYS)) == []

@@ -13,6 +13,7 @@ import pytest
 import socproj
 from socproj import bench, cli
 from socproj.bench import (
+    CONFIG_KEYS,
     CSV_HEADER,
     OUTPUT_DIR_ENV,
     RunReport,
@@ -34,15 +35,15 @@ from tests.test_optimizer import contraction_problem
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_perfbench_run(monkeypatch):
-    """``perfbench/run.py`` as a module, without running it."""
+def load_perfbench(monkeypatch, stem):
+    """``perfbench/<stem>.py`` as a module, without running it."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_run", os.path.join(REPO_ROOT, "perfbench", "run.py")
+        f"perfbench_{stem}", os.path.join(REPO_ROOT, "perfbench", f"{stem}.py")
     )
-    run = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look it up
-    spec.loader.exec_module(run)
-    return run
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
 
 
 # Configs whose problem cannot be built, with the message each must give.
@@ -152,6 +153,12 @@ output.formats = csv, json
             ("L = abc", "L", "invalid literal for int() with base 10: 'abc'"),
             ("max_iters = 1.5", "max_iters", "invalid literal for int() with base 10: '1.5'"),
             ("rho = fast", "rho", "could not convert string to float: 'fast'"),
+            # a non-finite float would fail every row of a sweep, or (eps0)
+            # keep every solve from stopping before max_iters
+            ("rho = nan", "rho", "not a finite number: 'nan'"),
+            ("rho = inf", "rho", "not a finite number: 'inf'"),
+            ("alpha = nan", "alpha", "not a finite number: 'nan'"),
+            ("eps0 = nan", "eps0", "not a finite number: 'nan'"),
             ("self_convergence = maybe", "self_convergence", "not a boolean: 'maybe'"),
             (
                 "basis.kind = poly",
@@ -166,6 +173,19 @@ output.formats = csv, json
         with pytest.raises(ValueError) as info:
             parse_config(str(path))
         assert str(info.value) == f"{path}:4: bad value for '{key}': {detail}"
+
+    def test_every_float_key_must_be_finite(self):
+        float_attrs = {f.name for f in dataclasses.fields(SweepConfig) if "float" in f.type}
+        float_keys = sorted(k for k, (attr, _) in CONFIG_KEYS.items() if attr in float_attrs)
+        assert float_keys == ["alpha", "delta", "eps0", "mu_star", "rho", "u0"]
+        for key in float_keys:
+            for bad in ("nan", "inf", "-inf"):
+                with pytest.raises(ValueError, match="not a finite number"):
+                    CONFIG_KEYS[key][1](bad)
+
+    def test_empty_output_dir_rejected(self):
+        with pytest.raises(ValueError, match="output.dir must not be empty"):
+            SweepConfig(problem="example2", N_list=[8], output_dir="")
 
     @pytest.mark.parametrize("case", list(BAD_PROBLEMS))
     def test_bad_problem_parameters_rejected_at_parse_time(self, tmp_path, case):
@@ -253,7 +273,7 @@ output.formats = csv, json
             build_problem(parse_config(path))
 
     def test_benchmark_configs_parse(self, tmp_path, monkeypatch):
-        run = load_perfbench_run(monkeypatch)
+        run = load_perfbench(monkeypatch, "run")
         assert len(run.WORKLOADS) == 3
         for workload in run.WORKLOADS:
             path = str(tmp_path / f"{workload}.cfg")
@@ -365,7 +385,6 @@ class TestReports:
                 b_y=lambda t: float("nan"),
                 b_u=lambda t: 1.0,
                 m=lambda t: 0.0,
-                lower_bound=1.0,
             ),
             diffusion=bad.diffusion,
             costs=bad.costs,
@@ -519,11 +538,21 @@ class TestRunSingleAndCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cmd", ["solve", "sweep"])
-    def test_cli_reports_parse_errors_without_traceback(self, tmp_path, capsys, cmd):
+    def test_cli_reports_parse_errors_without_traceback(
+        self, tmp_path, capsys, monkeypatch, cmd
+    ):
+        monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text("problem = example2\nN_list = 8\nL = abc\n")
+        nan_path = tmp_path / "nan.cfg"
+        nan_path.write_text("problem = example2\nN_list = 4, 8\nL = 200\nrho = nan\n")
+        # an empty output.dir would fail only once every solve had run
+        no_dir = tmp_path / "no_dir.cfg"
+        no_dir.write_text("problem = example2\nN_list = 4, 8\nL = 200\noutput.dir =\n")
         for path, message in (
             (cfg_path, f"{cfg_path}:3: bad value for 'L'"),
+            (nan_path, f"{nan_path}:4: bad value for 'rho'"),
+            (no_dir, f"{no_dir}: output.dir must not be empty"),
             (tmp_path / "missing.cfg", "No such file"),
         ):
             with pytest.raises(SystemExit) as exc:
@@ -531,6 +560,33 @@ class TestRunSingleAndCli:
             assert exc.value.code == 2
             err = capsys.readouterr().err
             assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "problem_lines",
+        [
+            "problem = example1\nd = 2\n",
+            "problem = example2\n",
+            "problem = example3\nbasis.kind = HC\n",
+        ],
+        ids=["example1-d2", "example2", "example3-hc"],
+    )
+    def test_traced_smoke_sweep_reaches_every_layer(
+        self, tmp_path, capsys, monkeypatch, problem_lines
+    ):
+        # the span tracer of the sweep benchmark, loaded unedited, must still
+        # find every layer it wraps, with one partition per two regressions
+        tracing = load_perfbench(monkeypatch, "tracing")
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            f"{problem_lines}N_list = 4, 8\nL = 200\noutput.dir = {tmp_path / 'out'}\n"
+        )
+        tracer = tracing.Tracer("smoke")
+        with tracer.sweep():
+            assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        metrics = tracer.sweep_metrics(0)
+        assert metrics["lsmc.build_partition.calls"] > 0
+        assert metrics["lsmc.regress.calls"] == 2 * metrics["lsmc.build_partition.calls"]
 
     def test_cli_strict_propagates_failure(self, monkeypatch, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"

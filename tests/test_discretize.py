@@ -142,8 +142,7 @@ def test_solve_samples_the_drift_once():
         return call
 
     drift = LinearDrift(
-        **{name: counted(name, getattr(prob.drift, name)) for name in calls},
-        lower_bound=prob.drift.lower_bound,
+        **{name: counted(name, getattr(prob.drift, name)) for name in calls}
     )
     prob = dataclasses.replace(prob, drift=drift)
     grid = TimeGrid(1.0, 12)

@@ -28,6 +28,11 @@ from socproj.problems import (
 from tests.oracles import reference_backward
 
 
+def partition_and_cells(samples, spec):
+    cells = np.empty(len(samples), dtype=np.intp)
+    return build_partition(samples, spec, cells), cells
+
+
 def _unit_source_problem():
     """h_y = 1, no state coupling anywhere: the adjoint telescopes to T - t."""
     return ProblemSpec(
@@ -36,7 +41,6 @@ def _unit_source_problem():
             b_y=lambda t: 0.0,
             b_u=lambda t: 1.0,
             m=lambda t: 0.0,
-            lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u: np.full_like(y, 0.4),
@@ -57,35 +61,31 @@ def _unit_source_problem():
 class TestBuildPartition:
     def test_degenerate_sample_collapses(self):
         for kind in (HYPERCUBE, VORONOI):
-            part = build_partition(np.full(32, 1.0), BasisSpec(kind, 8))
+            part, _ = partition_and_cells(np.full(32, 1.0), BasisSpec(kind, 8))
             assert part.n_cells == 1
             np.testing.assert_array_equal(part.assign(np.full(32, 1.0)), np.zeros(32))
 
     def test_hypercube_equal_split(self):
         samples = np.array([0.0, 1.0, 2.0, 3.0])
-        part = build_partition(samples, BasisSpec(HYPERCUBE, 2))
+        part, _ = partition_and_cells(samples, BasisSpec(HYPERCUBE, 2))
         np.testing.assert_array_equal(part.assign(samples), [0, 0, 1, 1])
         assert part.lo == 0.0 and part.hi == 3.0
 
     def test_hypercube_right_closed_last_cell(self):
         samples = np.linspace(0.0, 1.0, 11)
-        part = build_partition(samples, BasisSpec(HYPERCUBE, 5))
+        part, _ = partition_and_cells(samples, BasisSpec(HYPERCUBE, 5))
         assert part.assign(np.array([1.0]))[0] == 4
 
     def test_voronoi_quantile_centers(self):
         rng = np.random.default_rng(2)
         samples = rng.uniform(0.0, 1.0, 4000)
-        part = build_partition(samples, BasisSpec(VORONOI, 4))
-        np.testing.assert_allclose(part.centers, [0.2, 0.4, 0.6, 0.8], atol=0.05)
+        part, _ = partition_and_cells(samples, BasisSpec(VORONOI, 4))
+        # midpoints of the quantile centers 0.2, 0.4, 0.6, 0.8
+        np.testing.assert_allclose(part.boundaries, [0.3, 0.5, 0.7], atol=0.05)
 
     def test_voronoi_tie_goes_to_lower_index(self):
-        part = Partition(
-            step=0,
-            kind=VORONOI,
-            n_cells=2,
-            centers=np.array([0.0, 1.0]),
-            boundaries=np.array([0.5]),
-        )
+        # centers 0 and 1
+        part = Partition(kind=VORONOI, n_cells=2, boundaries=np.array([0.5]))
         assert part.assign(np.array([0.5]))[0] == 0
         assert part.assign(np.array([0.5000001]))[0] == 1
 
@@ -99,31 +99,30 @@ class TestBuildPartition:
 class TestRegress:
     def test_constant_targets(self):
         samples = np.linspace(0.0, 1.0, 50)
-        part = build_partition(samples, BasisSpec(HYPERCUBE, 5))
-        coef, fitted = regress(part, samples, np.full(50, 2.5))
+        part, cells = partition_and_cells(samples, BasisSpec(HYPERCUBE, 5))
+        coef, fitted = regress(cells, np.full(50, 2.5), part.n_cells)
         np.testing.assert_allclose(coef, 2.5)
         np.testing.assert_allclose(fitted, 2.5)
 
     def test_single_cell_is_plain_mean(self):
         samples = np.full(10, 3.0)
-        part = build_partition(samples, BasisSpec(VORONOI, 4))
+        part, cells = partition_and_cells(samples, BasisSpec(VORONOI, 4))
         z = np.arange(10.0)
-        coef, fitted = regress(part, samples, z)
+        coef, fitted = regress(cells, z, part.n_cells)
         assert coef[0] == pytest.approx(z.mean())
         np.testing.assert_allclose(fitted, z.mean())
 
     def test_per_cell_means_hand_value(self):
-        part = Partition(step=0, kind=HYPERCUBE, n_cells=2, lo=0.0, hi=2.0)
-        coef, fitted = regress(
-            part, np.array([0.5, 1.5, 1.2]), np.array([2.0, 4.0, 6.0])
-        )
+        part = Partition(kind=HYPERCUBE, n_cells=2, lo=0.0, hi=2.0)
+        cells = part.assign(np.array([0.5, 1.5, 1.2]))
+        coef, fitted = regress(cells, np.array([2.0, 4.0, 6.0]), part.n_cells)
         np.testing.assert_allclose(coef, [2.0, 5.0])
         np.testing.assert_allclose(fitted, [2.0, 5.0, 5.0])
 
     def test_empty_cell_coefficient_zero(self):
-        part = Partition(step=0, kind=HYPERCUBE, n_cells=4, lo=0.0, hi=4.0)
+        part = Partition(kind=HYPERCUBE, n_cells=4, lo=0.0, hi=4.0)
         x = np.array([0.1, 0.2, 3.9])  # cells 1 and 2 unoccupied
-        coef, _ = regress(part, x, np.array([1.0, 3.0, 7.0]))
+        coef, _ = regress(part.assign(x), np.array([1.0, 3.0, 7.0]), part.n_cells)
         np.testing.assert_allclose(coef, [2.0, 0.0, 0.0, 7.0])
 
     @pytest.mark.parametrize("kind", [HYPERCUBE, VORONOI])
@@ -131,8 +130,8 @@ class TestRegress:
         rng = np.random.default_rng(8)
         x = rng.normal(size=100)
         z = np.sin(x) + rng.normal(size=100, scale=0.2)
-        part = build_partition(x, BasisSpec(kind, 8))
-        coef, fitted = regress(part, x, z)
+        part, cells = partition_and_cells(x, BasisSpec(kind, 8))
+        coef, fitted = regress(cells, z, part.n_cells)
         design = np.zeros((100, part.n_cells))
         design[np.arange(100), part.assign(x)] = 1.0
         dense, *_ = np.linalg.lstsq(design, z, rcond=None)
@@ -143,10 +142,10 @@ class TestRegress:
         rng = np.random.default_rng(9)
         x = rng.normal(size=200)
         z = rng.normal(size=200)
-        part = build_partition(x, BasisSpec(VORONOI, 6))
+        part, cells = partition_and_cells(x, BasisSpec(VORONOI, 6))
         perm = rng.permutation(200)
-        coef_a, _ = regress(part, x, z)
-        coef_b, _ = regress(part, x[perm], z[perm])
+        coef_a, _ = regress(cells, z, part.n_cells)
+        coef_b, _ = regress(part.assign(x[perm]), z[perm], part.n_cells)
         np.testing.assert_allclose(coef_a, coef_b, rtol=1e-12, atol=1e-14)
 
 
@@ -189,10 +188,11 @@ class TestBackwardSolver:
     def test_q_hat_clt_bound(self):
         prob = _unit_source_problem()
         grid, u, bw, ens = self._inputs(prob, n=10, paths=800)
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 8))
+        spec = BasisSpec(HYPERCUBE, 8)
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec)
         for n in range(grid.N):
-            part = sol.partitions[n]
-            counts = np.bincount(part.assign(ens.states[:, n]), minlength=part.n_cells)
+            part, cells = partition_and_cells(ens.states[:, n], spec)
+            counts = np.bincount(cells, minlength=part.n_cells)
             l_min = counts[counts > 0].min()
             bound = 6.0 * grid.T / np.sqrt(grid.dt * l_min)
             assert np.max(np.abs(sol.q_hat[:, n])) <= bound
@@ -206,9 +206,10 @@ class TestBackwardSolver:
     def test_cellmates_share_values(self):
         prob = example2(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob, control=lambda g: nodal_sample(lambda t: 0.5, g))
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
+        spec = BasisSpec(HYPERCUBE, 4)
+        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec)
         for n in range(grid.N):
-            idx = sol.partitions[n].assign(ens.states[:, n])
+            _, idx = partition_and_cells(ens.states[:, n], spec)
             for c in np.unique(idx):
                 assert np.unique(sol.p_hat[idx == c, n]).size == 1
 
@@ -218,7 +219,7 @@ class TestBackwardSolver:
         gp = discretize(prob, grid)
         psi = solve_psi(grid, gp.b_y)
         hat = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5))
-        p, q, _, _ = reference_backward(ens, bw, prob, u, BasisSpec(VORONOI, 5), 0.0, psi)
+        p, q = reference_backward(ens, bw, prob, u, BasisSpec(VORONOI, 5), 0.0, psi)
         np.testing.assert_array_equal(hat.p_hat, p)
         np.testing.assert_array_equal(hat.q_hat, q)
 
@@ -233,7 +234,7 @@ class TestBackwardSolver:
         psi = solve_psi(grid, gp.b_y)
         spec = BasisSpec(HYPERCUBE, 8)
         hat = solve_bsde_hat(ens, bw, gp, u, spec)
-        p, q, _, _ = reference_backward(ens, bw, prob, u, spec, mu=0.7, psi=psi)
+        p, q = reference_backward(ens, bw, prob, u, spec, mu=0.7, psi=psi)
         assert np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
         assert np.max(np.abs(q - hat.q_hat)) <= 1e-10
 

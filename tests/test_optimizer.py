@@ -44,7 +44,6 @@ def contraction_problem(b_y=0.5, sigma=0.3):
             b_y=lambda t: b_y,
             b_u=lambda t: 1.0,
             m=lambda t: 0.0,
-            lower_bound=1.0,
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _s=sigma: np.full_like(y, _s),
@@ -66,7 +65,7 @@ def contraction_problem(b_y=0.5, sigma=0.3):
 def _fake_adjoint(grid, L, p_const, q_const):
     p = np.full((L, grid.N + 1), p_const, dtype=float)
     q = np.full((L, grid.N), q_const, dtype=float)
-    return BsdeSolution(grid=grid, p_hat=p, q_hat=q, partitions=[], coefficients=[])
+    return BsdeSolution(grid=grid, p_hat=p, q_hat=q)
 
 
 class TestGradient:
@@ -466,6 +465,10 @@ class TestSolveConfig:
             SolveConfig(rho=0.1, eps0=1e-4, L=10, basis=basis, seed=1, max_iters=0)
         with pytest.raises(ValueError):
             SolveConfig(rho=0.1, eps0=1e-4, L=10, basis=basis, seed=1, rho_schedule="geometric")
+        for knob in ("rho", "eps0"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{knob} must be positive and finite"):
+                    SolveConfig(**{"rho": 0.1, "eps0": 1e-4, knob: value}, L=10, basis=basis, seed=1)
 
     def test_rho_schedules(self):
         basis = BasisSpec("voronoi", 4)

@@ -33,7 +33,6 @@ def _deterministic_problem(b_y=0.0, b_u=1.0, m=0.0, sigma=0.0, y0=0.0):
             b_y=lambda t: b_y,
             b_u=lambda t: b_u,
             m=lambda t: m,
-            lower_bound=max(abs(b_u), 1e-6),
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _s=sigma: np.full_like(y, _s),

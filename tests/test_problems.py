@@ -135,18 +135,19 @@ class TestExample3:
 
 
 class TestDeclaredBounds:
-    # (problem, bound on |b_y| + |b_u|, bound on |sigma_y| + |sigma_u|)
+    # (problem, lower bound on |b_u|, bound on |b_y| + |b_u|,
+    #  bound on |sigma_y| + |sigma_u|)
     @pytest.mark.parametrize(
-        "prob, lip_bound, sigma_bound",
+        "prob, lower_bound, lip_bound, sigma_bound",
         [
-            (example1(d=2, mu=0.3, alpha=0.1).components[0], 1.0, 0.0),
-            (example2(alpha=0.1), 1.0, 0.1),
-            (example3(alpha=0.1), 2.0, 0.1),
+            (example1(d=2, mu=0.3, alpha=0.1).components[0], 1.0, 1.0, 0.0),
+            (example2(alpha=0.1), 1.0, 1.0, 0.1),
+            (example3(alpha=0.1), 1.0, 2.0, 0.1),
         ],
         ids=["example1", "example2", "example3"],
     )
-    def test_validators_accept_builtins(self, prob, lip_bound, sigma_bound):
-        validate_drift(prob.drift, prob.T, lip_bound)
+    def test_validators_accept_builtins(self, prob, lower_bound, lip_bound, sigma_bound):
+        validate_drift(prob.drift, prob.T, lower_bound, lip_bound)
         validate_diffusion(prob.diffusion, sigma_bound)
         assert linear_growth_bound(prob.costs, prob.T) < 10.0
 

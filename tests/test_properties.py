@@ -51,9 +51,7 @@ def random_problem(draw, state_noise):
     target = draw(coefficient(-2.0, 2.0))
     return ProblemSpec(
         name="random",
-        drift=LinearDrift(
-            b_y=lambda t: b0 + b1 * t, b_u=lambda t: b_u, m=lambda t: m, lower_bound=b_u
-        ),
+        drift=LinearDrift(b_y=lambda t: b0 + b1 * t, b_u=lambda t: b_u, m=lambda t: m),
         diffusion=Diffusion(
             sigma=lambda y, u: a * u + s0 + s * np.sqrt(1.0 + y * y),
             sigma_y=lambda y, u: s * y / np.sqrt(1.0 + y * y),
@@ -85,13 +83,13 @@ def basis_spec():
 def test_regress_is_dense_indicator_least_squares(x, spec, data):
     z = data.draw(arrays(np.float64, len(x), elements=coefficient(-10.0, 10.0)))
     cells = np.empty(len(x), dtype=np.intp)
-    part = build_partition(x, spec, cells=cells)
+    part = build_partition(x, spec, cells)
     design = np.zeros((len(x), part.n_cells))
     design[np.arange(len(x)), part.assign(x)] = 1.0
     dense, *_ = np.linalg.lstsq(design, z, rcond=None)
-    for coef, fitted in (regress(part, x, z), regress(part, x, z, cells=cells)):
-        assert np.max(np.abs(coef - dense)) <= 1e-12
-        assert np.max(np.abs(fitted - design @ dense)) <= 1e-12
+    coef, fitted = regress(cells, z, part.n_cells)
+    assert np.max(np.abs(coef - dense)) <= 1e-12
+    assert np.max(np.abs(fitted - design @ dense)) <= 1e-12
 
 
 @PROPERTY
@@ -114,7 +112,7 @@ def test_shift_identity_links_the_multiplier_driver_to_the_hat_pass(
     ens = euler_simulate(gp, u, bw)
     psi = solve_psi(grid, gp.b_y)
     hat = solve_bsde_hat(ens, bw, gp, u, spec)
-    p, q, _, _ = reference_backward(ens, bw, prob, u, spec, mu=mu, psi=psi)
+    p, q = reference_backward(ens, bw, prob, u, spec, mu=mu, psi=psi)
     assert np.max(np.abs(p - hat.p_hat - mu * psi[None, :])) <= 1e-10
     assert np.max(np.abs(q - hat.q_hat)) <= 1e-10
 

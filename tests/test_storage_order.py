@@ -32,7 +32,17 @@ LONG = 1024
 
 
 def row_major_mean(a):
-    return np.ascontiguousarray(a).mean(axis=0)
+    """The rows added in path order, one at a time from a zero row, then
+    divided by L.  A single column is one contiguous run, which numpy sums
+    pairwise whatever the layout (see ``path_mean``), so it is reduced the
+    same way here."""
+    L, M = a.shape
+    if M == 1:
+        return np.array([np.add.reduce(a[:, 0]) / L])
+    total = np.zeros(M)
+    for row in a:
+        total = total + row
+    return total / L
 
 
 @pytest.fixture(scope="module")
