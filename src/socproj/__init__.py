@@ -36,6 +36,7 @@ from .lsmc import (
     BsdeSolution,
     Partition,
     build_partition,
+    cold_orders,
     regress,
     solve_bsde_hat,
 )
@@ -106,6 +107,7 @@ __all__ = [
     "BsdeSolution",
     "Partition",
     "build_partition",
+    "cold_orders",
     "regress",
     "solve_bsde_hat",
     # optimizer

@@ -6,13 +6,16 @@ least squares reduces to per-cell sample means: the minimizer of
 (1/L) sum (z_l - sum_k a_k 1_{cell k}(x_l))^2 assigns every occupied cell the
 mean of its targets and every empty cell zero.
 
-A Voronoi partition costs one argsort of the step's samples: its K quantiles
+A Voronoi partition needs the step's samples in sorted order: its K quantiles
 are read off the sorted column with the same arithmetic as
 ``np.quantile(method="linear")``, so they match it bit for bit, and every
 sample's cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
 per step, and ``regress`` takes it for both the P- and the Q-regression of
-that step.  Nothing of a step outlives it except its fitted values.
+that step.  Only its fitted values and its sort order outlive a step; the
+order goes to the next pass on the same ensemble (``cold_orders``), where it
+often sorts the barely moved samples already, or leaves a stable argsort
+little to do.  It pays from a solve's second pass on, bit for bit.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -25,6 +28,7 @@ the shift identity P = P_hat + mu*psi, Q = Q_hat.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -61,11 +65,10 @@ class Partition:
     Hypercube partitions carry (lo, hi) and split the range into n_cells
     equal cells, the last one closed on the right; Voronoi partitions carry
     the midpoints between their sorted centers (the unique
-    ``np.quantile(method="linear")`` values, bit for bit, read from one sort
-    of the step's samples) and assign by nearest center with ties to the
-    lower index.  A degenerate sample (all values equal) collapses to a
-    single cell.  No per-sample array is kept: the cells of the samples a
-    partition was built from go into the array handed to ``build_partition``.
+    ``np.quantile(method="linear")`` values, bit for bit) and assign by
+    nearest center with ties to the lower index.  All-equal samples give one
+    cell.  No per-sample array is kept: ``build_partition`` writes the cells
+    of its samples into the array it is handed.
     """
 
     kind: str
@@ -74,24 +77,23 @@ class Partition:
     hi: float = math.nan
     boundaries: Optional[np.ndarray] = None
 
-    def assign(self, y: np.ndarray) -> np.ndarray:
+    def assign(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        out = np.empty(len(y), dtype=np.intp) if out is None else out
         if self.n_cells == 1:
-            return np.zeros(len(y), dtype=np.intp)
-        if self.kind == HYPERCUBE:
-            idx = np.floor((y - self.lo) / (self.hi - self.lo) * self.n_cells)
-            return np.clip(idx, 0, self.n_cells - 1).astype(np.intp)
-        return np.searchsorted(self.boundaries, y, side="left").astype(np.intp)
+            out[:] = 0
+        elif self.kind == HYPERCUBE:
+            idx = np.subtract(y, self.lo)
+            idx /= self.hi - self.lo
+            idx *= self.n_cells
+            np.clip(np.floor(idx, out=idx), 0, self.n_cells - 1, out=out, casting="unsafe")
+        else:
+            out[:] = np.searchsorted(self.boundaries, y, side="left")
+        return out
 
 
-def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``np.quantile(samples, q)`` read off the sorted samples, bit for bit.
-
-    The operations of numpy's ``linear`` method in its order: virtual index
-    (n-1)*q, its floor and the next index (both pinned to the last sample
-    when the virtual index reaches n-1), then its lerp, which subtracts from
-    the right neighbour where the weight is at least 1/2.
-    """
-    n = len(ordered)
+def _quantile_plan(n: int, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Indices and lerp weights of ``np.quantile(samples, q)`` for n samples,
+    in the operations and order of numpy's ``linear`` method."""
     virtual = (n - 1) * q
     below = np.floor(virtual)
     above = below + 1
@@ -101,43 +103,67 @@ def _linear_quantiles(ordered: np.ndarray, q: np.ndarray) -> np.ndarray:
     below = below.astype(np.intp)
     above = above.astype(np.intp)
     gamma = virtual - below
+    return below, above, gamma, 1 - gamma, gamma >= 0.5
+
+
+@functools.lru_cache(maxsize=32)
+def _voronoi_plan(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The quantile plan of k Voronoi centers among n samples (shared: read only)."""
+    return _quantile_plan(n, np.arange(1, k + 1) / (k + 1))
+
+
+def _linear_quantiles(ordered: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``np.quantile(samples, q)`` bit for bit, from ``_quantile_plan``."""
+    below, above, gamma, one_minus_gamma, upper = plan
     a, b = ordered[below], ordered[above]
     diff_b_a = b - a
     out = a + diff_b_a * gamma
-    np.subtract(b, diff_b_a * (1 - gamma), out=out, where=gamma >= 0.5)
+    np.subtract(b, diff_b_a * one_minus_gamma, out=out, where=upper)
     return out
 
 
-def build_partition(samples: np.ndarray, spec: BasisSpec, cells: np.ndarray) -> Partition:
+def cold_orders(L: int, N: int) -> np.ndarray:
+    """Sort cache for the backward passes on L paths and N steps: no order known."""
+    return np.full((L, N), -1, dtype=np.intp, order="F")
+
+
+def build_partition(
+    samples: np.ndarray, spec: BasisSpec, cells: np.ndarray, order: np.ndarray
+) -> Partition:
     """Build the step's partition of ``spec.K`` cells from the sampled states
     and fill ``cells``, an intp array of len(samples), with each sample's cell
     (equal to ``part.assign(samples)``).
 
-    A Voronoi step reads its quantiles (equal to ``np.quantile(method="linear")``
-    bit for bit) and its cells from one argsort of the samples; a hypercube
-    step takes its cells from one pass of its floor rule.
+    A Voronoi step reads both from the sorted samples: ``order`` (intp,
+    len(samples); hypercubes ignore it) starts with -1 if no order is known,
+    else holds a guess that a stable argsort completes; it is left sorting.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
+    if spec.kind == VORONOI:
+        return _voronoi_partition(samples, spec.K, cells, order)
     lo, hi = float(samples.min()), float(samples.max())
-    if hi == lo:
-        part = Partition(kind=spec.kind, n_cells=1, lo=lo, hi=hi)
-    elif spec.kind == VORONOI:
-        return _voronoi_partition(samples, spec.K, lo, hi, cells)
-    else:
-        part = Partition(kind=HYPERCUBE, n_cells=spec.K, lo=lo, hi=hi)
-    cells[:] = part.assign(samples)
+    part = Partition(kind=HYPERCUBE, n_cells=1 if hi == lo else spec.K, lo=lo, hi=hi)
+    part.assign(samples, out=cells)
     return part
 
 
 def _voronoi_partition(
-    samples: np.ndarray, k: int, lo: float, hi: float, cells: np.ndarray
+    samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray
 ) -> Partition:
-    """Cells around the k quantiles, all read from one argsort of the samples."""
-    order = np.argsort(samples)
+    """Cells around the k quantiles, all read from the sorted samples."""
+    if order[0] < 0:
+        order[:] = np.argsort(samples)
     ordered = samples[order]
-    centers = np.unique(_linear_quantiles(ordered, np.arange(1, k + 1) / (k + 1)))
+    if not (ordered[:-1] <= ordered[1:]).all():
+        resort = np.argsort(ordered, kind="stable")
+        order[:] = order[resort]
+        ordered = ordered[resort]
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    centers = _linear_quantiles(ordered, _voronoi_plan(len(ordered), k))
+    if not (centers[:-1] < centers[1:]).all():
+        centers = np.unique(centers)
     if len(centers) == 1:
         cells[:] = 0
         return Partition(kind=VORONOI, n_cells=1, lo=lo, hi=hi)
@@ -147,7 +173,7 @@ def _voronoi_partition(
     cuts = np.empty(len(centers) + 1, dtype=np.intp)
     cuts[0], cuts[-1] = 0, len(ordered)
     cuts[1:-1] = np.searchsorted(ordered, boundaries, side="right")
-    cells[order] = np.repeat(np.arange(len(centers)), np.diff(cuts))
+    cells[order] = np.repeat(np.arange(len(centers)), cuts[1:] - cuts[:-1])
     return Partition(
         kind=VORONOI, n_cells=len(centers), lo=lo, hi=hi, boundaries=boundaries
     )
@@ -187,15 +213,23 @@ def solve_bsde_hat(
     problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
+    orders: np.ndarray,
 ) -> BsdeSolution:
     """Backward LSMC with the multiplier-free driver
-    f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u)."""
+    f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u).
+
+    Column n of ``orders`` (``cold_orders``) is step n's sort cache.  A
+    non-finite target spreads through p_{n+1} to every earlier fit, so one
+    check after the pass finds it, and the highest non-finite fit names it.
+    """
     if not (paths.grid == bw.grid == control.grid == problem.grid):
         raise ValueError("paths, increments, control and problem must share one grid")
     if paths.L != bw.L:
         raise ValueError("paths and increments must share the path count")
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
+    if orders.shape != (L, N) or orders.dtype != np.intp:
+        raise ValueError(f"orders must be an ({L}, {N}) intp array")
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
@@ -206,28 +240,29 @@ def solve_bsde_hat(
 
     # Each step's cells, overwritten by the next step.
     cells = np.empty(L, dtype=np.intp)
-    for n in range(N - 1, -1, -1):
-        yn = y[:, n]
-        tn = float(grid.nodes[n])
-        un = float(control.values[n])
-        n_cells = build_partition(yn, spec, cells).n_cells
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(N - 1, -1, -1):
+            yn = y[:, n]
+            tn = float(grid.nodes[n])
+            un = float(control.values[n])
+            n_cells = build_partition(yn, spec, cells, orders[:, n]).n_cells
 
-        p_next = p[:, n + 1]
-        target_q = dw[:, n] * p_next / dt
-        _, q_fit = regress(cells, target_q, n_cells)
+            p_next = p[:, n + 1]
+            target_q = dw[:, n] * p_next / dt
+            _, q_fit = regress(cells, target_q, n_cells)
 
-        f = (
-            costs.h_y(tn, yn)
-            + p_next * problem.b_y[n]
-            + q_fit * diff.sigma_y(yn, un)
-        )
-        target_p = p_next + f * dt
-        if not np.all(np.isfinite(target_p)):
-            raise SimulationError(f"non-finite regression target at step {n}")
-        _, p_fit = regress(cells, target_p, n_cells)
+            f = (
+                costs.h_y(tn, yn)
+                + p_next * problem.b_y[n]
+                + q_fit * diff.sigma_y(yn, un)
+            )
+            target_p = p_next + f * dt
+            _, p_fit = regress(cells, target_p, n_cells)
 
-        p[:, n] = p_fit
-        q[:, n] = q_fit
+            p[:, n] = p_fit
+            q[:, n] = q_fit
 
+    if not np.isfinite(p[:, 0]).all():
+        bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]
+        raise SimulationError(f"non-finite regression target at step {bad}")
     return BsdeSolution(grid=grid, p_hat=p, q_hat=q)
-

@@ -11,6 +11,9 @@ Each iteration, on one fixed Brownian ensemble:
 6. update u = u_half - rho_i * mu * psi_n * b_u(t_n) per interval;
 7. stop when the sup-norm control change falls below eps0.
 
+A non-finite control, or a step that grows in DIVERGENCE_STREAK consecutive
+iterations, stops the solve with ``SimulationError("diverged at ...")``.
+
 The drift coefficients are sampled once per solve at the left nodes
 (``problems.discretize``), and the kernels psi and varphi_tilde, which depend
 only on them, are computed once before the loop.  The multiplier step
@@ -29,9 +32,10 @@ import numpy as np
 
 from .detode import _values, solve_kernels
 from .gridfn import StepFunction, linf_dist
-from .lsmc import BasisSpec, BsdeSolution, solve_bsde_hat
+from .lsmc import BasisSpec, BsdeSolution, cold_orders, solve_bsde_hat
 from .paths import (
     PathEnsemble,
+    SimulationError,
     derive_seed,
     euler_simulate,
     gen_brownian,
@@ -42,6 +46,9 @@ from .problems import GridProblem, ProblemSpec, VectorProblem, discretize
 
 RHO_CONSTANT = "constant"
 RHO_HARMONIC = "harmonic"
+
+# No shipped config's control step ever grows; a too-large rho's always does.
+DIVERGENCE_STREAK = 5
 
 
 @dataclass(frozen=True)
@@ -165,24 +172,31 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
     kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
     setup_time = time.perf_counter() - start
+    orders = cold_orders(config.L, grid.N)
 
     u = u0
     mu = 0.0
     history: list[IterationState] = []
     converged = False
-    iterations = 0
+    iterations = grew = 0
     for i in range(1, config.max_iters + 1):
         iterations = i
         rho_i = config.rho_at(i)
         ens = euler_simulate(gp, u, bw)
-        adj = solve_bsde_hat(ens, bw, gp, u, config.basis)
+        adj = solve_bsde_hat(ens, bw, gp, u, config.basis, orders)
         grad = gradient(u, ens, adj, gp)
         u_half = StepFunction(grid, u.values - rho_i * grad.values)
+        if not np.isfinite(u_half.values).all():
+            raise SimulationError(f"diverged at iteration {i}: non-finite control")
         ens_half = euler_simulate(gp, u_half, bw)
         I_hat = mean_state_integral(ens_half)
         mu = compute_multiplier(I_hat, problem.delta, I_tilde, rho_i)
         u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho_i)
         error = linf_dist(u_new, u)
+        grew = grew + 1 if history and error > history[-1].error else 0
+        if grew == DIVERGENCE_STREAK or not math.isfinite(error):
+            why = f"control step {error:.4g} after {grew} consecutive rises"
+            raise SimulationError(f"diverged at iteration {i}: {why}")
         history.append(
             IterationState(i=i, u=u_new, mu=mu, I_hat=I_hat, error=error)
         )

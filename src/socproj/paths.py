@@ -11,7 +11,7 @@ on the state; it can be disabled per ensemble.
 
 One ensemble is generated per solve and reused for every iteration, so
 control perturbations propagate through identical noise (common random
-numbers).
+numbers).  Each Euler pass checks its states for finiteness once, at its end.
 
 Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
@@ -190,6 +190,9 @@ def euler_simulate(
 
     y_{n+1} = y_n + (b_y[n] y_n + b_u[n] u_n + m[n]) dt
               + sigma(y_n, u_n) dW_{n+1}
+
+    Steps run in place, in the formula's order.  Each adds y_n, so a state
+    stays non-finite once it is: the last column is the pass's one check.
     """
     if not (problem.grid == control.grid == bw.grid):
         raise ValueError("problem, control and increments live on different grids")
@@ -200,14 +203,19 @@ def euler_simulate(
 
     states = np.empty((bw.L, grid.N + 1), order="F")
     states[:, 0] = problem.spec.y0
-    for n in range(grid.N):
-        y = states[:, n]
-        u = float(control.values[n])
-        states[:, n + 1] = (
-            y + (by[n] * y + bu[n] * u + m[n]) * dt + sigma(y, u) * bw.increments[:, n]
-        )
-        if not np.all(np.isfinite(states[:, n + 1])):
-            raise SimulationError(f"non-finite state at step {n + 1}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(grid.N):
+            y, out = states[:, n], states[:, n + 1]
+            u = float(control.values[n])
+            np.multiply(by[n], y, out=out)
+            out += bu[n] * u
+            out += m[n]
+            out *= dt
+            np.add(y, out, out=out)
+            out += sigma(y, u) * bw.increments[:, n]
+    if not np.isfinite(states[:, -1]).all():
+        bad = 1 + np.argmin(np.isfinite(states[:, 1:]).all(axis=0))
+        raise SimulationError(f"non-finite state at step {bad}")
     return PathEnsemble(grid=grid, states=states)
 
 

@@ -221,7 +221,7 @@ def test_criterion_5_shift_identity():
         ens = sp.euler_simulate(gp, u, bw)
         psi = solve_psi(grid, gp.b_y)
         basis = sp.BasisSpec("hypercube", 8)
-        hat = sp.solve_bsde_hat(ens, bw, gp, u, basis)
+        hat = sp.solve_bsde_hat(ens, bw, gp, u, basis, sp.cold_orders(*bw.increments.shape))
         p, q = reference_backward(ens, bw, prob, u, basis, mu=0.7, psi=psi)
         worst_p = max(worst_p, float(np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :]))))
         worst_q = max(worst_q, float(np.max(np.abs(q - hat.q_hat))))
@@ -255,7 +255,10 @@ def _stationarity_residual(n: int, L: int) -> float:
     bw = sp.gen_brownian(SEED, L, grid)
     gp = sp.discretize(prob, grid)
     ens = sp.euler_simulate(gp, u_star, bw)
-    adj = sp.solve_bsde_hat(ens, bw, gp, u_star, sp.BasisSpec("voronoi", 30))
+    adj = sp.solve_bsde_hat(
+        ens, bw, gp, u_star, sp.BasisSpec("voronoi", 30),
+        sp.cold_orders(*bw.increments.shape),
+    )
     grad = gradient(u_star, ens, adj, gp)
     # the optimality residual uses the closed-form kernel (b_y = 0 here)
     resid = grad.values + prob.exact.mu_star * analytic_psi_constant(
@@ -283,7 +286,8 @@ def test_criterion_8_oracle_equivalences():
         x = rng.normal(size=100)
         z = np.cos(x) + rng.normal(size=100, scale=0.3)
         cells = np.empty(100, dtype=np.intp)
-        part = sp.build_partition(x, sp.BasisSpec(kind, 8), cells)
+        order = np.full(100, -1, dtype=np.intp)
+        part = sp.build_partition(x, sp.BasisSpec(kind, 8), cells, order)
         coef, fitted = sp.regress(cells, z, part.n_cells)
         design = np.zeros((100, part.n_cells))
         design[np.arange(100), part.assign(x)] = 1.0

@@ -614,3 +614,25 @@ class TestRunSingleAndCli:
         out = capsys.readouterr().out
         assert "# N=4 NOT converged in 1 iterations" in out
         assert "FAILED" not in out
+
+    def test_cli_strict_fails_on_diverged_rows(self, tmp_path, capsys):
+        # example2 with rho = 50: the control step grows every iteration, so
+        # each solve stops at the divergence rule and not at max_iters
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "problem = example2\nalpha = 0.1\nN_list = 8, 16\nL = 2000\nrho = 50\n"
+            "eps0 = 1e-4\nmax_iters = 60\nseed = 12345\nbasis.kind = VP\n"
+            f"basis.K = 30\noutput.dir = {tmp_path}\noutput.formats = csv, json\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_path), "--strict"]) == 1
+        out = capsys.readouterr().out
+        for n in (8, 16):
+            assert f"# N={n} FAILED: SimulationError: diverged at iteration" in out
+        payload = json.loads((tmp_path / "example2_voronoi_report.json").read_text())
+        for row in payload["components"][0]["rows"]:
+            assert row["failure"].startswith("SimulationError: diverged at iteration ")
+            assert all(v is None for k, v in row.items() if k not in ("N", "failure"))
+        lines = (tmp_path / "example2_voronoi_report.csv").read_text().splitlines()
+        assert lines[1:] == ["8,,,,,,,", "16,,,,,,,"]
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()

@@ -14,7 +14,7 @@ import pytest
 
 from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
-from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, cold_orders, solve_bsde_hat
 from socproj.optimizer import SolveConfig, gradient, project_update, solve
 from socproj.paths import euler_simulate, gen_brownian
 from socproj.problems import LinearDrift, discretize, example2
@@ -119,7 +119,10 @@ def test_solver_stages_match_node_by_node_reference_bitwise(make):
     varphi = reference_solve_varphi_tilde(grid, prob.drift.b_y, prob.drift.b_u, psi)
     assert np.array_equal(kern.varphi_tilde, varphi)
 
-    adj = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 8))
+    adj = solve_bsde_hat(
+        ens, bw, gp, u, BasisSpec(VORONOI, 8),
+        cold_orders(*bw.increments.shape),
+    )
     grad = gradient(u, ens, adj, gp)
     assert np.array_equal(grad.values, reference_gradient(u, ens, adj, prob))
 

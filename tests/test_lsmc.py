@@ -1,5 +1,7 @@
 """Partition, regression and backward-solver tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from socproj.lsmc import (
     BasisSpec,
     Partition,
     build_partition,
+    cold_orders,
     regress,
     solve_bsde_hat,
 )
@@ -30,7 +33,8 @@ from tests.oracles import reference_backward
 
 def partition_and_cells(samples, spec):
     cells = np.empty(len(samples), dtype=np.intp)
-    return build_partition(samples, spec, cells), cells
+    order = np.full(len(samples), -1, dtype=np.intp)
+    return build_partition(samples, spec, cells, order), cells
 
 
 def _unit_source_problem():
@@ -173,7 +177,10 @@ class TestBackwardSolver:
             delta=1e9,
         )
         grid, u, bw, ens = self._inputs(prob)
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
+        sol = solve_bsde_hat(
+            ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4),
+            cold_orders(*bw.increments.shape),
+        )
         np.testing.assert_array_equal(sol.p_hat, 0.0)
         np.testing.assert_array_equal(sol.q_hat, 0.0)
 
@@ -181,7 +188,10 @@ class TestBackwardSolver:
         # h_y = 1 with no couplings: P_hat_n = T - t_n in every cell
         prob = _unit_source_problem()
         grid, u, bw, ens = self._inputs(prob, n=10)
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(VORONOI, 6))
+        sol = solve_bsde_hat(
+            ens, bw, discretize(prob, grid), u, BasisSpec(VORONOI, 6),
+            cold_orders(*bw.increments.shape),
+        )
         expected = grid.T - grid.nodes
         np.testing.assert_allclose(sol.p_hat, np.broadcast_to(expected, sol.p_hat.shape), atol=1e-12)
 
@@ -189,7 +199,10 @@ class TestBackwardSolver:
         prob = _unit_source_problem()
         grid, u, bw, ens = self._inputs(prob, n=10, paths=800)
         spec = BasisSpec(HYPERCUBE, 8)
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec)
+        sol = solve_bsde_hat(
+            ens, bw, discretize(prob, grid), u, spec,
+            cold_orders(*bw.increments.shape),
+        )
         for n in range(grid.N):
             part, cells = partition_and_cells(ens.states[:, n], spec)
             counts = np.bincount(cells, minlength=part.n_cells)
@@ -200,14 +213,20 @@ class TestBackwardSolver:
     def test_terminal_column_is_raw_g(self):
         prob = example3(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob)
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4))
+        sol = solve_bsde_hat(
+            ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4),
+            cold_orders(*bw.increments.shape),
+        )
         np.testing.assert_array_equal(sol.p_hat[:, -1], prob.costs.g(ens.states[:, -1]))
 
     def test_cellmates_share_values(self):
         prob = example2(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob, control=lambda g: nodal_sample(lambda t: 0.5, g))
         spec = BasisSpec(HYPERCUBE, 4)
-        sol = solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec)
+        sol = solve_bsde_hat(
+            ens, bw, discretize(prob, grid), u, spec,
+            cold_orders(*bw.increments.shape),
+        )
         for n in range(grid.N):
             _, idx = partition_and_cells(ens.states[:, n], spec)
             for c in np.unique(idx):
@@ -218,7 +237,10 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob)
         gp = discretize(prob, grid)
         psi = solve_psi(grid, gp.b_y)
-        hat = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5))
+        hat = solve_bsde_hat(
+            ens, bw, gp, u, BasisSpec(VORONOI, 5),
+            cold_orders(*bw.increments.shape),
+        )
         p, q = reference_backward(ens, bw, prob, u, BasisSpec(VORONOI, 5), 0.0, psi)
         np.testing.assert_array_equal(hat.p_hat, p)
         np.testing.assert_array_equal(hat.q_hat, q)
@@ -233,7 +255,7 @@ class TestBackwardSolver:
         ens = euler_simulate(gp, u, bw)
         psi = solve_psi(grid, gp.b_y)
         spec = BasisSpec(HYPERCUBE, 8)
-        hat = solve_bsde_hat(ens, bw, gp, u, spec)
+        hat = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(*bw.increments.shape))
         p, q = reference_backward(ens, bw, prob, u, spec, mu=0.7, psi=psi)
         assert np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
         assert np.max(np.abs(q - hat.q_hat)) <= 1e-10
@@ -249,7 +271,10 @@ class TestBackwardSolver:
             bw = gen_brownian(13, paths, grid)
             gp = discretize(prob, grid)
             ens = euler_simulate(gp, u, bw)
-            sol = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 20))
+            sol = solve_bsde_hat(
+                ens, bw, gp, u, BasisSpec(VORONOI, 20),
+                cold_orders(*bw.increments.shape),
+            )
             return abs(float(sol.p_hat[0, 0]) - (-(1.0 + 0.2) * prob.T))
 
         coarse = p0_error(8, 400)
@@ -273,4 +298,45 @@ class TestBackwardSolver:
         )
         grid, u, bw, ens = self._inputs(bad)
         with pytest.raises(SimulationError):
-            solve_bsde_hat(ens, bw, discretize(bad, grid), u, BasisSpec(HYPERCUBE, 4))
+            solve_bsde_hat(
+                ens, bw, discretize(bad, grid), u, BasisSpec(HYPERCUBE, 4),
+                cold_orders(*bw.increments.shape),
+            )
+
+    @pytest.mark.parametrize("kind", [HYPERCUBE, VORONOI])
+    @pytest.mark.parametrize(
+        "h_bad, g_bad, named",
+        [
+            ({2: np.nan, 5: np.nan}, 0.0, 5),
+            ({0: np.nan}, 0.0, 0),
+            # +inf and -inf targets meet as inf - inf on the steps below
+            ({3: np.inf, 6: -np.inf}, 0.0, 6),
+            ({}, np.nan, 7),
+        ],
+        ids=["nan-2-5", "nan-0", "inf", "terminal"],
+    )
+    def test_nonfinite_target_names_the_highest_bad_step(self, kind, h_bad, g_bad, named):
+        grid = TimeGrid(1.0, 8)
+        bad_at = {float(grid.nodes[n]): v for n, v in h_bad.items()}
+        prob = _unit_source_problem()
+        bad = ProblemSpec(
+            name="bad",
+            drift=prob.drift,
+            diffusion=prob.diffusion,
+            costs=CostDerivatives(
+                h_y=lambda t, y: np.full_like(y, bad_at.get(float(t), 1.0)),
+                j_u=lambda u: u,
+                g=lambda y: np.full_like(y, g_bad),
+            ),
+            y0=0.0,
+            T=1.0,
+            delta=1e9,
+        )
+        grid, u, bw, ens = self._inputs(bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=rf"target at step {named}$"):
+                solve_bsde_hat(
+                    ens, bw, discretize(bad, grid), u, BasisSpec(kind, 4),
+                    cold_orders(*bw.increments.shape),
+                )

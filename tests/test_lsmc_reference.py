@@ -16,7 +16,9 @@ from socproj.lsmc import (
     VORONOI,
     BasisSpec,
     _linear_quantiles,
+    _quantile_plan,
     build_partition,
+    cold_orders,
     solve_bsde_hat,
 )
 from socproj.paths import euler_simulate, gen_brownian
@@ -71,7 +73,7 @@ class TestSortedPartitionMatchesQuantileOracle:
         spec = BasisSpec(kind, K)
         ref = reference_build_partition(samples, spec)
         cells = np.full(len(samples), -1, dtype=np.intp)
-        part = build_partition(samples, spec, cells)
+        part = build_partition(samples, spec, cells, np.full(len(samples), -1, dtype=np.intp))
         assert_same_partition(part, ref)
         assert np.array_equal(cells, part.assign(samples))
 
@@ -82,7 +84,7 @@ class TestSortedPartitionMatchesQuantileOracle:
     )
     def test_linear_quantiles_match_numpy_on_all_of_0_1(self, samples, q):
         q = np.concatenate(([0.0, 1.0], q))
-        got = _linear_quantiles(np.sort(samples), q)
+        got = _linear_quantiles(np.sort(samples), _quantile_plan(len(samples), q))
         assert np.array_equal(got, np.quantile(samples, q))
 
 
@@ -117,9 +119,99 @@ def test_backward_pass_matches_reference_bitwise(case, full):
     bw = gen_brownian(31, 600, grid)
     gp = discretize(prob, grid)
     ens = euler_simulate(gp, u, bw)
-    sol = solve_bsde_hat(ens, bw, gp, u, spec)
+    sol = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(*bw.increments.shape))
     psi = solve_psi(grid, gp.b_y) if full else None
     p, q = reference_backward(ens, bw, prob, u, spec, psi=psi)
 
     assert np.array_equal(sol.p_hat, p)
     assert np.array_equal(sol.q_hat, q)
+
+
+# The sort cache: a carried order may be any permutation of the samples, and
+# the partition must not depend on it.
+
+GUESSES = ["identity", "reversed", "random", "exact", "near-sorted"]
+
+
+@st.composite
+def cache_samples(draw):
+    """The columns of ``step_samples`` and columns drawn from a few values
+    with both signed zeros, so that ties between -0.0 and 0.0 get sorted."""
+    if draw(st.booleans()):
+        return draw(step_samples())
+    values = st.sampled_from([-0.0, 0.0, -0.25, 0.25, 1.0])
+    return draw(arrays(np.float64, draw(st.integers(1, 300)), elements=values))
+
+
+def _guess(kind, samples, rng):
+    n = len(samples)
+    if kind == "identity":
+        return np.arange(n)
+    if kind == "reversed":
+        return np.arange(n)[::-1].copy()
+    if kind == "random":
+        return rng.permutation(n)
+    guess = np.argsort(samples, kind="stable")
+    if kind == "near-sorted":
+        for i in rng.integers(0, n, size=3):
+            j = min(i + 1, n - 1)
+            guess[[i, j]] = guess[[j, i]]
+    return guess
+
+
+class TestSortCache:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        samples=cache_samples(),
+        kind=st.sampled_from([HYPERCUBE, VORONOI]),
+        K=st.integers(1, 40),
+        guess=st.sampled_from(GUESSES),
+        seed=st.integers(0, 2**16),
+    )
+    def test_every_guess_gives_the_cold_cells_and_leaves_a_sort(
+        self, samples, kind, K, guess, seed
+    ):
+        spec = BasisSpec(kind, K)
+        n = len(samples)
+        cold_cells = np.empty(n, dtype=np.intp)
+        cold_order = np.full(n, -1, dtype=np.intp)
+        cold = build_partition(samples, spec, cold_cells, cold_order)
+        order = _guess(guess, samples, np.random.default_rng(seed))
+        given_order = order.copy()
+        cells = np.empty(n, dtype=np.intp)
+        part = build_partition(samples, spec, cells, order)
+
+        assert part.n_cells == cold.n_cells
+        assert np.array_equal(cells, cold_cells)
+        if kind == HYPERCUBE:
+            assert np.array_equal(order, given_order)
+            assert np.array_equal(cold_order, np.full(n, -1))
+            return
+        for perm in (order, cold_order):
+            assert np.array_equal(np.sort(perm), np.arange(n))
+            assert np.all(samples[perm][:-1] <= samples[perm][1:])
+
+
+def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
+    prob = example3(alpha=0.1)
+    grid = TimeGrid(1.0, 16)
+    spec = BasisSpec(VORONOI, 12)
+    gp = discretize(prob, grid)
+    u = nodal_sample(lambda t: 0.3 * (1.0 - t), grid)
+    other = gen_brownian(5, 600, grid)
+    orders = cold_orders(600, grid.N)
+    solve_bsde_hat(euler_simulate(gp, u, other), other, gp, u, spec, orders)
+    assert np.all(orders >= 0)
+
+    bw = gen_brownian(31, 600, grid)
+    ens = euler_simulate(gp, u, bw)
+    warm = solve_bsde_hat(ens, bw, gp, u, spec, orders)
+    cold = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(600, grid.N))
+    p, q = reference_backward(ens, bw, prob, u, spec)
+
+    for sol in (warm, cold):
+        assert np.array_equal(sol.p_hat, p)
+        assert np.array_equal(sol.q_hat, q)
+    for n in range(grid.N):
+        column = ens.states[orders[:, n], n]
+        assert np.all(column[:-1] <= column[1:])

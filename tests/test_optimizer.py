@@ -1,5 +1,7 @@
 """Gradient assembly, multiplier, projection update and full-solve tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from socproj.gridfn import (
     constant_control,
     linf_dist,
 )
-from socproj.lsmc import BasisSpec, BsdeSolution, solve_bsde_hat
+from socproj.lsmc import BasisSpec, BsdeSolution, cold_orders, solve_bsde_hat
 from socproj.optimizer import (
     SolveConfig,
     compute_multiplier,
@@ -21,7 +23,7 @@ from socproj.optimizer import (
     solve,
     solve_vector,
 )
-from socproj.paths import euler_simulate, gen_brownian, mean_state_integral
+from socproj.paths import SimulationError, euler_simulate, gen_brownian, mean_state_integral
 from socproj.problems import (
     CostDerivatives,
     Diffusion,
@@ -208,6 +210,38 @@ class TestSolve:
         assert not res.converged
         assert res.iterations == 3
 
+    @staticmethod
+    def _solve_example2(max_iters, rho=50.0, problem=None):
+        cfg = SolveConfig(
+            rho=rho, eps0=1e-4, L=200, basis=BasisSpec("voronoi", 10), seed=4,
+            max_iters=max_iters,
+        )
+        prob = example2(alpha=0.1) if problem is None else problem
+        return solve(prob, cfg, constant_control(TimeGrid(1.0, 8), 0.0))
+
+    def test_divergence_stops_the_fifth_growing_step(self):
+        # rho = 50 is far past the contraction range: every step grows, so
+        # iterations 2 .. 5 grow four times in a row and the sixth stops
+        res = self._solve_example2(optimizer.DIVERGENCE_STREAK)
+        errors = [s.error for s in res.history]
+        assert all(b > a for a, b in zip(errors, errors[1:]))
+        assert not res.converged and res.iterations == optimizer.DIVERGENCE_STREAK
+        with pytest.raises(
+            SimulationError,
+            match=r"^diverged at iteration 6: control step \S+ after 5 consecutive rises$",
+        ):
+            self._solve_example2(optimizer.DIVERGENCE_STREAK + 1)
+
+    def test_nonfinite_control_stops_the_solve(self):
+        prob = example2(alpha=0.1)
+        prob = dataclasses.replace(
+            prob, costs=dataclasses.replace(prob.costs, j_u=lambda u: float("inf"))
+        )
+        with pytest.raises(
+            SimulationError, match=r"^diverged at iteration 1: non-finite control$"
+        ):
+            self._solve_example2(3, rho=0.1, problem=prob)
+
     def test_every_iterate_feasible_for_state_free_sigma(self):
         # sigma = alpha*u has no state dependence, so with normalized
         # increments the restored integral is exact at every iteration
@@ -283,7 +317,7 @@ class TestSolve:
 
         def one_update(w):
             ens = euler_simulate(gp, w, bw)
-            adj = solve_bsde_hat(ens, bw, gp, w, basis)
+            adj = solve_bsde_hat(ens, bw, gp, w, basis, cold_orders(*bw.increments.shape))
             grad = gradient(w, ens, adj, gp)
             return StepFunction(grid, w.values - rho * grad.values)
 
@@ -306,7 +340,7 @@ class TestSolve:
 
         def one_update(w):
             ens = euler_simulate(gp, w, bw)
-            adj = solve_bsde_hat(ens, bw, gp, w, basis)
+            adj = solve_bsde_hat(ens, bw, gp, w, basis, cold_orders(*bw.increments.shape))
             grad = gradient(w, ens, adj, gp)
             half = StepFunction(grid, w.values - rho * grad.values)
             return project_update(half, mu, psi, gp.b_u, rho)

@@ -1,6 +1,7 @@
 """Brownian ensemble and Euler simulation tests."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from socproj.problems import (
     ProblemSpec,
     discretize,
     example2,
+    example3,
 )
 
 
@@ -217,6 +219,32 @@ class TestEulerSimulate:
             euler_simulate(
                 discretize(prob, grid), constant_control(grid, 0.0), gen_brownian(1, 2, grid)
             )
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # a NaN control; example3's state-dependent noise then meets
+            # inf - inf on later steps
+            (lambda: example3(alpha=0.1), float("nan")),
+            (lambda: example3(alpha=0.1), float("inf")),
+            # b_u * u overflows on step k itself
+            (lambda: _deterministic_problem(b_u=4.0, sigma=0.1), 1e308),
+        ],
+        ids=["nan", "inf", "overflow"],
+    )
+    def test_nonfinite_state_names_its_first_step(self, case, k):
+        make, bad = case
+        grid = TimeGrid(1.0, 8)
+        values = np.full(grid.N, 0.2)
+        values[k - 1] = bad
+        prob = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SimulationError, match=rf"non-finite state at step {k}$"):
+                euler_simulate(
+                    discretize(prob, grid), StepFunction(grid, values), gen_brownian(3, 50, grid)
+                )
 
     def test_exact_control_reproduces_constraint_level(self):
         # with normalized increments the mean path is deterministic, so the

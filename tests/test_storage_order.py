@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from socproj.gridfn import TimeGrid, nodal_sample, trapezoid
-from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, cold_orders, solve_bsde_hat
 from socproj.paths import (
     BrownianEnsemble,
     PathEnsemble,
@@ -52,7 +52,10 @@ def stages():
     u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
     bw = gen_brownian(5, LONG + 200, grid)
     ens = euler_simulate(gp, u, bw)
-    hat = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 8))
+    hat = solve_bsde_hat(
+        ens, bw, gp, u, BasisSpec(VORONOI, 8),
+        cold_orders(*bw.increments.shape),
+    )
     return bw, ens, hat
 
 
