@@ -12,10 +12,10 @@ are read off the sorted column with the same arithmetic as
 sample's cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
 per step, and ``regress`` takes it for both the P- and the Q-regression of
-that step.  Only its fitted values and its sort order outlive a step; the
-order goes to the next pass on the same ensemble (``cold_orders``), where it
-often sorts the barely moved samples already, or leaves a stable argsort
-little to do.  It pays from a solve's second pass on, bit for bit.
+that step.  Only its fitted values and its sort order outlive a step: the
+next pass on the same ensemble (``cold_orders``) starts from that order.  It
+often sorts the barely moved samples already; else a stable argsort of the
+gathered column completes it, cheaper than a fresh sort when few paths swap.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -67,8 +67,7 @@ class Partition:
     the midpoints between their sorted centers (the unique
     ``np.quantile(method="linear")`` values, bit for bit) and assign by
     nearest center with ties to the lower index.  All-equal samples give one
-    cell.  No per-sample array is kept: ``build_partition`` writes the cells
-    of its samples into the array it is handed.
+    cell.
     """
 
     kind: str
@@ -131,16 +130,17 @@ def build_partition(
     samples: np.ndarray, spec: BasisSpec, cells: np.ndarray, order: np.ndarray
 ) -> Partition:
     """Build the step's partition of ``spec.K`` cells from the sampled states
-    and fill ``cells``, an intp array of len(samples), with each sample's cell
-    (equal to ``part.assign(samples)``).
-
-    A Voronoi step reads both from the sorted samples: ``order`` (intp,
-    len(samples); hypercubes ignore it) starts with -1 if no order is known,
-    else holds a guess that a stable argsort completes; it is left sorting.
+    and fill ``cells`` (intp, len(samples)) with ``part.assign(samples)``.
+    A Voronoi step reads both from the sorted samples and leaves the sorting
+    permutation in ``order`` (intp, len(samples); hypercubes ignore it), which
+    must start with -1 (no order known) or be a permutation such as an earlier
+    call left there: unchecked, as a check would cost what the cache saves.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
+    if len(cells) != len(samples) or len(order) != len(samples):
+        raise ValueError("cells and order need one entry per sample")
     if spec.kind == VORONOI:
         return _voronoi_partition(samples, spec.K, cells, order)
     lo, hi = float(samples.min()), float(samples.max())
@@ -153,17 +153,16 @@ def _voronoi_partition(
     samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray
 ) -> Partition:
     """Cells around the k quantiles, all read from the sorted samples."""
-    if order[0] < 0:
+    ordered = samples[order] if order[0] >= 0 else None
+    if ordered is None:
         order[:] = np.argsort(samples)
-    ordered = samples[order]
-    if not (ordered[:-1] <= ordered[1:]).all():
+        ordered = samples[order]
+    elif not (ordered[:-1] <= ordered[1:]).all():
         resort = np.argsort(ordered, kind="stable")
         order[:] = order[resort]
         ordered = ordered[resort]
     lo, hi = float(ordered[0]), float(ordered[-1])
-    centers = _linear_quantiles(ordered, _voronoi_plan(len(ordered), k))
-    if not (centers[:-1] < centers[1:]).all():
-        centers = np.unique(centers)
+    centers = np.unique(_linear_quantiles(ordered, _voronoi_plan(len(ordered), k)))
     if len(centers) == 1:
         cells[:] = 0
         return Partition(kind=VORONOI, n_cells=1, lo=lo, hi=hi)
@@ -173,7 +172,7 @@ def _voronoi_partition(
     cuts = np.empty(len(centers) + 1, dtype=np.intp)
     cuts[0], cuts[-1] = 0, len(ordered)
     cuts[1:-1] = np.searchsorted(ordered, boundaries, side="right")
-    cells[order] = np.repeat(np.arange(len(centers)), cuts[1:] - cuts[:-1])
+    cells[order] = np.repeat(np.arange(len(centers)), np.diff(cuts))
     return Partition(
         kind=VORONOI, n_cells=len(centers), lo=lo, hi=hi, boundaries=boundaries
     )
@@ -199,8 +198,7 @@ class BsdeSolution:
     terminal column, q_hat is (L, N), both column-major like the ensembles,
     so step n's values are the contiguous column [:, n]; average them over
     paths with ``paths.path_mean`` (path order), not ``.mean(axis=0)``
-    (pairwise on this layout).  No step's partition, cells or coefficients
-    are kept."""
+    (pairwise on this layout)."""
 
     grid: TimeGrid
     p_hat: np.ndarray
@@ -218,7 +216,8 @@ def solve_bsde_hat(
     """Backward LSMC with the multiplier-free driver
     f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u).
 
-    Column n of ``orders`` (``cold_orders``) is step n's sort cache.  A
+    Column n of ``orders`` is step n's sort cache for ``build_partition``:
+    from ``cold_orders`` or left by an earlier call, never edited.  A
     non-finite target spreads through p_{n+1} to every earlier fit, so one
     check after the pass finds it, and the highest non-finite fit names it.
     """

@@ -192,9 +192,11 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
         I_hat = mean_state_integral(ens_half)
         mu = compute_multiplier(I_hat, problem.delta, I_tilde, rho_i)
         u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho_i)
+        if not np.isfinite(u_new.values).all():
+            raise SimulationError(f"diverged at iteration {i}: non-finite control")
         error = linf_dist(u_new, u)
         grew = grew + 1 if history and error > history[-1].error else 0
-        if grew == DIVERGENCE_STREAK or not math.isfinite(error):
+        if grew == DIVERGENCE_STREAK:
             why = f"control step {error:.4g} after {grew} consecutive rises"
             raise SimulationError(f"diverged at iteration {i}: {why}")
         history.append(

@@ -192,6 +192,30 @@ class TestSortCache:
             assert np.all(samples[perm][:-1] <= samples[perm][1:])
 
 
+    def test_order_contract(self):
+        # -1 first means no order is known, whatever follows it; an order
+        # or a cell array of the wrong length is rejected.  A full-length
+        # order that starts >= 0 must be a permutation (not checked).
+        samples = np.random.default_rng(3).standard_normal(50)
+        spec = BasisSpec(VORONOI, 7)
+        cold_cells, cold_order = np.empty(50, np.intp), np.full(50, -1, np.intp)
+        build_partition(samples, spec, cold_cells, cold_order)
+        cells, order = np.empty(50, np.intp), np.zeros(50, np.intp)
+        order[0] = -1
+        build_partition(samples, spec, cells, order)
+        assert np.array_equal(cells, cold_cells)
+        assert np.array_equal(order, cold_order)
+        for kind in (HYPERCUBE, VORONOI):
+            for n_cells, n_order in ((50, 49), (49, 50)):
+                with pytest.raises(ValueError, match="one entry per sample"):
+                    build_partition(
+                        samples,
+                        BasisSpec(kind, 7),
+                        np.empty(n_cells, np.intp),
+                        np.full(n_order, -1, np.intp),
+                    )
+
+
 def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
     prob = example3(alpha=0.1)
     grid = TimeGrid(1.0, 16)

@@ -242,6 +242,15 @@ class TestSolve:
         ):
             self._solve_example2(3, rho=0.1, problem=prob)
 
+    def test_nonfinite_multiplier_stops_the_solve(self, monkeypatch):
+        # a finite u_half with a non-finite multiplier gives a non-finite
+        # projected control, reported as such and not as a streak
+        monkeypatch.setattr(optimizer, "compute_multiplier", lambda *a: float("nan"))
+        with pytest.raises(
+            SimulationError, match=r"^diverged at iteration 1: non-finite control$"
+        ):
+            self._solve_example2(3, rho=0.1)
+
     def test_every_iterate_feasible_for_state_free_sigma(self):
         # sigma = alpha*u has no state dependence, so with normalized
         # increments the restored integral is exact at every iteration
