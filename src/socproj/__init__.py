@@ -58,7 +58,6 @@ from .paths import (
     euler_simulate,
     gen_brownian,
     mean_state_integral,
-    path_mean,
 )
 from .problems import (
     EXAMPLE2_DELTA,
@@ -127,7 +126,6 @@ __all__ = [
     "euler_simulate",
     "gen_brownian",
     "mean_state_integral",
-    "path_mean",
     # problems
     "EXAMPLE2_DELTA",
     "EXAMPLE2_MU_STAR",

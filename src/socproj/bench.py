@@ -171,8 +171,8 @@ CONFIG_KEYS = {
 
 #: problem -> config keys its built-in ignores; setting one is an error
 IGNORED_KEYS = {
-    "example1": ("delta",),
-    "example2": ("delta", "d", "mu_star"),
+    "example1": ("delta", "self_convergence"),
+    "example2": ("delta", "d", "mu_star", "self_convergence"),
     "example3": ("d",),
 }
 

@@ -196,9 +196,7 @@ def regress(
 class BsdeSolution:
     """Regressed adjoint values on each path: p_hat is (L, N+1) with the raw
     terminal column, q_hat is (L, N), both column-major like the ensembles,
-    so step n's values are the contiguous column [:, n]; average them over
-    paths with ``paths.path_mean`` (path order), not ``.mean(axis=0)``
-    (pairwise on this layout)."""
+    so step n's values are the contiguous column [:, n]."""
 
     grid: TimeGrid
     p_hat: np.ndarray

@@ -40,7 +40,6 @@ from .paths import (
     euler_simulate,
     gen_brownian,
     mean_state_integral,
-    path_mean,
 )
 from .problems import GridProblem, ProblemSpec, VectorProblem, discretize
 
@@ -73,6 +72,8 @@ class SolveConfig:
             raise ValueError("max_iters must be >= 1")
         if self.L < 1:
             raise ValueError(f"L must be >= 1, got {self.L}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.rho_schedule not in (RHO_CONSTANT, RHO_HARMONIC):
             raise ValueError(f"unknown rho schedule {self.rho_schedule!r}")
 
@@ -126,7 +127,7 @@ def gradient(
     if not (paths.grid == adj.grid == problem.grid == grid):
         raise ValueError("control, paths, adjoint and problem must share one grid")
     diff, costs = problem.spec.diffusion, problem.spec.costs
-    mean_p = path_mean(adj.p_hat[:, : grid.N])
+    mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
     vals = np.empty(grid.N)
     for n in range(grid.N):
         un = float(control.values[n])

@@ -17,10 +17,7 @@ Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
 column-major, shape (L, steps), so one time step's L path values, column
 ``[:, n]``, are one contiguous block for the forward and backward sweeps.
-Path-order sum rule: a mean across paths adds the paths in path order, as
-``.mean(axis=0)`` does on a row-major array; ``path_mean`` does so on any
-layout.  On these column-major arrays ``.mean(axis=0)`` is a pairwise sum
-and gives other bits.
+A mean across paths is ``.mean(axis=0)``, a pairwise sum down each column.
 """
 
 from __future__ import annotations
@@ -59,7 +56,7 @@ class SimulationError(RuntimeError):
 class BrownianEnsemble:
     """L seeded Brownian increment paths on a grid, shape (L, N), stored
     column-major (a row-major array is converted once): step n's increments
-    are the contiguous column [:, n].  Average over paths with ``path_mean``."""
+    are the contiguous column [:, n]."""
 
     grid: TimeGrid
     seed: int
@@ -81,7 +78,7 @@ class BrownianEnsemble:
 class PathEnsemble:
     """L Euler state trajectories on a grid, shape (L, N+1), stored
     column-major (a row-major array is converted once): node n's states are
-    the contiguous column [:, n].  Average over paths with ``path_mean``."""
+    the contiguous column [:, n]."""
 
     grid: TimeGrid
     states: np.ndarray
@@ -219,14 +216,6 @@ def euler_simulate(
     return PathEnsemble(grid=grid, states=states)
 
 
-def path_mean(a: np.ndarray) -> np.ndarray:
-    """Mean over paths (axis 0) of an (L, M) array with the paths added in
-    path order on any layout: a row-major copy reduces row after row, while
-    ``.mean(axis=0)`` on a column-major array sums each column pairwise.  A
-    contiguous (L, 1) column is not copied; numpy sums it pairwise either way."""
-    return np.ascontiguousarray(a).mean(axis=0)
-
-
 def mean_state_integral(paths: PathEnsemble) -> float:
     """Trapezoidal rule applied to the cross-path nodal means."""
-    return trapezoid(path_mean(paths.states), paths.grid)
+    return trapezoid(paths.states.mean(axis=0), paths.grid)

@@ -5,6 +5,7 @@ import glob
 import importlib.util
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -168,8 +169,9 @@ output.formats = csv, json
         ],
     )
     def test_bad_value_names_path_line_and_key(self, tmp_path, line, key, detail):
+        # example3 takes every key above, so each line reaches its value parser
         path = tmp_path / "bad.cfg"
-        path.write_text(f"problem = example2\nN_list = 8\n# a comment\n{line}\n")
+        path.write_text(f"problem = example3\nN_list = 8\n# a comment\n{line}\n")
         with pytest.raises(ValueError) as info:
             parse_config(str(path))
         assert str(info.value) == f"{path}:4: bad value for '{key}': {detail}"
@@ -242,7 +244,14 @@ output.formats = csv, json
 
     @pytest.mark.parametrize(
         "line, message",
-        [("L = 0", "L must be >= 1, got 0"), ("rho = 0", "rho must be positive")],
+        [
+            ("L = 0", "L must be >= 1, got 0"),
+            ("rho = 0", "rho must be positive"),
+            *(
+                (f"seed = {seed}", re.escape(f"seed must be in [0, 2**64), got {seed}"))
+                for seed in (-1, 2**64, 2**70)
+            ),
+        ],
     )
     def test_bad_solver_knob_rejected_at_parse_time(self, tmp_path, line, message):
         path = tmp_path / "bad.cfg"
@@ -254,9 +263,11 @@ output.formats = csv, json
         "problem, key",
         [
             ("example1", "delta"),
+            ("example1", "self_convergence"),
             ("example2", "delta"),
             ("example2", "d"),
             ("example2", "mu_star"),
+            ("example2", "self_convergence"),
             ("example3", "d"),
         ],
     )
@@ -265,6 +276,11 @@ output.formats = csv, json
         path.write_text(f"problem = {problem}\nN_list = 8\n{key} = 2\n")
         with pytest.raises(ValueError, match=f"'{key}' does not apply to problem {problem}"):
             parse_config(str(path))
+
+    def test_largest_seed_parses(self, tmp_path):
+        path = tmp_path / "ok.cfg"
+        path.write_text(f"problem = example2\nN_list = 8\nseed = {2**64 - 1}\n")
+        assert parse_config(str(path)).seed == 2**64 - 1
 
     def test_shipped_configs_parse(self):
         paths = sorted(glob.glob(os.path.join(REPO_ROOT, "configs", "*.cfg")))

@@ -44,16 +44,12 @@ def reference_euler_simulate(problem, control, bw):
 def reference_gradient(control, paths, adj, problem):
     grid = control.grid
     drift, diff, costs = problem.drift, problem.diffusion, problem.costs
-    # Row-major copies: their .mean(axis=0) is the path-order sum.
-    p_hat, q_hat, states = (
-        np.ascontiguousarray(a) for a in (adj.p_hat, adj.q_hat, paths.states)
-    )
-    mean_p = p_hat[:, : grid.N].mean(axis=0)
+    mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
     vals = np.empty(grid.N)
     for n in range(grid.N):
         tn = float(grid.nodes[n])
         un = float(control.values[n])
-        q_term = float(np.mean(q_hat[:, n] * diff.sigma_u(states[:, n], un)))
+        q_term = float(np.mean(adj.q_hat[:, n] * diff.sigma_u(paths.states[:, n], un)))
         vals[n] = mean_p[n] * float(drift.b_u(tn)) + q_term + costs.j_u(un)
     return vals
 

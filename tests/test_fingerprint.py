@@ -30,7 +30,7 @@ SWEEPS = {
             basis_kind=VORONOI,
             basis_K=8,
         ),
-        "d38a7a5266af2517d1f14df5e48603f25a819a710325391cacd73b966cd06b1f",
+        "af51ad6cdbb114fb772f97cdb38dafa00a11363e91ce0c063f710b421ca8ae25",
     ),
     "example2-voronoi": (
         SweepConfig(
@@ -43,7 +43,7 @@ SWEEPS = {
             basis_kind=VORONOI,
             basis_K=8,
         ),
-        "d4490557d2b8b54c4326d25878a6b5ac81d62ae1167d986e9768fe0d5017c523",
+        "e4cd5992aea30ee0c4a6e67a3ead8f7eec331a326f41b274ffd84be91a51cd5d",
     ),
     "example3-hypercube-self-convergence": (
         SweepConfig(
@@ -59,7 +59,7 @@ SWEEPS = {
             basis_K=8,
             self_convergence=True,
         ),
-        "cd494dd93ff87a51da427327c3ce39bd668ff2d207e4ad477feeb03552725f1f",
+        "48e13fcb62a16d595624c78eb948573057163362662ade0606e889bfb0b6e91b",
     ),
 }
 
