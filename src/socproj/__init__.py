@@ -48,7 +48,6 @@ from .optimizer import (
     gradient,
     project_update,
     solve,
-    solve_vector,
 )
 from .paths import (
     BrownianEnsemble,
@@ -117,7 +116,6 @@ __all__ = [
     "gradient",
     "project_update",
     "solve",
-    "solve_vector",
     # paths
     "BrownianEnsemble",
     "PathEnsemble",

@@ -1,11 +1,11 @@
 """Experiment harness: flat-file configs, convergence sweeps, CSV/JSON reports.
 
-A sweep solves one problem on a list of grid sizes, measures control and
-multiplier errors against the problem's reference solution where one exists,
-and emits one report per problem component.  The control-error column is the
+A sweep solves each component of one problem on a list of grid sizes, one
+solve per (N, component) whose hard failure blanks only its own row, measures
+control and multiplier errors against the reference solution where one
+exists, and emits one report per component.  The control-error column is the
 L2 norm of the difference between the computed step control and the reference
-control sampled at the left grid nodes, which is the discrete error the
-benchmark tables track.
+control sampled at the left grid nodes, the discrete error the tables track.
 
 Config files are flat ``key = value`` text (see ``CONFIG_KEYS``; a key the
 chosen problem would ignore, see ``IGNORED_KEYS``, is an error); reports are
@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .gridfn import StepFunction, TimeGrid, constant_control, l2_dist, nodal_sample
 from .lsmc import HYPERCUBE, VORONOI, BasisSpec
-from .optimizer import SolveConfig, SolveResult, solve, solve_vector
+from .optimizer import SolveConfig, SolveResult, solve
 from .paths import derive_seed
 from .problems import (
     EXAMPLE3_DELTA_ACTIVE,
@@ -65,7 +65,8 @@ _BASIS_ALIASES = {
 
 @dataclass
 class SweepConfig:
-    """Everything one sweep needs; mirrors the config-file schema."""
+    """Everything one sweep needs; mirrors the config-file schema and its rules:
+    a field the problem ignores (``IGNORED_KEYS``) keeps its default."""
 
     problem: str
     N_list: list[int]
@@ -100,6 +101,16 @@ class SweepConfig:
             raise ValueError(
                 f"output.formats must be csv and/or json, got {self.output_formats}"
             )
+        for name in ("alpha", "mu_star", "delta", "u0"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for key in IGNORED_KEYS.get(self.problem, ()):
+            attr = CONFIG_KEYS[key][0]
+            value = getattr(self, attr)
+            if value != defaults[attr]:
+                raise ValueError(f"{attr} = {value!r} does not apply to {self.problem}")
         self.solve_config(self.seed)  # bad solver knobs fail at parse time, not per N
 
     def basis(self) -> BasisSpec:
@@ -286,10 +297,10 @@ def run_sweep(
     problem: Optional[Union[ProblemSpec, VectorProblem]] = None,
     write: bool = True,
 ) -> list[RunReport]:
-    """Run the configured solve at every N and assemble per-component reports.
+    """Solve every component at every N and assemble per-component reports.
 
-    ``problem`` overrides the built-in lookup (library use only).  Per-N
-    failures are recorded in the row and the sweep continues.
+    ``problem`` overrides the built-in lookup (library use only).  A hard
+    failure is recorded in its own (N, component) row; the sweep continues.
     """
     prob = build_problem(cfg) if problem is None else problem
     components = prob.components if isinstance(prob, VectorProblem) else (prob,)
@@ -308,13 +319,13 @@ def run_sweep(
     controls: dict[tuple[int, int], StepFunction] = {}
 
     for N in cfg.N_list:
-        try:
-            results = _solve_one_n(cfg, prob, components, N)
-        except Exception as exc:  # per-N hard failure: record, keep sweeping
-            for report in reports:
-                report.rows.append(RunRow(N=N, failure=f"{type(exc).__name__}: {exc}"))
-            continue
-        for k, (comp, res) in enumerate(zip(components, results)):
+        for k, (comp, seed) in enumerate(_component_seeds(cfg, prob, N)):
+            u0 = constant_control(TimeGrid(comp.T, N), cfg.u0)
+            try:
+                res = solve(comp, cfg.solve_config(seed), u0)
+            except Exception as exc:  # hard failure: record, keep sweeping
+                reports[k].rows.append(RunRow(N=N, failure=f"{type(exc).__name__}: {exc}"))
+                continue
             reports[k].rows.append(_row_for(comp, res, N))
             controls[(k, N)] = res.u_final
 
@@ -327,21 +338,14 @@ def run_sweep(
     return reports
 
 
-def _solve_one_n(
-    cfg: SweepConfig,
-    prob: Union[ProblemSpec, VectorProblem],
-    components: tuple[ProblemSpec, ...],
-    N: int,
-) -> list[SolveResult]:
-    """Run the configured solve at one grid size; the per-N seed is derived
-    deterministically from the base seed."""
+def _component_seeds(cfg, prob, N: int) -> list[tuple[ProblemSpec, int]]:
+    """Each component of ``prob`` with the seed of its solve at grid size N:
+    derive_seed(cfg.seed, N) for a scalar problem, and
+    derive_seed(derive_seed(cfg.seed, N), k) for component k of a vector one."""
     seed_n = derive_seed(cfg.seed, N)
-    grid = TimeGrid(T=components[0].T, N=N)
-    u0 = constant_control(grid, cfg.u0)
-    solve_cfg = cfg.solve_config(seed_n)
     if isinstance(prob, VectorProblem):
-        return solve_vector(prob, solve_cfg, u0)
-    return [solve(prob, solve_cfg, u0)]
+        return [(comp, derive_seed(seed_n, k)) for k, comp in enumerate(prob.components)]
+    return [(prob, seed_n)]
 
 
 def _row_for(comp: ProblemSpec, res: SolveResult, N: int) -> RunRow:
@@ -472,15 +476,17 @@ def _write_trajectories(cfg, components, reports, controls) -> list[str]:
 
 
 def run_single(
-    cfg: SweepConfig,
-    N: Optional[int] = None,
-    problem: Optional[Union[ProblemSpec, VectorProblem]] = None,
+    cfg: SweepConfig, N: Optional[int] = None
 ) -> tuple[list[SolveResult], list[RunRow]]:
-    """One solve at a single N (default: the first entry of N_list); returns
-    the raw results and one report row per component."""
+    """One solve per component at a single N (default: the first entry of
+    N_list), seeded as in a sweep; returns the raw results and one report row
+    per component.  A hard failure raises."""
     n = cfg.N_list[0] if N is None else N
-    prob = build_problem(cfg) if problem is None else problem
-    components = prob.components if isinstance(prob, VectorProblem) else (prob,)
-    results = _solve_one_n(cfg, prob, components, n)
-    rows = [_row_for(comp, res, n) for comp, res in zip(components, results)]
+    prob = build_problem(cfg)
+    results, rows = [], []
+    for comp, seed in _component_seeds(cfg, prob, n):
+        u0 = constant_control(TimeGrid(comp.T, n), cfg.u0)
+        res = solve(comp, cfg.solve_config(seed), u0)
+        results.append(res)
+        rows.append(_row_for(comp, res, n))
     return results, rows

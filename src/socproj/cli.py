@@ -13,7 +13,7 @@ def _add_config_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="exit nonzero if any per-N solve fails hard or does not converge",
+        help="exit nonzero if any (N, component) solve fails hard or does not converge",
     )
 
 

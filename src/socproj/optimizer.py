@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +36,11 @@ from .lsmc import BasisSpec, BsdeSolution, cold_orders, solve_bsde_hat
 from .paths import (
     PathEnsemble,
     SimulationError,
-    derive_seed,
     euler_simulate,
     gen_brownian,
     mean_state_integral,
 )
-from .problems import GridProblem, ProblemSpec, VectorProblem, discretize
+from .problems import GridProblem, ProblemSpec, discretize
 
 RHO_CONSTANT = "constant"
 RHO_HARMONIC = "harmonic"
@@ -220,14 +219,3 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
         state_integral=state_integral,
         feasibility_residual=abs(state_integral - min(history[-1].I_hat, problem.delta)),
     )
-
-
-def solve_vector(
-    vp: VectorProblem, config: SolveConfig, u0: StepFunction
-) -> list[SolveResult]:
-    """Solve each decoupled component independently; component k gets the
-    child seed derive_seed(config.seed, k)."""
-    return [
-        solve(comp, replace(config, seed=derive_seed(config.seed, k)), u0)
-        for k, comp in enumerate(vp.components)
-    ]

@@ -27,9 +27,11 @@ from socproj.bench import (
     run_single,
     run_sweep,
 )
+from socproj.gridfn import TimeGrid, constant_control, l2_dist, nodal_sample
 from socproj.lsmc import BasisSpec
-from socproj.optimizer import SolveConfig
-from socproj.problems import EXAMPLE2_DELTA, VectorProblem
+from socproj.optimizer import SolveConfig, solve
+from socproj.paths import derive_seed, euler_simulate, gen_brownian, mean_state_integral
+from socproj.problems import EXAMPLE2_DELTA, VectorProblem, discretize, example1
 from tests.oracles import fit_order
 from tests.test_optimizer import contraction_problem
 
@@ -184,6 +186,9 @@ output.formats = csv, json
             for bad in ("nan", "inf", "-inf"):
                 with pytest.raises(ValueError, match="not a finite number"):
                     CONFIG_KEYS[key][1](bad)
+                # built in code too: delta = inf would solve example3 unconstrained
+                with pytest.raises(ValueError, match=f"^{key} must be (positive and )?finite"):
+                    SweepConfig(problem="example3", N_list=[4], **{key: float(bad)})
 
     def test_empty_output_dir_rejected(self):
         with pytest.raises(ValueError, match="output.dir must not be empty"):
@@ -276,6 +281,9 @@ output.formats = csv, json
         path.write_text(f"problem = {problem}\nN_list = 8\n{key} = 2\n")
         with pytest.raises(ValueError, match=f"'{key}' does not apply to problem {problem}"):
             parse_config(str(path))
+        # built in code, the config must not carry (and report) the key either
+        with pytest.raises(ValueError, match=f"^{key} = 2 does not apply to {problem}$"):
+            SweepConfig(problem=problem, N_list=[8], **{key: 2})
 
     def test_largest_seed_parses(self, tmp_path):
         path = tmp_path / "ok.cfg"
@@ -376,14 +384,12 @@ class TestReports:
 
         def recording(fn):
             def wrapped(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                results.extend(out if isinstance(out, list) else [out])
-                return out
+                results.append(fn(*args, **kwargs))
+                return results[-1]
 
             return wrapped
 
         monkeypatch.setattr(bench, "solve", recording(bench.solve))
-        monkeypatch.setattr(bench, "solve_vector", recording(bench.solve_vector))
         cfg = SweepConfig(
             problem=problem, d=d, N_list=[4, 8], L=200, rho=0.5, eps0=1e-3, basis_K=6
         )
@@ -501,6 +507,160 @@ class TestReports:
         assert rows[-1].control_error is None  # finest row has no reference
 
 
+def standalone(comp, cfg, N, k):
+    """Component k's solve at grid size N, built by hand: seed
+    derive_seed(derive_seed(seed, N), k) and every other knob of ``cfg``."""
+    solve_cfg = SolveConfig(
+        rho=cfg.rho,
+        eps0=cfg.eps0,
+        L=cfg.L,
+        basis=BasisSpec(cfg.basis_kind, cfg.basis_K),
+        seed=derive_seed(derive_seed(cfg.seed, N), k),
+        rho_schedule=cfg.rho_schedule,
+        max_iters=cfg.max_iters,
+        normalize_increments=cfg.normalize_increments,
+    )
+    return solve(comp, solve_cfg, constant_control(TimeGrid(comp.T, N), cfg.u0))
+
+
+def row_matches(row, comp, res):
+    """Every cell a solve fills in ``row`` comes from ``res``."""
+    u_star = nodal_sample(comp.exact.u_star, res.u_final.grid)
+    return row.failure is None and (
+        row.state_integral,
+        row.iterations,
+        row.converged,
+        row.control_error,
+        row.multiplier_error,
+    ) == (
+        res.state_integral,
+        res.iterations,
+        res.converged,
+        l2_dist(res.u_final, u_star),
+        abs(res.mu_final - comp.exact.mu_star),
+    )
+
+
+class TestComponentSolves:
+    """Each (N, component) pair of a sweep or a single solve is one
+    independent solve of that component, with its own seed."""
+
+    def test_single_component_matches_scalar_solve(self):
+        cfg = SweepConfig(
+            problem="example1", d=1, N_list=[10], L=800, rho=0.5, basis_K=10, seed=42
+        )
+        results, rows = run_single(cfg)
+        assert len(results) == len(rows) == 1
+        comp = example1(d=1, mu=0.3, alpha=0.1).components[0]
+        ref = standalone(comp, cfg, 10, 0)
+        np.testing.assert_array_equal(results[0].u_final.values, ref.u_final.values)
+        assert results[0].mu_final == ref.mu_final
+        assert row_matches(rows[0], comp, ref)
+
+    def test_component_errors_scale_inversely(self):
+        cfg = SweepConfig(
+            problem="example1",
+            d=3,
+            N_list=[20],
+            L=2000,
+            rho=0.5,
+            eps0=5e-4,
+            basis_K=20,
+            seed=9,
+        )
+        errs = [row.control_error for row in run_single(cfg)[1]]
+        assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
+        assert errs[0] / errs[2] == pytest.approx(3.0, rel=0.2)
+
+    def test_state_integral_per_component(self):
+        cfg = SweepConfig(
+            problem="example1",
+            d=3,
+            N_list=[8],
+            L=500,
+            rho=0.5,
+            eps0=5e-4,
+            basis_K=8,
+            seed=17,
+        )
+        results, rows = run_single(cfg)
+        grid = TimeGrid(1.0, 8)
+        for k, (comp, res) in enumerate(zip(build_problem(cfg).components, results)):
+            bw = gen_brownian(derive_seed(derive_seed(17, 8), k), cfg.L, grid)
+            assert rows[k].state_integral == res.state_integral == mean_state_integral(
+                euler_simulate(discretize(comp, grid), res.u_final, bw)
+            )
+
+    def test_components_inherit_every_non_seed_knob(self):
+        cfg = SweepConfig(
+            problem="example1",
+            d=2,
+            mu_star=0.4,
+            alpha=0.2,
+            N_list=[4, 6],
+            L=200,
+            rho=0.3,
+            eps0=1e-9,
+            basis_kind="hypercube",
+            basis_K=6,
+            rho_schedule="harmonic",
+            max_iters=4,
+            normalize_increments=False,
+            u0=0.25,
+            seed=5,
+        )
+        comps = example1(d=2, mu=0.4, alpha=0.2).components
+        results, rows = run_single(cfg, N=6)
+        reports = run_sweep(cfg, write=False)
+        for k, comp in enumerate(comps):
+            ref = standalone(comp, cfg, 6, k)
+            assert results[k].iterations == ref.iterations == 4
+            np.testing.assert_array_equal(results[k].u_final.values, ref.u_final.values)
+            assert results[k].mu_final == ref.mu_final
+            assert row_matches(rows[k], comp, ref)
+            for N, row in zip(cfg.N_list, reports[k].rows):
+                assert row_matches(row, comp, standalone(comp, cfg, N, k))
+
+    def test_feasibility_all_components(self):
+        cfg = SweepConfig(
+            problem="example1",
+            d=2,
+            N_list=[12],
+            L=1000,
+            rho=0.5,
+            eps0=5e-4,
+            basis_K=10,
+            seed=13,
+        )
+        grid = TimeGrid(1.0, 12)
+        results, _ = run_single(cfg)
+        for k, (comp, res) in enumerate(zip(build_problem(cfg).components, results)):
+            bw = gen_brownian(derive_seed(derive_seed(13, 12), k), cfg.L, grid)
+            integral = mean_state_integral(
+                euler_simulate(discretize(comp, grid), res.u_final, bw)
+            )
+            assert integral <= comp.delta + 1e-10
+
+    def test_failed_component_keeps_its_siblings_rows(self):
+        good = example1(d=1, mu=0.3, alpha=0.1).components[0]
+        bad = dataclasses.replace(
+            good, drift=dataclasses.replace(good.drift, b_y=lambda t: float("nan"))
+        )
+        cfg = SweepConfig(
+            problem="custom", N_list=[4, 8], L=200, rho=0.5, eps0=1e-3, basis_K=6
+        )
+        vp = VectorProblem(components=(good, bad))
+        reports = run_sweep(cfg, problem=vp, write=False)
+        for report in reports:
+            assert [row.N for row in report.rows] == [4, 8]
+        for N, row in zip(cfg.N_list, reports[0].rows):
+            assert row_matches(row, good, standalone(good, cfg, N, 0))
+        assert reports[0].rows[1].control_rate is not None
+        for row in reports[1].rows:
+            assert row.failure.startswith("SimulationError: ")
+            assert row.state_integral is None and row.iterations is None
+
+
 class TestRunSingleAndCli:
     def test_run_single_row(self):
         cfg = SweepConfig(
@@ -578,19 +738,20 @@ class TestRunSingleAndCli:
             assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "problem_lines",
+        "problem_lines, n_solves",
         [
-            "problem = example1\nd = 2\n",
-            "problem = example2\n",
-            "problem = example3\nbasis.kind = HC\n",
+            ("problem = example1\nd = 2\n", 4),
+            ("problem = example2\n", 2),
+            ("problem = example3\nbasis.kind = HC\n", 2),
         ],
         ids=["example1-d2", "example2", "example3-hc"],
     )
     def test_traced_smoke_sweep_reaches_every_layer(
-        self, tmp_path, capsys, monkeypatch, problem_lines
+        self, tmp_path, capsys, monkeypatch, problem_lines, n_solves
     ):
         # the span tracer of the sweep benchmark, loaded unedited, must still
-        # find every layer it wraps, with one partition per two regressions
+        # find every layer it wraps, with one partition per two regressions,
+        # and count each (N, component) solve and its ensemble exactly once
         tracing = load_perfbench(monkeypatch, "tracing")
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(
@@ -603,6 +764,8 @@ class TestRunSingleAndCli:
         metrics = tracer.sweep_metrics(0)
         assert metrics["lsmc.build_partition.calls"] > 0
         assert metrics["lsmc.regress.calls"] == 2 * metrics["lsmc.build_partition.calls"]
+        assert metrics["optimizer.solve.calls"] == n_solves
+        assert metrics["paths.gen_brownian.calls"] == n_solves
 
     def test_cli_strict_propagates_failure(self, monkeypatch, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from socproj import optimizer
+from socproj.bench import SweepConfig, run_single
 from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import (
     StepFunction,
@@ -17,11 +18,9 @@ from socproj.lsmc import BasisSpec, BsdeSolution, cold_orders, solve_bsde_hat
 from socproj.optimizer import (
     SolveConfig,
     compute_multiplier,
-    derive_seed,
     gradient,
     project_update,
     solve,
-    solve_vector,
 )
 from socproj.paths import SimulationError, euler_simulate, gen_brownian, mean_state_integral
 from socproj.problems import (
@@ -386,87 +385,6 @@ class TestPathCountFloor:
         assert large < small
 
 
-class TestSolveVector:
-    def test_single_component_matches_scalar_solve(self):
-        vp = example1(d=1, mu=0.3, alpha=0.1)
-        grid = TimeGrid(1.0, 10)
-        cfg = SolveConfig(
-            rho=0.5, eps0=1e-4, L=800, basis=BasisSpec("voronoi", 10), seed=42
-        )
-        vec = solve_vector(vp, cfg, constant_control(grid, 0.0))
-        assert len(vec) == 1
-        scalar_cfg = SolveConfig(
-            rho=0.5,
-            eps0=1e-4,
-            L=800,
-            basis=BasisSpec("voronoi", 10),
-            seed=derive_seed(42, 0),
-        )
-        ref = solve(vp.components[0], scalar_cfg, constant_control(grid, 0.0))
-        np.testing.assert_array_equal(vec[0].u_final.values, ref.u_final.values)
-        assert vec[0].mu_final == ref.mu_final
-
-    def test_component_errors_scale_inversely(self):
-        vp = example1(d=3, mu=0.3, alpha=0.1)
-        grid = TimeGrid(1.0, 20)
-        cfg = SolveConfig(
-            rho=0.5, eps0=5e-4, L=2000, basis=BasisSpec("voronoi", 20), seed=9
-        )
-        results = solve_vector(vp, cfg, constant_control(grid, 0.0))
-        errs = []
-        for comp, res in zip(vp.components, results):
-            star = np.array([comp.exact.u_star(t) for t in grid.nodes[:-1]])
-            errs.append(float(np.sqrt(grid.dt * np.sum((res.u_final.values - star) ** 2))))
-        assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
-        assert errs[0] / errs[2] == pytest.approx(3.0, rel=0.2)
-
-    def test_state_integral_per_component(self):
-        vp = example1(d=3, mu=0.3, alpha=0.1)
-        grid = TimeGrid(1.0, 8)
-        cfg = SolveConfig(
-            rho=0.5, eps0=5e-4, L=500, basis=BasisSpec("voronoi", 8), seed=17
-        )
-        results = solve_vector(vp, cfg, constant_control(grid, 0.0))
-        for k, (comp, res) in enumerate(zip(vp.components, results)):
-            bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
-            assert res.state_integral == mean_state_integral(
-                euler_simulate(discretize(comp, grid), res.u_final, bw)
-            )
-
-    def test_components_inherit_every_non_seed_knob(self):
-        vp = example1(d=2, mu=0.3, alpha=0.1)
-        grid = TimeGrid(1.0, 6)
-        knobs = dict(
-            rho=0.3,
-            eps0=1e-9,
-            L=200,
-            basis=BasisSpec("hypercube", 6),
-            rho_schedule="harmonic",
-            max_iters=4,
-            normalize_increments=False,
-        )
-        results = solve_vector(vp, SolveConfig(seed=5, **knobs), constant_control(grid, 0.0))
-        for k, (comp, res) in enumerate(zip(vp.components, results)):
-            ref = solve(comp, SolveConfig(seed=derive_seed(5, k), **knobs), constant_control(grid, 0.0))
-            assert res.iterations == ref.iterations == 4
-            np.testing.assert_array_equal(res.u_final.values, ref.u_final.values)
-            assert res.mu_final == ref.mu_final
-            assert res.state_integral == ref.state_integral
-
-    def test_feasibility_all_components(self):
-        vp = example1(d=2, mu=0.3, alpha=0.1)
-        grid = TimeGrid(1.0, 12)
-        cfg = SolveConfig(
-            rho=0.5, eps0=5e-4, L=1000, basis=BasisSpec("voronoi", 10), seed=13
-        )
-        for k, (comp, res) in enumerate(zip(vp.components, solve_vector(vp, cfg, constant_control(grid, 0.0)))):
-            bw = gen_brownian(derive_seed(cfg.seed, k), cfg.L, grid)
-            integral = mean_state_integral(
-                euler_simulate(discretize(comp, grid), res.u_final, bw)
-            )
-            assert integral <= comp.delta + 1e-10
-
-
 class TestSetupNames:
     """Timing ``optimizer.gen_brownian`` and ``optimizer.solve_kernels``, as
     perfbench's set-up timer does, covers a solve's whole set-up only if
@@ -491,9 +409,12 @@ class TestSetupNames:
         assert calls == {"gen_brownian": 1, "solve_kernels": 1}
         assert 0.0 <= res.setup_time <= res.wall_time
 
-    def test_solve_vector_sets_up_once_per_component(self, calls):
-        cfg = SolveConfig(rho=0.5, eps0=1e-3, L=200, basis=BasisSpec("voronoi", 8), seed=3)
-        solve_vector(example1(d=3, mu=0.3, alpha=0.1), cfg, constant_control(TimeGrid(1.0, 8), 0.0))
+    def test_run_single_sets_up_once_per_component(self, calls):
+        cfg = SweepConfig(
+            problem="example1", d=3, N_list=[8], L=200, rho=0.5, eps0=1e-3, basis_K=8
+        )
+        results, _ = run_single(cfg)
+        assert len(results) == 3
         assert calls == {"gen_brownian": 3, "solve_kernels": 3}
 
 
