@@ -62,6 +62,7 @@ from .problems import (
     EXAMPLE2_DELTA,
     EXAMPLE2_MU_STAR,
     EXAMPLE3_DELTA_ACTIVE,
+    ZERO,
     CostDerivatives,
     Diffusion,
     ExactSolution,
@@ -73,6 +74,7 @@ from .problems import (
     example1,
     example2,
     example3,
+    vanishes,
 )
 
 __all__ = [
@@ -128,6 +130,7 @@ __all__ = [
     "EXAMPLE2_DELTA",
     "EXAMPLE2_MU_STAR",
     "EXAMPLE3_DELTA_ACTIVE",
+    "ZERO",
     "CostDerivatives",
     "Diffusion",
     "ExactSolution",
@@ -139,4 +142,5 @@ __all__ = [
     "example1",
     "example2",
     "example3",
+    "vanishes",
 ]

@@ -37,7 +37,7 @@ import numpy as np
 
 from .gridfn import StepFunction, TimeGrid
 from .paths import BrownianEnsemble, PathEnsemble, SimulationError
-from .problems import GridProblem
+from .problems import GridProblem, vanishes
 
 HYPERCUBE = "hypercube"
 VORONOI = "voronoi"
@@ -196,7 +196,8 @@ def regress(
 class BsdeSolution:
     """Regressed adjoint values on each path: p_hat is (L, N+1) with the raw
     terminal column, q_hat is (L, N), both column-major like the ensembles,
-    so step n's values are the contiguous column [:, n]."""
+    so step n's values are the contiguous column [:, n].  q_hat is all zeros
+    when the Q-regression was skipped (sigma_y and sigma_u both ``ZERO``)."""
 
     grid: TimeGrid
     p_hat: np.ndarray
@@ -213,6 +214,10 @@ def solve_bsde_hat(
 ) -> BsdeSolution:
     """Backward LSMC with the multiplier-free driver
     f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u).
+
+    A sigma_y that ``problems.vanishes`` drops the q-term of f_hat; with
+    sigma_u vanishing too, no Q-regression runs and q_hat is all zeros.  Only
+    the ``ZERO`` sentinel counts: any other callback keeps the full path.
 
     Column n of ``orders`` is step n's sort cache for ``build_partition``:
     from ``cold_orders`` or left by an earlier call, never edited.  A
@@ -231,8 +236,11 @@ def solve_bsde_hat(
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
 
+    sigma_y_live = not vanishes(diff.sigma_y)
+    q_live = sigma_y_live or not vanishes(diff.sigma_u)
+
     p = np.empty((L, N + 1), order="F")
-    q = np.empty((L, N), order="F")
+    q = np.empty((L, N), order="F") if q_live else np.zeros((L, N), order="F")
     p[:, N] = costs.g(y[:, N])
 
     # Each step's cells, overwritten by the next step.
@@ -245,19 +253,16 @@ def solve_bsde_hat(
             n_cells = build_partition(yn, spec, cells, orders[:, n]).n_cells
 
             p_next = p[:, n + 1]
-            target_q = dw[:, n] * p_next / dt
-            _, q_fit = regress(cells, target_q, n_cells)
-
-            f = (
-                costs.h_y(tn, yn)
-                + p_next * problem.b_y[n]
-                + q_fit * diff.sigma_y(yn, un)
-            )
+            f = costs.h_y(tn, yn) + p_next * problem.b_y[n]
+            if q_live:
+                target_q = dw[:, n] * p_next / dt
+                _, q_fit = regress(cells, target_q, n_cells)
+                q[:, n] = q_fit
+                if sigma_y_live:
+                    f += q_fit * diff.sigma_y(yn, un)
             target_p = p_next + f * dt
             _, p_fit = regress(cells, target_p, n_cells)
-
             p[:, n] = p_fit
-            q[:, n] = q_fit
 
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]

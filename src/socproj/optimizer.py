@@ -40,7 +40,7 @@ from .paths import (
     gen_brownian,
     mean_state_integral,
 )
-from .problems import GridProblem, ProblemSpec, discretize
+from .problems import GridProblem, ProblemSpec, discretize, vanishes
 
 RHO_CONSTANT = "constant"
 RHO_HARMONIC = "harmonic"
@@ -121,17 +121,25 @@ def gradient(
 
     grad_n = mean_l[ P_hat_n(y_l) b_u[n] + Q_hat_n(y_l) sigma_u(y_l, u_n) ]
              + j_u(u_n).
+
+    A sigma_u that ``problems.vanishes`` drops the Q-term: neither sigma_u
+    nor q_hat is read.  Any other callback, even one returning zeros, is
+    evaluated on every interval.
     """
     grid = control.grid
     if not (paths.grid == adj.grid == problem.grid == grid):
         raise ValueError("control, paths, adjoint and problem must share one grid")
     diff, costs = problem.spec.diffusion, problem.spec.costs
+    sigma_u_live = not vanishes(diff.sigma_u)
     mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
     vals = np.empty(grid.N)
     for n in range(grid.N):
         un = float(control.values[n])
-        q_term = float(np.mean(adj.q_hat[:, n] * diff.sigma_u(paths.states[:, n], un)))
-        vals[n] = mean_p[n] * problem.b_u[n] + q_term + costs.j_u(un)
+        grad_n = mean_p[n] * problem.b_u[n]
+        if sigma_u_live:
+            q_term = adj.q_hat[:, n] * diff.sigma_u(paths.states[:, n], un)
+            grad_n += float(np.mean(q_term))
+        vals[n] = grad_n + costs.j_u(un)
     return StepFunction(grid, vals)
 
 

@@ -10,6 +10,10 @@ Function-field conventions:
     reads them only through ``discretize``, once per grid;
   * state functions (sigma, sigma_y, sigma_u, h_y, g) are vectorized over a
     path-batch ndarray of states, with the control value passed as a scalar;
+  * ``ZERO`` as sigma_y or sigma_u declares that derivative identically zero,
+    and the solver skips the adjoint work it would only multiply by zero
+    (``vanishes``); any other callback, even one that returns zeros, keeps
+    the full path;
   * the tracking target may depend on time, so h_y has signature h_y(t, y).
 
 Three built-in benchmark problems are provided under the identifiers
@@ -22,6 +26,7 @@ level where the constraint is exactly active).
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from math import log1p
 from typing import Callable, Optional
@@ -56,7 +61,14 @@ class LinearDrift:
 
 @dataclass(frozen=True)
 class Diffusion:
-    """Diffusion coefficient and its state/control derivatives."""
+    """Diffusion coefficient and its state/control derivatives.
+
+    A derivative that is identically zero is declared by passing ``ZERO``
+    itself (or a ``functools.wraps`` wrapper of it); the solver then skips
+    the products with it, and with both derivatives ``ZERO`` it skips the
+    Q-regression.  A custom callback, even one that returns zeros, keeps
+    the full path.
+    """
 
     sigma: StateFn
     sigma_y: StateFn
@@ -129,8 +141,14 @@ def discretize(problem: ProblemSpec, grid: TimeGrid) -> GridProblem:
     return GridProblem(spec=problem, grid=grid, b_y=b_y, b_u=b_u, m=m)
 
 
-def _zeros(y: np.ndarray, u: float) -> np.ndarray:
+def ZERO(y: np.ndarray, u: float) -> np.ndarray:
+    """The identically zero ``Diffusion`` derivative, recognized by ``vanishes``."""
     return np.zeros_like(y, dtype=float)
+
+
+def vanishes(fn: StateFn) -> bool:
+    """Whether ``fn`` is ``ZERO``, seen through ``functools.wraps`` wrappers."""
+    return inspect.unwrap(fn) is ZERO
 
 
 def _zero_terminal(y: np.ndarray) -> np.ndarray:
@@ -174,8 +192,8 @@ def example1(d: int, mu: float, alpha: float, T: float = 1.0) -> VectorProblem:
                 ),
                 diffusion=Diffusion(
                     sigma=lambda y, u, _a=alpha: np.full_like(y, _a, dtype=float),
-                    sigma_y=_zeros,
-                    sigma_u=_zeros,
+                    sigma_y=ZERO,
+                    sigma_u=ZERO,
                 ),
                 costs=CostDerivatives(h_y=h_y, j_u=_identity, g=_zero_terminal),
                 y0=0.0,
@@ -221,7 +239,7 @@ def example2(alpha: float, T: float = 1.0) -> ProblemSpec:
         ),
         diffusion=Diffusion(
             sigma=lambda y, u, _a=alpha: np.full_like(y, _a * u, dtype=float),
-            sigma_y=_zeros,
+            sigma_y=ZERO,
             sigma_u=lambda y, u, _a=alpha: np.full_like(y, _a, dtype=float),
         ),
         costs=CostDerivatives(h_y=h_y, j_u=_identity, g=_zero_terminal),
@@ -262,7 +280,7 @@ def example3(
         diffusion=Diffusion(
             sigma=lambda y, u, _a=alpha: _a * np.sqrt(1.0 + y * y),
             sigma_y=lambda y, u, _a=alpha: _a * y / np.sqrt(1.0 + y * y),
-            sigma_u=_zeros,
+            sigma_u=ZERO,
         ),
         costs=CostDerivatives(h_y=h_y, j_u=_identity, g=_zero_terminal),
         y0=1.0,

@@ -25,18 +25,25 @@ def test_all_covers_every_public_non_module_name():
     assert public == set(socproj.__all__)
 
 
-def test_drift_coefficients_are_called_only_in_discretize():
-    """``problems.discretize`` is the one place that evaluates b_y, b_u or m;
-    every other stage reads its left-node arrays."""
+def _package_trees(exempt):
+    """(file name, AST, ids of the nodes inside ``problems.<exempt>``) for
+    each module of the package."""
     src = pathlib.Path(socproj.__file__).parent
-    calls = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         skip = set()
         if path.name == "problems.py":
             for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "discretize":
+                if isinstance(node, ast.FunctionDef) and node.name == exempt:
                     skip.update(id(sub) for sub in ast.walk(node))
+        yield path.name, tree, skip
+
+
+def test_drift_coefficients_are_called_only_in_discretize():
+    """``problems.discretize`` is the one place that evaluates b_y, b_u or m;
+    every other stage reads its left-node arrays."""
+    calls = []
+    for name, tree, skip in _package_trees("discretize"):
         for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
@@ -44,8 +51,28 @@ def test_drift_coefficients_are_called_only_in_discretize():
                 and node.func.attr in ("b_y", "b_u", "m")
                 and id(node) not in skip
             ):
-                calls.append(f"{path.name}:{node.lineno}")
+                calls.append(f"{name}:{node.lineno}")
     assert calls == []
+
+
+def test_only_vanishes_compares_against_the_zero_sentinel():
+    """``problems.vanishes`` is the one place that tests for ``ZERO``, so every
+    check sees through ``functools.wraps`` wrappers the same way."""
+    compares = []
+    for name, tree, skip in _package_trees("vanishes"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Compare) or id(node) in skip:
+                continue
+            if not any(isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) for op in node.ops):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(
+                (isinstance(x, ast.Name) and x.id == "ZERO")
+                or (isinstance(x, ast.Attribute) and x.attr == "ZERO")
+                for x in operands
+            ):
+                compares.append(f"{name}:{node.lineno}")
+    assert compares == []
 
 
 # Public names that no module of the package references, each with the reason

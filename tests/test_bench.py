@@ -738,19 +738,21 @@ class TestRunSingleAndCli:
             assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "problem_lines, n_solves",
+        "problem_lines, n_solves, regressions_per_step",
         [
-            ("problem = example1\nd = 2\n", 4),
-            ("problem = example2\n", 2),
-            ("problem = example3\nbasis.kind = HC\n", 2),
+            ("problem = example1\nd = 2\n", 4, 1),
+            ("problem = example2\n", 2, 2),
+            ("problem = example3\nbasis.kind = HC\n", 2, 2),
         ],
         ids=["example1-d2", "example2", "example3-hc"],
     )
     def test_traced_smoke_sweep_reaches_every_layer(
-        self, tmp_path, capsys, monkeypatch, problem_lines, n_solves
+        self, tmp_path, capsys, monkeypatch, problem_lines, n_solves,
+        regressions_per_step,
     ):
         # the span tracer of the sweep benchmark, loaded unedited, must still
-        # find every layer it wraps, with one partition per two regressions,
+        # find every layer it wraps, with one partition per P-regression plus
+        # one Q-regression unless sigma_y and sigma_u are both ZERO (example1),
         # and count each (N, component) solve and its ensemble exactly once
         tracing = load_perfbench(monkeypatch, "tracing")
         cfg_path = tmp_path / "cfg"
@@ -763,7 +765,9 @@ class TestRunSingleAndCli:
         capsys.readouterr()
         metrics = tracer.sweep_metrics(0)
         assert metrics["lsmc.build_partition.calls"] > 0
-        assert metrics["lsmc.regress.calls"] == 2 * metrics["lsmc.build_partition.calls"]
+        assert metrics["lsmc.regress.calls"] == (
+            regressions_per_step * metrics["lsmc.build_partition.calls"]
+        )
         assert metrics["optimizer.solve.calls"] == n_solves
         assert metrics["paths.gen_brownian.calls"] == n_solves
 
