@@ -11,7 +11,6 @@ from .bench import (
     build_problem,
     parse_config,
     rate,
-    run_single,
     run_sweep,
 )
 from .detode import (
@@ -85,7 +84,6 @@ __all__ = [
     "build_problem",
     "parse_config",
     "rate",
-    "run_single",
     "run_sweep",
     # detode
     "KernelSolution",

@@ -9,9 +9,9 @@ control sampled at the left grid nodes, the discrete error the tables track.
 
 Config files are flat ``key = value`` text (see ``CONFIG_KEYS``; a key the
 chosen problem would ignore, see ``IGNORED_KEYS``, is an error); reports are
-CSV with the fixed columns ``CSV_COLUMNS`` plus a JSON mirror, whose metadata
-holds the whole ``SweepConfig``, and per-N control-trajectory files for
-plotting.
+CSV with the fixed columns ``CSV_COLUMNS``, with per-N control-trajectory
+CSV files for plotting, and a JSON mirror whose metadata holds the whole
+``SweepConfig``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import __version__
-from .gridfn import StepFunction, TimeGrid, constant_control, l2_dist, nodal_sample
+from .gridfn import TimeGrid, constant_control, l2_dist, nodal_sample
 from .lsmc import HYPERCUBE, VORONOI, BasisSpec
 from .optimizer import SolveConfig, SolveResult, solve
 from .paths import derive_seed
@@ -263,12 +263,14 @@ class RunRow:
 
 @dataclass
 class RunReport:
-    """Per-component sweep results plus the settings that produced them."""
+    """Per-component sweep results plus the settings that produced them;
+    ``results`` holds each successful solve by N and is never written."""
 
     problem: str
     component: int
     metadata: dict
     rows: list[RunRow] = field(default_factory=list)
+    results: dict[int, SolveResult] = field(default_factory=dict)
 
 
 def rate(e1: float, N1: int, e2: float, N2: int) -> float:
@@ -299,11 +301,13 @@ def run_sweep(
 ) -> list[RunReport]:
     """Solve every component at every N and assemble per-component reports.
 
-    ``problem`` overrides the built-in lookup (library use only).  A hard
-    failure is recorded in its own (N, component) row; the sweep continues.
+    ``problem`` overrides the built-in lookup (library use only).  Each
+    successful solve is kept in its report's ``results``; a hard failure is
+    recorded in its own (N, component) row, and the sweep continues.
     """
     prob = build_problem(cfg) if problem is None else problem
-    components = prob.components if isinstance(prob, VectorProblem) else (prob,)
+    vector = isinstance(prob, VectorProblem)
+    components = prob.components if vector else (prob,)
 
     # "delta" is each component's constraint level, not the config key.
     meta = {
@@ -316,36 +320,28 @@ def run_sweep(
         RunReport(problem=cfg.problem, component=k + 1, metadata=dict(meta))
         for k in range(len(components))
     ]
-    controls: dict[tuple[int, int], StepFunction] = {}
 
     for N in cfg.N_list:
-        for k, (comp, seed) in enumerate(_component_seeds(cfg, prob, N)):
+        # seed of the solve at N; component k of a vector problem derives its own
+        seed_n = derive_seed(cfg.seed, N)
+        for k, (comp, report) in enumerate(zip(components, reports)):
+            seed = derive_seed(seed_n, k) if vector else seed_n
             u0 = constant_control(TimeGrid(comp.T, N), cfg.u0)
             try:
                 res = solve(comp, cfg.solve_config(seed), u0)
             except Exception as exc:  # hard failure: record, keep sweeping
-                reports[k].rows.append(RunRow(N=N, failure=f"{type(exc).__name__}: {exc}"))
+                report.rows.append(RunRow(N=N, failure=f"{type(exc).__name__}: {exc}"))
                 continue
-            reports[k].rows.append(_row_for(comp, res, N))
-            controls[(k, N)] = res.u_final
+            report.rows.append(_row_for(comp, res, N))
+            report.results[N] = res
 
-    _fill_self_convergence(cfg, components, reports, controls)
+    _fill_self_convergence(cfg, components, reports)
     for report in reports:
         _fill_rates(report.rows, "control_error", "control_rate")
         _fill_rates(report.rows, "multiplier_error", "multiplier_rate")
     if write:
-        write_outputs(cfg, components, reports, controls)
+        write_outputs(cfg, components, reports)
     return reports
-
-
-def _component_seeds(cfg, prob, N: int) -> list[tuple[ProblemSpec, int]]:
-    """Each component of ``prob`` with the seed of its solve at grid size N:
-    derive_seed(cfg.seed, N) for a scalar problem, and
-    derive_seed(derive_seed(cfg.seed, N), k) for component k of a vector one."""
-    seed_n = derive_seed(cfg.seed, N)
-    if isinstance(prob, VectorProblem):
-        return [(comp, derive_seed(seed_n, k)) for k, comp in enumerate(prob.components)]
-    return [(prob, seed_n)]
 
 
 def _row_for(comp: ProblemSpec, res: SolveResult, N: int) -> RunRow:
@@ -367,24 +363,23 @@ def _row_for(comp: ProblemSpec, res: SolveResult, N: int) -> RunRow:
     return row
 
 
-def _fill_self_convergence(cfg, components, reports, controls) -> None:
+def _fill_self_convergence(cfg, components, reports) -> None:
     """When enabled, measure problems without a reference control against the
     finest-N solution (its own row stays blank)."""
     if not cfg.self_convergence:
         return
     finest = max(cfg.N_list)
-    for k, comp in enumerate(components):
+    for comp, report in zip(components, reports):
         if comp.exact is not None and comp.exact.u_star is not None:
             continue
-        ref = controls.get((k, finest))
+        ref = report.results.get(finest)
         if ref is None:
             continue
-        for row in reports[k].rows:
-            if row.N == finest or row.failure is not None:
-                continue
-            u = controls.get((k, row.N))
-            if u is not None:
-                row.control_error = l2_dist(u, nodal_sample(ref, u.grid))
+        for row in report.rows:
+            res = report.results.get(row.N)
+            if row.N != finest and res is not None:
+                u = res.u_final
+                row.control_error = l2_dist(u, nodal_sample(ref.u_final, u.grid))
 
 
 def _fmt_sci(x: float) -> str:
@@ -421,7 +416,7 @@ def _report_stem(cfg: SweepConfig, component: int, n_components: int) -> str:
     return stem
 
 
-def write_outputs(cfg, components, reports, controls) -> list[str]:
+def write_outputs(cfg, components, reports) -> list[str]:
     """Write the requested report files; returns the paths written."""
     outdir = cfg.output_dir
     os.makedirs(outdir, exist_ok=True)
@@ -433,7 +428,7 @@ def write_outputs(cfg, components, reports, controls) -> list[str]:
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(report_csv_lines(report)) + "\n")
             written.append(path)
-        written.extend(_write_trajectories(cfg, components, reports, controls))
+        written.extend(_write_trajectories(cfg, components, reports))
     if "json" in cfg.output_formats:
         path = os.path.join(outdir, f"{cfg.problem}_{cfg.basis_kind}_report.json")
         payload = {
@@ -453,15 +448,13 @@ def write_outputs(cfg, components, reports, controls) -> list[str]:
     return written
 
 
-def _write_trajectories(cfg, components, reports, controls) -> list[str]:
+def _write_trajectories(cfg, components, reports) -> list[str]:
     """Per-N control trajectories: node, numerical value, exact value."""
     written = []
-    for k, comp in enumerate(components):
-        stem = _report_stem(cfg, k + 1, len(components))
-        for N in cfg.N_list:
-            u = controls.get((k, N))
-            if u is None:
-                continue
+    for comp, report in zip(components, reports):
+        stem = _report_stem(cfg, report.component, len(reports))
+        for N, res in report.results.items():
+            u = res.u_final
             path = os.path.join(cfg.output_dir, f"{stem}_control_N{N}.csv")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write("node,numerical,exact\n")
@@ -473,20 +466,3 @@ def _write_trajectories(cfg, components, reports, controls) -> list[str]:
                     fh.write(f"{t!r},{u.values[n]!r},{exact}\n")
             written.append(path)
     return written
-
-
-def run_single(
-    cfg: SweepConfig, N: Optional[int] = None
-) -> tuple[list[SolveResult], list[RunRow]]:
-    """One solve per component at a single N (default: the first entry of
-    N_list), seeded as in a sweep; returns the raw results and one report row
-    per component.  A hard failure raises."""
-    n = cfg.N_list[0] if N is None else N
-    prob = build_problem(cfg)
-    results, rows = [], []
-    for comp, seed in _component_seeds(cfg, prob, n):
-        u0 = constant_control(TimeGrid(comp.T, n), cfg.u0)
-        res = solve(comp, cfg.solve_config(seed), u0)
-        results.append(res)
-        rows.append(_row_for(comp, res, n))
-    return results, rows

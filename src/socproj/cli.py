@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import sys
+import dataclasses
 
 from . import bench
 
@@ -23,17 +23,29 @@ def _cmd_list_problems(_args) -> int:
     return 0
 
 
+def _exit_code(strict: bool, reports) -> int:
+    """1 under --strict if any row failed hard or did not converge, else 0."""
+    bad = any(
+        row.failure is not None or not row.converged
+        for report in reports
+        for row in report.rows
+    )
+    return 1 if (bad and strict) else 0
+
+
 def _cmd_solve(args) -> int:
-    try:
-        results, rows = bench.run_single(args.cfg, N=args.N)
-    except Exception as exc:
-        print(f"solve failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1 if args.strict else 0
-    for k, (res, row) in enumerate(zip(results, rows)):
+    N = args.cfg.N_list[0] if args.N is None else args.N
+    reports = bench.run_sweep(dataclasses.replace(args.cfg, N_list=[N]), write=False)
+    for report in reports:
+        (row,) = report.rows
+        head = f"{args.cfg.problem} component {report.component}:"
+        if row.failure is not None:
+            print(f"{head} FAILED: {row.failure}")
+            continue
+        res = report.results[N]
         status = "converged" if res.converged else "NOT converged"
         print(
-            f"{args.cfg.problem} component {k + 1}: {status} in "
-            f"{res.iterations} iterations ({res.wall_time:.3f}s, "
+            f"{head} {status} in {res.iterations} iterations ({res.wall_time:.3f}s, "
             f"of which set-up {res.setup_time:.3f}s)"
         )
         print(f"  multiplier     = {res.mu_final:.6g}")
@@ -43,25 +55,21 @@ def _cmd_solve(args) -> int:
             print(f"  control error  = {row.control_error:.6g}")
         if row.multiplier_error is not None:
             print(f"  multiplier err = {row.multiplier_error:.6g}")
-    not_converged = any(not res.converged for res in results)
-    return 1 if (not_converged and args.strict) else 0
+    return _exit_code(args.strict, reports)
 
 
 def _cmd_sweep(args) -> int:
     reports = bench.run_sweep(args.cfg)
-    failed = False
     for report in reports:
         print(f"# {args.cfg.problem} component {report.component} ({args.cfg.basis_kind})")
         for line in bench.report_csv_lines(report):
             print(line)
         for row in report.rows:
             if row.failure is not None:
-                failed = True
                 print(f"# N={row.N} FAILED: {row.failure}")
-            elif row.converged is False:
-                failed = True
+            elif not row.converged:
                 print(f"# N={row.N} NOT converged in {row.iterations} iterations")
-    return 1 if (failed and args.strict) else 0
+    return _exit_code(args.strict, reports)
 
 
 def main(argv=None) -> int:

@@ -59,7 +59,6 @@ class BrownianEnsemble:
     are the contiguous column [:, n]."""
 
     grid: TimeGrid
-    seed: int
     increments: np.ndarray
     normalized: bool
 
@@ -175,9 +174,7 @@ def gen_brownian(
         if np.any(scale <= 0.0):
             raise SimulationError("degenerate increment column")
         dw *= np.sqrt(grid.dt) / scale
-    return BrownianEnsemble(
-        grid=grid, seed=seed, increments=dw, normalized=did_normalize
-    )
+    return BrownianEnsemble(grid=grid, increments=dw, normalized=did_normalize)
 
 
 def euler_simulate(

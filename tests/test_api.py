@@ -3,10 +3,13 @@
 import ast
 import pathlib
 import types
+from collections import defaultdict
 
 import socproj
 from socproj import bench
 from tests.test_bench import load_perfbench
+
+SRC = pathlib.Path(socproj.__file__).parent
 
 
 def test_all_is_explicit_and_lists_no_modules():
@@ -28,8 +31,7 @@ def test_all_covers_every_public_non_module_name():
 def _package_trees(exempt):
     """(file name, AST, ids of the nodes inside ``problems.<exempt>``) for
     each module of the package."""
-    src = pathlib.Path(socproj.__file__).parent
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         skip = set()
         if path.name == "problems.py":
@@ -80,17 +82,16 @@ def test_only_vanishes_compares_against_the_zero_sentinel():
 UNCALLED_ENTRY_POINTS: dict[str, str] = {}
 
 
-def test_every_public_name_has_a_caller_in_the_package():
-    """Every name in ``__all__`` is referenced, as a name or as a module
-    attribute, somewhere in ``src/socproj`` outside its own top-level
-    definition and ``__init__.py``."""
-    src = pathlib.Path(socproj.__file__).parent
+def _referenced_names():
+    """Every name that a module of the package other than ``__init__.py``
+    references, as a name or as an attribute, outside the definition of that
+    same name: a top-level function, class or assignment, or a class's method."""
     referenced = set()
-    for path in sorted(src.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        own = {}  # id of each node inside a top-level definition -> defined name
+        own = defaultdict(set)  # id of each node -> names defined around it
         for top in tree.body:
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 names = [top.name]
@@ -99,8 +100,12 @@ def test_every_public_name_has_a_caller_in_the_package():
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            for name in names:
-                own.update((id(node), name) for node in ast.walk(top))
+            defs = [(name, top) for name in names]
+            if isinstance(top, ast.ClassDef):
+                defs += [(f.name, f) for f in top.body if isinstance(f, ast.FunctionDef)]
+            for name, definition in defs:
+                for node in ast.walk(definition):
+                    own[id(node)].add(name)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 name = node.id
@@ -108,11 +113,35 @@ def test_every_public_name_has_a_caller_in_the_package():
                 name = node.attr
             else:
                 continue
-            if own.get(id(node)) != name:
+            if name not in own.get(id(node), ()):
                 referenced.add(name)
+    return referenced
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    """Every name in ``__all__`` is referenced somewhere in ``src/socproj``
+    outside its own top-level definition and ``__init__.py``."""
     assert set(UNCALLED_ENTRY_POINTS) <= set(socproj.__all__)
-    uncalled = set(socproj.__all__) - referenced - set(UNCALLED_ENTRY_POINTS)
+    uncalled = set(socproj.__all__) - _referenced_names() - set(UNCALLED_ENTRY_POINTS)
     assert sorted(uncalled) == []
+
+
+def test_every_public_method_has_a_caller_in_the_package():
+    """Every public method and property of the package's classes is
+    referenced somewhere in ``src/socproj`` outside its own definition, so
+    the package ships no method that only the tests call."""
+    methods = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, ast.ClassDef):
+                methods += [
+                    (f"{path.stem}.{top.name}.{f.name}", f.name)
+                    for f in top.body
+                    if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
+                ]
+    assert len(methods) >= 8  # basis, solve_config, i_tilde, dt, assign, rho_at, L, L
+    referenced = _referenced_names()
+    assert [qual for qual, name in methods if name not in referenced] == []
 
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -24,13 +24,18 @@ from socproj.bench import (
     parse_config,
     rate,
     report_csv_lines,
-    run_single,
     run_sweep,
 )
 from socproj.gridfn import TimeGrid, constant_control, l2_dist, nodal_sample
 from socproj.lsmc import BasisSpec
 from socproj.optimizer import SolveConfig, solve
-from socproj.paths import derive_seed, euler_simulate, gen_brownian, mean_state_integral
+from socproj.paths import (
+    SimulationError,
+    derive_seed,
+    euler_simulate,
+    gen_brownian,
+    mean_state_integral,
+)
 from socproj.problems import EXAMPLE2_DELTA, VectorProblem, discretize, example1
 from tests.oracles import fit_order
 from tests.test_optimizer import contraction_problem
@@ -542,20 +547,21 @@ def row_matches(row, comp, res):
 
 
 class TestComponentSolves:
-    """Each (N, component) pair of a sweep or a single solve is one
-    independent solve of that component, with its own seed."""
+    """Each (N, component) pair of a sweep is one independent solve of that
+    component, with its own seed, kept on the component's report."""
 
     def test_single_component_matches_scalar_solve(self):
         cfg = SweepConfig(
             problem="example1", d=1, N_list=[10], L=800, rho=0.5, basis_K=10, seed=42
         )
-        results, rows = run_single(cfg)
-        assert len(results) == len(rows) == 1
+        (report,) = run_sweep(cfg, write=False)
+        assert list(report.results) == [10] and len(report.rows) == 1
+        res = report.results[10]
         comp = example1(d=1, mu=0.3, alpha=0.1).components[0]
         ref = standalone(comp, cfg, 10, 0)
-        np.testing.assert_array_equal(results[0].u_final.values, ref.u_final.values)
-        assert results[0].mu_final == ref.mu_final
-        assert row_matches(rows[0], comp, ref)
+        np.testing.assert_array_equal(res.u_final.values, ref.u_final.values)
+        assert res.mu_final == ref.mu_final
+        assert row_matches(report.rows[0], comp, ref)
 
     def test_component_errors_scale_inversely(self):
         cfg = SweepConfig(
@@ -568,7 +574,7 @@ class TestComponentSolves:
             basis_K=20,
             seed=9,
         )
-        errs = [row.control_error for row in run_single(cfg)[1]]
+        errs = [report.rows[0].control_error for report in run_sweep(cfg, write=False)]
         assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.2)
         assert errs[0] / errs[2] == pytest.approx(3.0, rel=0.2)
 
@@ -583,11 +589,12 @@ class TestComponentSolves:
             basis_K=8,
             seed=17,
         )
-        results, rows = run_single(cfg)
+        reports = run_sweep(cfg, write=False)
         grid = TimeGrid(1.0, 8)
-        for k, (comp, res) in enumerate(zip(build_problem(cfg).components, results)):
+        for k, (comp, report) in enumerate(zip(build_problem(cfg).components, reports)):
+            res = report.results[8]
             bw = gen_brownian(derive_seed(derive_seed(17, 8), k), cfg.L, grid)
-            assert rows[k].state_integral == res.state_integral == mean_state_integral(
+            assert report.rows[0].state_integral == res.state_integral == mean_state_integral(
                 euler_simulate(discretize(comp, grid), res.u_final, bw)
             )
 
@@ -610,16 +617,15 @@ class TestComponentSolves:
             seed=5,
         )
         comps = example1(d=2, mu=0.4, alpha=0.2).components
-        results, rows = run_single(cfg, N=6)
         reports = run_sweep(cfg, write=False)
         for k, comp in enumerate(comps):
-            ref = standalone(comp, cfg, 6, k)
-            assert results[k].iterations == ref.iterations == 4
-            np.testing.assert_array_equal(results[k].u_final.values, ref.u_final.values)
-            assert results[k].mu_final == ref.mu_final
-            assert row_matches(rows[k], comp, ref)
+            assert list(reports[k].results) == cfg.N_list
             for N, row in zip(cfg.N_list, reports[k].rows):
-                assert row_matches(row, comp, standalone(comp, cfg, N, k))
+                res, ref = reports[k].results[N], standalone(comp, cfg, N, k)
+                assert res.iterations == ref.iterations == 4
+                np.testing.assert_array_equal(res.u_final.values, ref.u_final.values)
+                assert res.mu_final == ref.mu_final
+                assert row_matches(row, comp, ref)
 
     def test_feasibility_all_components(self):
         cfg = SweepConfig(
@@ -633,11 +639,11 @@ class TestComponentSolves:
             seed=13,
         )
         grid = TimeGrid(1.0, 12)
-        results, _ = run_single(cfg)
-        for k, (comp, res) in enumerate(zip(build_problem(cfg).components, results)):
+        reports = run_sweep(cfg, write=False)
+        for k, (comp, report) in enumerate(zip(build_problem(cfg).components, reports)):
             bw = gen_brownian(derive_seed(derive_seed(13, 12), k), cfg.L, grid)
             integral = mean_state_integral(
-                euler_simulate(discretize(comp, grid), res.u_final, bw)
+                euler_simulate(discretize(comp, grid), report.results[12].u_final, bw)
             )
             assert integral <= comp.delta + 1e-10
 
@@ -656,20 +662,21 @@ class TestComponentSolves:
         for N, row in zip(cfg.N_list, reports[0].rows):
             assert row_matches(row, good, standalone(good, cfg, N, 0))
         assert reports[0].rows[1].control_rate is not None
+        assert list(reports[0].results) == [4, 8] and reports[1].results == {}
         for row in reports[1].rows:
             assert row.failure.startswith("SimulationError: ")
             assert row.state_integral is None and row.iterations is None
 
 
 class TestRunSingleAndCli:
-    def test_run_single_row(self):
+    def test_one_n_sweep_row_and_result(self):
         cfg = SweepConfig(
             problem="example2", N_list=[8], L=300, rho=0.1, eps0=1e-3, seed=3, basis_K=8
         )
-        results, rows = run_single(cfg)
-        assert len(results) == 1 and len(rows) == 1
-        assert rows[0].N == 8
-        assert rows[0].state_integral == results[0].state_integral
+        (report,) = run_sweep(cfg, write=False)
+        assert list(report.results) == [8] and len(report.rows) == 1
+        assert report.rows[0].N == 8
+        assert report.rows[0].state_integral == report.results[8].state_integral
 
     def test_cli_list_problems(self, capsys):
         assert cli.main(["list-problems"]) == 0
@@ -781,9 +788,33 @@ class TestRunSingleAndCli:
             return [rep]
 
         monkeypatch.setattr(cli.bench, "run_sweep", boom)
-        assert cli.main(["sweep", "--config", str(cfg_path), "--strict"]) == 1
-        assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
-        capsys.readouterr()
+        for cmd in ("sweep", "solve"):
+            assert cli.main([cmd, "--config", str(cfg_path), "--strict"]) == 1
+            assert cli.main([cmd, "--config", str(cfg_path)]) == 0
+            assert "FAILED: SimulationError: boom" in capsys.readouterr().out
+
+    def test_cli_solve_reports_each_failed_component(self, monkeypatch, tmp_path, capsys):
+        # a hard failure of component 2 leaves component 1's summary printed
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "problem = example1\nd = 2\nN_list = 4, 8\nL = 200\nrho = 0.5\n"
+            f"eps0 = 1e-3\nseed = 1\nbasis.K = 8\noutput.dir = {tmp_path}\n"
+        )
+        real_solve = bench.solve
+
+        def solve(problem, config, u0):
+            if problem.name == "example1[2]":
+                raise SimulationError("boom")
+            return real_solve(problem, config, u0)
+
+        monkeypatch.setattr(bench, "solve", solve)
+        for flags, code in (([], 0), (["--strict"], 1)):
+            assert cli.main(["solve", "--config", str(cfg_path), *flags]) == code
+            captured = capsys.readouterr()
+            assert "example1 component 1: converged in " in captured.out
+            assert "state integral" in captured.out
+            assert "example1 component 2: FAILED: SimulationError: boom" in captured.out
+            assert captured.err == ""
 
     def test_cli_strict_fails_on_nonconverged_row(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"

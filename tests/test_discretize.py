@@ -128,6 +128,28 @@ def test_solver_stages_match_node_by_node_reference_bitwise(make):
     assert np.array_equal(got.values, want)
 
 
+def test_gradient_q_term_matches_reference_bitwise():
+    # with p_hat = 0 and j_u = 0 the gradient is the Q-term alone, so no O(1)
+    # addend rounds away a 1e-18 slip such as mean(q) * sigma_u for mean(q * sigma_u)
+    prob = example2(alpha=0.1)
+    prob = dataclasses.replace(
+        prob, costs=dataclasses.replace(prob.costs, j_u=lambda u: 0.0)
+    )
+    grid = TimeGrid(1.0, 16)
+    gp = discretize(prob, grid)
+    u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
+    bw = gen_brownian(5, 300, grid)
+    ens = euler_simulate(gp, u, bw)
+    adj = solve_bsde_hat(
+        ens, bw, gp, u, BasisSpec(VORONOI, 8),
+        cold_orders(*bw.increments.shape),
+    )
+    adj = dataclasses.replace(adj, p_hat=np.zeros_like(adj.p_hat))
+    assert np.count_nonzero(adj.q_hat[:, : grid.N]) > 0
+    grad = gradient(u, ens, adj, gp)
+    assert np.array_equal(grad.values, reference_gradient(u, ens, adj, prob))
+
+
 def test_solve_samples_the_drift_once():
     prob = time_varying_problem()
     calls = {"b_y": 0, "b_u": 0, "m": 0}

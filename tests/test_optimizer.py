@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from socproj import optimizer
-from socproj.bench import SweepConfig, run_single
+from socproj.bench import SweepConfig, run_sweep
 from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import (
     StepFunction,
@@ -409,12 +409,12 @@ class TestSetupNames:
         assert calls == {"gen_brownian": 1, "solve_kernels": 1}
         assert 0.0 <= res.setup_time <= res.wall_time
 
-    def test_run_single_sets_up_once_per_component(self, calls):
+    def test_sweep_sets_up_once_per_component(self, calls):
         cfg = SweepConfig(
             problem="example1", d=3, N_list=[8], L=200, rho=0.5, eps0=1e-3, basis_K=8
         )
-        results, _ = run_single(cfg)
-        assert len(results) == 3
+        reports = run_sweep(cfg, write=False)
+        assert [list(report.results) for report in reports] == [[8]] * 3
         assert calls == {"gen_brownian": 3, "solve_kernels": 3}
 
 
