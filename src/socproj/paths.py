@@ -1,8 +1,9 @@
 """Seeded Brownian increments and forward Euler simulation of the state.
 
-Increments are drawn with counter-based Philox substreams, one per path, so
-path lambda is filled from its own stream regardless of how many other paths
-exist; one generator serves all paths by resetting its counter.  By default
+Increments are drawn from one Philox stream keyed by the seed, filled
+row-major: path lambda holds draws lambda*N ... lambda*N + N - 1.  The
+ensemble is therefore fixed by (seed, L, N), and its first L paths do not
+change when more paths are drawn; a path does change with N.  By default
 the ensemble is then moment-normalized per time step (sample mean exactly 0,
 sample variance exactly dt across paths).  The normalization is what makes
 the mean-state recursion, and with it the multiplier's feasibility
@@ -22,17 +23,12 @@ A mean across paths is ``.mean(axis=0)``, a pairwise sum down each column.
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid, trapezoid
 from .problems import GridProblem
-
-# Philox counter blocks reserved per path substream; each block yields four
-# 64-bit words, so this supports ~2e6 normals per path without overlap.
-_PATH_STRIDE = 1 << 20
 
 _MASK64 = (1 << 64) - 1
 
@@ -60,7 +56,6 @@ class BrownianEnsemble:
 
     grid: TimeGrid
     increments: np.ndarray
-    normalized: bool
 
     def __post_init__(self) -> None:
         if self.increments.shape[1] != self.grid.N:
@@ -93,88 +88,31 @@ class PathEnsemble:
         return self.states.shape[0]
 
 
-def _philox_c_state(
-    bg: np.random.Philox, state: dict
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Views (counter, int32 words) of ``bg``'s C ``philox_state``: pointers
-    to the counter and the key, then ``buffer_pos`` (int32 word 4), the
-    4-word buffer and ``has_uint32`` (word 14).  None if a pointer leaves
-    ``bg`` itself or the views disagree with ``state``, a ``bg.state`` read."""
-    lo, hi = id(bg), id(bg) + type(bg).__basicsize__
-    addr = bg.ctypes.state_address
-    if not lo <= addr <= hi - 64:
-        return None
-    ctr_p, key_p = (ctypes.c_uint64 * 2).from_address(addr)
-    if not (lo <= ctr_p <= hi - 32 and lo <= key_p <= hi - 16):
-        return None
-    ctr = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(ctr_p))
-    key = np.ctypeslib.as_array((ctypes.c_uint64 * 2).from_address(key_p))
-    ints = np.ctypeslib.as_array((ctypes.c_int32 * 16).from_address(addr))
-    same = (
-        np.array_equal(ctr, state["state"]["counter"])
-        and np.array_equal(key, state["state"]["key"])
-        and (ints[4], ints[14]) == (state["buffer_pos"], state["has_uint32"])
-    )
-    return (ctr, ints) if same else None
-
-
-def _substream_normals(seed: int, L: int, N: int) -> np.ndarray:
-    """Row lambda holds N standard normals from the Philox stream keyed by
-    ``seed`` with its counter at lambda * _PATH_STRIDE.
-
-    One bit generator serves every path: Philox output depends only on (key,
-    counter), so resetting the counter and emptying the output buffer before
-    each path gives exactly the stream a fresh ``Philox(key=seed)`` advanced
-    by lambda * _PATH_STRIDE would produce.  The reset writes the counter and
-    ``buffer_pos`` in the C state, whose layout is checked against ``bg.state``
-    once per call; on a mismatch, or if the counter ends outside path L-1's
-    substream, every path is redrawn by setting ``bg.state``.
-    """
-    bg = np.random.Philox(key=seed)
-    normal = np.random.Generator(bg).standard_normal
-    state = bg.state  # fresh: empty buffer (buffer_pos 4), no cached uint32
-    out = np.empty((L, N))
-    c_state = _philox_c_state(bg, state)
-    if c_state is not None:
-        ctr, ints = c_state
-        for lam, row in enumerate(out):
-            ctr[0] = lam * _PATH_STRIDE
-            ints[4] = 4  # buffer_pos; standard_normal never caches a uint32
-            normal(out=row)
-        if int(bg.state["state"]["counter"][0]) // _PATH_STRIDE == L - 1:
-            return out
-    counter = state["state"]["counter"]
-    for lam, row in enumerate(out):
-        counter[0] = lam * _PATH_STRIDE
-        bg.state = state
-        normal(out=row)
-    return out
-
-
 def gen_brownian(
     seed: int, L: int, grid: TimeGrid, normalize: bool = True
 ) -> BrownianEnsemble:
     """Generate L increment paths, deterministic given (seed, L, N).
 
-    With ``normalize`` (the default) each step's column is shifted and scaled
+    One Philox stream keyed by ``seed`` fills the (L, N) array row-major, so
+    row lambda is draws lambda*N ... lambda*N + N - 1 of that stream.  With
+    ``normalize`` (the default) each step's column is then shifted and scaled
     to sample mean 0 and sample variance dt exactly; requires L >= 2 and is
-    skipped otherwise.  Paths are filled and normalized row-major, one
-    substream per row; the ensemble stores them column-major.
+    skipped otherwise.  The ensemble stores the rows column-major.
     """
     if L < 1:
         raise ValueError(f"path count must be >= 1, got {L}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    dw = _substream_normals(seed, L, grid.N)
+    dw = np.empty((L, grid.N))
+    np.random.Generator(np.random.Philox(key=seed)).standard_normal(out=dw)
     dw *= np.sqrt(grid.dt)
-    did_normalize = bool(normalize) and L >= 2
-    if did_normalize:
+    if normalize and L >= 2:
         dw -= dw.mean(axis=0)
         scale = np.sqrt(np.mean(dw * dw, axis=0))
         if np.any(scale <= 0.0):
             raise SimulationError("degenerate increment column")
         dw *= np.sqrt(grid.dt) / scale
-    return BrownianEnsemble(grid=grid, increments=dw, normalized=did_normalize)
+    return BrownianEnsemble(grid=grid, increments=dw)
 
 
 def euler_simulate(

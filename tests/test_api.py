@@ -179,3 +179,65 @@ def test_readme_config_table_lists_exactly_the_config_keys():
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     keys = [row.split("`", 2)[1] for row in rows]
     assert sorted(keys) == sorted(bench.CONFIG_KEYS)
+
+
+# Dataclass fields that nothing in the package reads, each with the reason it
+# stays.  Any other such field is set by its constructor and never used.
+UNREAD_FIELDS = {
+    f"{cls}.{name}": "the per-iteration record of a solve; only the tests read it"
+    for cls, name in (
+        ("IterationState", "i"),
+        ("IterationState", "u"),
+        ("IterationState", "mu"),
+        ("SolveResult", "history"),
+    )
+}
+
+
+def _is_dataclass(cls):
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    """Every field of a package dataclass is read in ``src/socproj``: as an
+    attribute, or named in a string, which is how the ``asdict``/``getattr``
+    readers of ``RunRow``, ``SweepConfig`` and ``SolveConfig`` name theirs."""
+    fields, read = [], set()
+    for _, tree, _ in _package_trees(None):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                fields += [
+                    (f"{node.name}.{item.target.id}", item.target.id)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                ]
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert len(fields) >= 80
+    unread = [qual for qual, name in fields if name not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_no_module_reaches_into_c_state():
+    """The package relies on numpy's public API only: no module imports
+    ``ctypes`` or reads a ``.ctypes`` attribute."""
+    uses = []
+    for name, tree, _ in _package_trees(None):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            if any(n.split(".")[0] == "ctypes" for n in names):
+                uses.append(f"{name}:{node.lineno}")
+    assert uses == []

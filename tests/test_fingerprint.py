@@ -30,7 +30,7 @@ SWEEPS = {
             basis_kind=VORONOI,
             basis_K=8,
         ),
-        "af51ad6cdbb114fb772f97cdb38dafa00a11363e91ce0c063f710b421ca8ae25",
+        "53d0e3c871c941970386909849f1a38fd6ca751202cd53ef12da009f74f60352",
     ),
     "example2-voronoi": (
         SweepConfig(
@@ -43,7 +43,7 @@ SWEEPS = {
             basis_kind=VORONOI,
             basis_K=8,
         ),
-        "e4cd5992aea30ee0c4a6e67a3ead8f7eec331a326f41b274ffd84be91a51cd5d",
+        "3322718ee7e671e9572ecd8380834b480c4880a414d03ee1d65dae3179e0c28d",
     ),
     "example3-hypercube-self-convergence": (
         SweepConfig(
@@ -59,7 +59,7 @@ SWEEPS = {
             basis_K=8,
             self_convergence=True,
         ),
-        "48e13fcb62a16d595624c78eb948573057163362662ade0606e889bfb0b6e91b",
+        "f6f7e83ff82b09266a966ae5d50c451bdafdcf61ed9925092f0af182623bca44",
     ),
 }
 

@@ -66,7 +66,7 @@ def test_ensembles_store_a_row_major_array_column_major():
     grid = TimeGrid(1.0, 3)
     rows = np.arange(12.0).reshape(3, 4)
     paths = PathEnsemble(grid=grid, states=rows)
-    bw = BrownianEnsemble(grid=grid, increments=rows[:, :3], normalized=False)
+    bw = BrownianEnsemble(grid=grid, increments=rows[:, :3])
     for stored, given_ in ((paths.states, rows), (bw.increments, rows[:, :3])):
         assert stored.flags.f_contiguous and not stored.flags.writeable
         assert np.array_equal(stored, given_)
