@@ -34,8 +34,8 @@ from .lsmc import (
     BasisSpec,
     BsdeSolution,
     Partition,
+    PartitionCache,
     build_partition,
-    cold_orders,
     regress,
     solve_bsde_hat,
 )
@@ -104,8 +104,8 @@ __all__ = [
     "BasisSpec",
     "BsdeSolution",
     "Partition",
+    "PartitionCache",
     "build_partition",
-    "cold_orders",
     "regress",
     "solve_bsde_hat",
     # optimizer

@@ -11,7 +11,8 @@ Config files are flat ``key = value`` text (see ``CONFIG_KEYS``; a key the
 chosen problem would ignore, see ``IGNORED_KEYS``, is an error); reports are
 CSV with the fixed columns ``CSV_COLUMNS``, with per-N control-trajectory
 CSV files for plotting, and a JSON mirror whose metadata holds the whole
-``SweepConfig``.
+``SweepConfig``: ``delta`` lists each component's constraint level and
+``config_delta`` keeps the config's own value.
 """
 
 from __future__ import annotations
@@ -309,10 +310,12 @@ def run_sweep(
     vector = isinstance(prob, VectorProblem)
     components = prob.components if vector else (prob,)
 
-    # "delta" is each component's constraint level, not the config key.
+    # "delta" is each component's constraint level; the config's own value
+    # is "config_delta", so the metadata rebuilds the config.
     meta = {
         **asdict(cfg),
         "delta": [c.delta for c in components],
+        "config_delta": cfg.delta,
         "socproj_version": __version__,
         "numpy_version": np.__version__,
     }

@@ -11,11 +11,14 @@ are read off the sorted column with the same arithmetic as
 ``np.quantile(method="linear")``, so they match it bit for bit, and every
 sample's cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
-per step, and ``regress`` takes it for both the P- and the Q-regression of
-that step.  Only its fitted values and its sort order outlive a step: the
-next pass on the same ensemble (``cold_orders``) starts from that order.  It
-often sorts the barely moved samples already; else a stable argsort of the
-gathered column completes it, cheaper than a fresh sort when few paths swap.
+per step, with the per-cell counts, and ``regress`` takes both for the P- and
+the Q-regression of that step.  A ``PartitionCache`` carries each step's sort
+order, cells and rank cuts from one backward pass to the next on the same
+ensemble.  The carried order often sorts the barely moved samples already;
+else a stable argsort of the gathered column completes it, cheaper than a
+fresh sort when few paths swap.  When the order needed no repair and the new
+cuts equal the carried ones, the carried cells are exactly what the step
+would write, and the step keeps them.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -63,11 +66,12 @@ class Partition:
     """One time step's cell structure with its assignment rule.
 
     Hypercube partitions carry (lo, hi) and split the range into n_cells
-    equal cells, the last one closed on the right; Voronoi partitions carry
-    the midpoints between their sorted centers (the unique
+    equal cells, the last one closed on the right; ``assign`` takes states in
+    [lo, hi], such as the samples the partition was built from.  Voronoi
+    partitions carry the midpoints between their sorted centers (the unique
     ``np.quantile(method="linear")`` values, bit for bit) and assign by
     nearest center with ties to the lower index.  All-equal samples give one
-    cell.
+    cell.  A built partition also carries its samples' per-cell ``counts``.
     """
 
     kind: str
@@ -75,6 +79,7 @@ class Partition:
     lo: float = math.nan
     hi: float = math.nan
     boundaries: Optional[np.ndarray] = None
+    counts: Optional[np.ndarray] = None
 
     def assign(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         out = np.empty(len(y), dtype=np.intp) if out is None else out
@@ -84,10 +89,24 @@ class Partition:
             idx = np.subtract(y, self.lo)
             idx /= self.hi - self.lo
             idx *= self.n_cells
-            np.clip(np.floor(idx, out=idx), 0, self.n_cells - 1, out=out, casting="unsafe")
+            np.minimum(np.floor(idx, out=idx), self.n_cells - 1, out=out, casting="unsafe")
         else:
             out[:] = np.searchsorted(self.boundaries, y, side="left")
         return out
+
+
+class PartitionCache:
+    """What one solve's backward passes carry from pass to pass, per step n:
+    the sort order ``orders[:, n]``, the cells ``cells[:, n]`` and the rank
+    cuts ``cuts[:, n]`` (at most K + 1 of them) of the step's last Voronoi
+    partition.  All are column-major intp arrays; -1 in the first entry of an
+    order or cuts column means nothing is known yet.
+    """
+
+    def __init__(self, L: int, N: int, K: int):
+        self.orders = np.full((L, N), -1, dtype=np.intp, order="F")
+        self.cells = np.empty((L, N), dtype=np.intp, order="F")
+        self.cuts = np.full((K + 1, N), -1, dtype=np.intp, order="F")
 
 
 def _quantile_plan(n: int, q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -121,75 +140,89 @@ def _linear_quantiles(ordered: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.n
     return out
 
 
-def cold_orders(L: int, N: int) -> np.ndarray:
-    """Sort cache for the backward passes on L paths and N steps: no order known."""
-    return np.full((L, N), -1, dtype=np.intp, order="F")
-
-
 def build_partition(
-    samples: np.ndarray, spec: BasisSpec, cells: np.ndarray, order: np.ndarray
+    samples: np.ndarray,
+    spec: BasisSpec,
+    cells: np.ndarray,
+    order: np.ndarray,
+    cuts: np.ndarray,
 ) -> Partition:
     """Build the step's partition of ``spec.K`` cells from the sampled states
     and fill ``cells`` (intp, len(samples)) with ``part.assign(samples)``.
-    A Voronoi step reads both from the sorted samples and leaves the sorting
-    permutation in ``order`` (intp, len(samples); hypercubes ignore it), which
-    must start with -1 (no order known) or be a permutation such as an earlier
-    call left there: unchecked, as a check would cost what the cache saves.
+
+    A Voronoi step reads both from the sorted samples.  It leaves the sorting
+    permutation in ``order`` (intp, len(samples)) and the rank cuts of its
+    cells in ``cuts`` (intp, spec.K + 1); a hypercube step ignores ``order``
+    and marks ``cuts`` unknown.  Each of the three holds either the cold
+    sentinel (-1 first in ``order`` and ``cuts``) or what an earlier call on
+    the same three left there, and callers never edit them: unchecked, as a
+    check would cost what the cache saves.  When the carried order still
+    sorts the samples and the cuts come out as carried, ``cells`` already
+    holds the step's cells and is left as it is.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
     if len(cells) != len(samples) or len(order) != len(samples):
         raise ValueError("cells and order need one entry per sample")
+    if len(cuts) != spec.K + 1:
+        raise ValueError(f"cuts need K + 1 = {spec.K + 1} entries")
     if spec.kind == VORONOI:
-        return _voronoi_partition(samples, spec.K, cells, order)
+        return _voronoi_partition(samples, spec.K, cells, order, cuts)
+    cuts[0] = -1
     lo, hi = float(samples.min()), float(samples.max())
-    part = Partition(kind=HYPERCUBE, n_cells=1 if hi == lo else spec.K, lo=lo, hi=hi)
-    part.assign(samples, out=cells)
-    return part
+    n_cells = 1 if hi == lo else spec.K
+    Partition(HYPERCUBE, n_cells, lo, hi).assign(samples, out=cells)
+    if n_cells == 1:
+        counts = np.array([len(samples)])
+    else:
+        counts = np.bincount(cells, minlength=n_cells)
+    return Partition(HYPERCUBE, n_cells, lo, hi, counts=counts)
 
 
 def _voronoi_partition(
-    samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray
+    samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray, cuts: np.ndarray
 ) -> Partition:
     """Cells around the k quantiles, all read from the sorted samples."""
-    ordered = samples[order] if order[0] >= 0 else None
-    if ordered is None:
+    carried = order[0] >= 0
+    if not carried:
         order[:] = np.argsort(samples)
-        ordered = samples[order]
-    elif not (ordered[:-1] <= ordered[1:]).all():
+    ordered = samples[order]
+    if carried and not (ordered[:-1] <= ordered[1:]).all():
         resort = np.argsort(ordered, kind="stable")
         order[:] = order[resort]
         ordered = ordered[resort]
+        carried = False
     lo, hi = float(ordered[0]), float(ordered[-1])
     centers = np.unique(_linear_quantiles(ordered, _voronoi_plan(len(ordered), k)))
-    if len(centers) == 1:
-        cells[:] = 0
-        return Partition(kind=VORONOI, n_cells=1, lo=lo, hi=hi)
+    n_cells = len(centers)
     boundaries = 0.5 * (centers[:-1] + centers[1:])
     # A sample's cell is the number of boundaries below it, so cell c
-    # holds the sorted ranks cuts[c] .. cuts[c+1]-1.
-    cuts = np.empty(len(centers) + 1, dtype=np.intp)
-    cuts[0], cuts[-1] = 0, len(ordered)
-    cuts[1:-1] = np.searchsorted(ordered, boundaries, side="right")
-    cells[order] = np.repeat(np.arange(len(centers)), np.diff(cuts))
-    return Partition(
-        kind=VORONOI, n_cells=len(centers), lo=lo, hi=hi, boundaries=boundaries
-    )
+    # holds the sorted ranks new[c] .. new[c+1]-1.
+    new = np.empty(n_cells + 1, dtype=np.intp)
+    new[0], new[-1] = 0, len(ordered)
+    new[1:-1] = np.searchsorted(ordered, boundaries, side="right")
+    counts = np.diff(new)
+    if not (carried and np.array_equal(new, cuts[: n_cells + 1])):
+        cells[order] = np.repeat(np.arange(n_cells), counts)
+        cuts[: n_cells + 1] = new
+    return Partition(VORONOI, n_cells, lo, hi, boundaries if n_cells > 1 else None, counts)
 
 
 def regress(
-    cells: np.ndarray, z: np.ndarray, n_cells: int
+    cells: np.ndarray, z: np.ndarray, counts: np.ndarray, out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-cell means of z grouped by ``cells`` (as filled in by
-    ``build_partition``, each in 0 .. n_cells-1).
-    Returns (coefficients, fitted values); empty cells get coefficient 0.
+    ``build_partition``, each in 0 .. len(counts)-1, cell c holding
+    ``counts[c]`` samples).  Writes the fitted values into ``out`` (float,
+    len(z)) and returns (coefficients, out); empty cells get coefficient 0.
     """
-    z = np.asarray(z, dtype=float)
-    counts = np.bincount(cells, minlength=n_cells)
+    n_cells = len(counts)
     sums = np.bincount(cells, weights=z, minlength=n_cells)
     coef = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
-    return coef, coef[cells]
+    # The cells are in range by construction; mode="clip" spares the
+    # buffered copy that the default mode makes when given ``out``.
+    return coef, np.take(coef, cells, out=out, mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +243,7 @@ def solve_bsde_hat(
     problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
-    orders: np.ndarray,
+    cache: PartitionCache,
 ) -> BsdeSolution:
     """Backward LSMC with the multiplier-free driver
     f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u).
@@ -219,10 +252,11 @@ def solve_bsde_hat(
     sigma_u vanishing too, no Q-regression runs and q_hat is all zeros.  Only
     the ``ZERO`` sentinel counts: any other callback keeps the full path.
 
-    Column n of ``orders`` is step n's sort cache for ``build_partition``:
-    from ``cold_orders`` or left by an earlier call, never edited.  A
-    non-finite target spreads through p_{n+1} to every earlier fit, so one
-    check after the pass finds it, and the highest non-finite fit names it.
+    Step n hands column n of each ``cache`` array to ``build_partition``.
+    The cache is a fresh ``PartitionCache(L, N, spec.K)`` or what earlier
+    calls on it left there, and callers never edit it.  A non-finite target
+    spreads through p_{n+1} to every earlier fit, so one check after the pass
+    finds it, and the highest non-finite fit names it.
     """
     if not (paths.grid == bw.grid == control.grid == problem.grid):
         raise ValueError("paths, increments, control and problem must share one grid")
@@ -230,8 +264,8 @@ def solve_bsde_hat(
         raise ValueError("paths and increments must share the path count")
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
-    if orders.shape != (L, N) or orders.dtype != np.intp:
-        raise ValueError(f"orders must be an ({L}, {N}) intp array")
+    if cache.cells.shape != (L, N) or len(cache.cuts) != spec.K + 1:
+        raise ValueError(f"cache must be a PartitionCache({L}, {N}, {spec.K})")
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
@@ -243,26 +277,30 @@ def solve_bsde_hat(
     q = np.empty((L, N), order="F") if q_live else np.zeros((L, N), order="F")
     p[:, N] = costs.g(y[:, N])
 
-    # Each step's cells, overwritten by the next step.
-    cells = np.empty(L, dtype=np.intp)
+    # Each step's generator and regression target, overwritten by the next step.
+    f, target = np.empty(L), np.empty(L)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N - 1, -1, -1):
             yn = y[:, n]
             tn = float(grid.nodes[n])
             un = float(control.values[n])
-            n_cells = build_partition(yn, spec, cells, orders[:, n]).n_cells
+            cells = cache.cells[:, n]
+            counts = build_partition(
+                yn, spec, cells, cache.orders[:, n], cache.cuts[:, n]
+            ).counts
 
             p_next = p[:, n + 1]
-            f = costs.h_y(tn, yn) + p_next * problem.b_y[n]
+            np.multiply(p_next, problem.b_y[n], out=f)
+            np.add(costs.h_y(tn, yn), f, out=f)
             if q_live:
-                target_q = dw[:, n] * p_next / dt
-                _, q_fit = regress(cells, target_q, n_cells)
-                q[:, n] = q_fit
+                np.multiply(dw[:, n], p_next, out=target)
+                target /= dt
+                regress(cells, target, counts, q[:, n])
                 if sigma_y_live:
-                    f += q_fit * diff.sigma_y(yn, un)
-            target_p = p_next + f * dt
-            _, p_fit = regress(cells, target_p, n_cells)
-            p[:, n] = p_fit
+                    f += q[:, n] * diff.sigma_y(yn, un)
+            f *= dt
+            np.add(p_next, f, out=target)
+            regress(cells, target, counts, p[:, n])
 
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]

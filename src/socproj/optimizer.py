@@ -32,7 +32,7 @@ import numpy as np
 
 from .detode import _values, solve_kernels
 from .gridfn import StepFunction, linf_dist
-from .lsmc import BasisSpec, BsdeSolution, cold_orders, solve_bsde_hat
+from .lsmc import BasisSpec, BsdeSolution, PartitionCache, solve_bsde_hat
 from .paths import (
     PathEnsemble,
     SimulationError,
@@ -180,7 +180,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
     kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
     setup_time = time.perf_counter() - start
-    orders = cold_orders(config.L, grid.N)
+    cache = PartitionCache(config.L, grid.N, config.basis.K)
 
     u = u0
     mu = 0.0
@@ -191,7 +191,7 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
         iterations = i
         rho_i = config.rho_at(i)
         ens = euler_simulate(gp, u, bw)
-        adj = solve_bsde_hat(ens, bw, gp, u, config.basis, orders)
+        adj = solve_bsde_hat(ens, bw, gp, u, config.basis, cache)
         grad = gradient(u, ens, adj, gp)
         u_half = StepFunction(grid, u.values - rho_i * grad.values)
         if not np.isfinite(u_half.values).all():

@@ -13,6 +13,7 @@ on the state; it can be disabled per ensemble.
 One ensemble is generated per solve and reused for every iteration, so
 control perturbations propagate through identical noise (common random
 numbers).  Each Euler pass checks its states for finiteness once, at its end.
+A step whose b_y is +0.0 adds its drift to every path as one scalar.
 
 Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
@@ -123,8 +124,12 @@ def euler_simulate(
     y_{n+1} = y_n + (b_y[n] y_n + b_u[n] u_n + m[n]) dt
               + sigma(y_n, u_n) dW_{n+1}
 
-    Steps run in place, in the formula's order.  Each adds y_n, so a state
-    stays non-finite once it is: the last column is the pass's one check.
+    Steps run in place, in the formula's order.  A step with b_y[n] = +0.0
+    adds the one scalar (b_u[n] u_n + m[n]) dt to y_n: the term it drops,
+    b_y[n] y_n, is then a signed zero that changes no finite sum (with
+    b_y[n] = -0.0 it can flip the sign of a zero state, so such a step keeps
+    the full formula).  Each step adds y_n, so a state stays non-finite once
+    it is: the last column is the pass's one check.
     """
     if not (problem.grid == control.grid == bw.grid):
         raise ValueError("problem, control and increments live on different grids")
@@ -132,6 +137,7 @@ def euler_simulate(
     dt = grid.dt
     by, bu, m = problem.b_y, problem.b_u, problem.m
     sigma = problem.spec.diffusion.sigma
+    scalar_drift = (by == 0.0) & ~np.signbit(by)
 
     states = np.empty((bw.L, grid.N + 1), order="F")
     states[:, 0] = problem.spec.y0
@@ -139,11 +145,14 @@ def euler_simulate(
         for n in range(grid.N):
             y, out = states[:, n], states[:, n + 1]
             u = float(control.values[n])
-            np.multiply(by[n], y, out=out)
-            out += bu[n] * u
-            out += m[n]
-            out *= dt
-            np.add(y, out, out=out)
+            if scalar_drift[n]:
+                np.add(y, (bu[n] * u + m[n]) * dt, out=out)
+            else:
+                np.multiply(by[n], y, out=out)
+                out += bu[n] * u
+                out += m[n]
+                out *= dt
+                np.add(y, out, out=out)
             out += sigma(y, u) * bw.increments[:, n]
     if not np.isfinite(states[:, -1]).all():
         bad = 1 + np.argmin(np.isfinite(states[:, 1:]).all(axis=0))

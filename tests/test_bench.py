@@ -477,6 +477,36 @@ class TestReports:
         assert meta["socproj_version"] == socproj.__version__
         assert meta["numpy_version"] == np.__version__
 
+    @pytest.mark.parametrize(
+        "path",
+        sorted(glob.glob(os.path.join(REPO_ROOT, "configs", "*.cfg"))),
+        ids=os.path.basename,
+    )
+    def test_json_metadata_reruns_the_sweep(self, tmp_path, path):
+        cfg = dataclasses.replace(
+            parse_config(path),
+            N_list=[8, 12], L=200, output_dir=str(tmp_path), output_formats=["json"],
+        )
+        run_sweep(cfg)
+        (json_path,) = glob.glob(str(tmp_path / "*.json"))
+        with open(json_path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        meta = payload["metadata"]
+        rebuilt = SweepConfig(**{
+            f.name: meta["config_delta" if f.name == "delta" else f.name]
+            for f in dataclasses.fields(SweepConfig)
+        })
+        assert rebuilt == cfg
+        rerun = run_sweep(rebuilt, write=False)
+        written = [c["rows"] for c in payload["components"]]
+        assert len(written) == len(rerun)
+        for rows, report in zip(written, rerun):
+            assert len(rows) == len(report.rows) == 2
+            for row, again in zip(rows, report.rows):
+                again = dataclasses.asdict(again)
+                row.pop("wall_time_s"), again.pop("wall_time_s")
+                assert row == again
+
     def test_sweep_determinism_excluding_wall_time(self, tmp_path):
         cfg = SweepConfig(
             problem="example2",

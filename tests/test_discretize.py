@@ -14,10 +14,10 @@ import pytest
 
 from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
-from socproj.lsmc import VORONOI, BasisSpec, cold_orders, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, PartitionCache, solve_bsde_hat
 from socproj.optimizer import SolveConfig, gradient, project_update, solve
 from socproj.paths import euler_simulate, gen_brownian
-from socproj.problems import LinearDrift, discretize, example2
+from socproj.problems import LinearDrift, discretize, example1, example2
 from tests.oracles import time_varying_problem
 
 
@@ -117,7 +117,7 @@ def test_solver_stages_match_node_by_node_reference_bitwise(make):
 
     adj = solve_bsde_hat(
         ens, bw, gp, u, BasisSpec(VORONOI, 8),
-        cold_orders(*bw.increments.shape),
+        PartitionCache(*bw.increments.shape, 8),
     )
     grad = gradient(u, ens, adj, gp)
     assert np.array_equal(grad.values, reference_gradient(u, ens, adj, prob))
@@ -126,6 +126,51 @@ def test_solver_stages_match_node_by_node_reference_bitwise(make):
     got = project_update(u_half, 0.7, psi, gp.b_u, 0.1)
     want = reference_project_update(u_half, 0.7, psi, prob.drift.b_u, 0.1)
     assert np.array_equal(got.values, want)
+
+
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("y0", [0.0, -0.0, 0.7])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: example1(d=1, mu=0.3, alpha=0.1).components[0], lambda: example2(alpha=0.1)],
+    ids=["example1-m0", "example2"],
+)
+def test_euler_with_zero_b_y_matches_node_by_node_reference_bitwise(make, y0, noise):
+    # b_y = 0 on every step; the control is 0 on the second half of the grid
+    # and example1's m is 0, so a step may add an all-zero drift.  Without
+    # noise from y0 = 0 the first step is the drift alone, so no state's
+    # rounding hides a slip in it.
+    prob = dataclasses.replace(make(), y0=y0)
+    if not noise:
+        prob = dataclasses.replace(prob, diffusion=dataclasses.replace(
+            prob.diffusion, sigma=lambda y, u: np.zeros_like(y)
+        ))
+    grid = TimeGrid(1.0, 12)  # dt = 1/12: scaling by dt rounds
+    gp = discretize(prob, grid)
+    assert not gp.b_y.any()
+    u = nodal_sample(lambda t: 0.4 * (1.0 - t) if t < 0.5 else 0.0, grid)
+    bw = gen_brownian(5, 300, grid)
+    ens = euler_simulate(gp, u, bw)
+    assert np.array_equal(ens.states, reference_euler_simulate(prob, u, bw))
+
+
+def test_euler_with_negative_zero_b_y_keeps_the_sign_of_a_zero_state():
+    # -0.0 * -0.0 = +0.0 turns the drift's -0.0 terms into +0.0, so a step
+    # that dropped b_y y would leave the state at -0.0 instead
+    prob = example1(d=1, mu=0.3, alpha=0.1).components[0]
+    prob = dataclasses.replace(
+        prob,
+        y0=-0.0,
+        drift=LinearDrift(b_y=lambda t: -0.0, b_u=lambda t: 1.0, m=lambda t: -0.0),
+        diffusion=dataclasses.replace(prob.diffusion, sigma=lambda y, u: np.zeros_like(y)),
+    )
+    grid = TimeGrid(1.0, 4)
+    gp = discretize(prob, grid)
+    u = StepFunction(grid, np.full(4, -0.0))
+    ens = euler_simulate(gp, u, gen_brownian(5, 3, grid))
+    want = reference_euler_simulate(prob, u, gen_brownian(5, 3, grid))
+    assert np.array_equal(np.signbit(ens.states), np.signbit(want))
+    assert not np.signbit(ens.states[:, 1:]).any()
 
 
 def test_gradient_q_term_matches_reference_bitwise():
@@ -142,7 +187,7 @@ def test_gradient_q_term_matches_reference_bitwise():
     ens = euler_simulate(gp, u, bw)
     adj = solve_bsde_hat(
         ens, bw, gp, u, BasisSpec(VORONOI, 8),
-        cold_orders(*bw.increments.shape),
+        PartitionCache(*bw.increments.shape, 8),
     )
     adj = dataclasses.replace(adj, p_hat=np.zeros_like(adj.p_hat))
     assert np.count_nonzero(adj.q_hat[:, : grid.N]) > 0

@@ -12,8 +12,8 @@ from socproj.lsmc import (
     VORONOI,
     BasisSpec,
     Partition,
+    PartitionCache,
     build_partition,
-    cold_orders,
     regress,
     solve_bsde_hat,
 )
@@ -34,7 +34,8 @@ from tests.oracles import reference_backward
 def partition_and_cells(samples, spec):
     cells = np.empty(len(samples), dtype=np.intp)
     order = np.full(len(samples), -1, dtype=np.intp)
-    return build_partition(samples, spec, cells, order), cells
+    cuts = np.full(spec.K + 1, -1, dtype=np.intp)
+    return build_partition(samples, spec, cells, order, cuts), cells
 
 
 def _unit_source_problem():
@@ -104,7 +105,7 @@ class TestRegress:
     def test_constant_targets(self):
         samples = np.linspace(0.0, 1.0, 50)
         part, cells = partition_and_cells(samples, BasisSpec(HYPERCUBE, 5))
-        coef, fitted = regress(cells, np.full(50, 2.5), part.n_cells)
+        coef, fitted = regress(cells, np.full(50, 2.5), part.counts, np.empty(50))
         np.testing.assert_allclose(coef, 2.5)
         np.testing.assert_allclose(fitted, 2.5)
 
@@ -112,21 +113,24 @@ class TestRegress:
         samples = np.full(10, 3.0)
         part, cells = partition_and_cells(samples, BasisSpec(VORONOI, 4))
         z = np.arange(10.0)
-        coef, fitted = regress(cells, z, part.n_cells)
+        coef, fitted = regress(cells, z, part.counts, np.empty(10))
         assert coef[0] == pytest.approx(z.mean())
         np.testing.assert_allclose(fitted, z.mean())
 
     def test_per_cell_means_hand_value(self):
         part = Partition(kind=HYPERCUBE, n_cells=2, lo=0.0, hi=2.0)
         cells = part.assign(np.array([0.5, 1.5, 1.2]))
-        coef, fitted = regress(cells, np.array([2.0, 4.0, 6.0]), part.n_cells)
+        counts = np.bincount(cells, minlength=part.n_cells)
+        coef, fitted = regress(cells, np.array([2.0, 4.0, 6.0]), counts, np.empty(3))
         np.testing.assert_allclose(coef, [2.0, 5.0])
         np.testing.assert_allclose(fitted, [2.0, 5.0, 5.0])
 
     def test_empty_cell_coefficient_zero(self):
         part = Partition(kind=HYPERCUBE, n_cells=4, lo=0.0, hi=4.0)
         x = np.array([0.1, 0.2, 3.9])  # cells 1 and 2 unoccupied
-        coef, _ = regress(part.assign(x), np.array([1.0, 3.0, 7.0]), part.n_cells)
+        cells = part.assign(x)
+        counts = np.bincount(cells, minlength=part.n_cells)
+        coef, _ = regress(cells, np.array([1.0, 3.0, 7.0]), counts, np.empty(3))
         np.testing.assert_allclose(coef, [2.0, 0.0, 0.0, 7.0])
 
     @pytest.mark.parametrize("kind", [HYPERCUBE, VORONOI])
@@ -135,7 +139,7 @@ class TestRegress:
         x = rng.normal(size=100)
         z = np.sin(x) + rng.normal(size=100, scale=0.2)
         part, cells = partition_and_cells(x, BasisSpec(kind, 8))
-        coef, fitted = regress(cells, z, part.n_cells)
+        coef, fitted = regress(cells, z, part.counts, np.empty(100))
         design = np.zeros((100, part.n_cells))
         design[np.arange(100), part.assign(x)] = 1.0
         dense, *_ = np.linalg.lstsq(design, z, rcond=None)
@@ -148,8 +152,8 @@ class TestRegress:
         z = rng.normal(size=200)
         part, cells = partition_and_cells(x, BasisSpec(VORONOI, 6))
         perm = rng.permutation(200)
-        coef_a, _ = regress(cells, z, part.n_cells)
-        coef_b, _ = regress(part.assign(x[perm]), z[perm], part.n_cells)
+        coef_a, _ = regress(cells, z, part.counts, np.empty(200))
+        coef_b, _ = regress(part.assign(x[perm]), z[perm], part.counts, np.empty(200))
         np.testing.assert_allclose(coef_a, coef_b, rtol=1e-12, atol=1e-14)
 
 
@@ -179,7 +183,7 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4),
-            cold_orders(*bw.increments.shape),
+            PartitionCache(*bw.increments.shape, 4),
         )
         np.testing.assert_array_equal(sol.p_hat, 0.0)
         np.testing.assert_array_equal(sol.q_hat, 0.0)
@@ -190,7 +194,7 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob, n=10)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, BasisSpec(VORONOI, 6),
-            cold_orders(*bw.increments.shape),
+            PartitionCache(*bw.increments.shape, 6),
         )
         expected = grid.T - grid.nodes
         np.testing.assert_allclose(sol.p_hat, np.broadcast_to(expected, sol.p_hat.shape), atol=1e-12)
@@ -201,7 +205,7 @@ class TestBackwardSolver:
         spec = BasisSpec(HYPERCUBE, 8)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, spec,
-            cold_orders(*bw.increments.shape),
+            PartitionCache(*bw.increments.shape, spec.K),
         )
         for n in range(grid.N):
             part, cells = partition_and_cells(ens.states[:, n], spec)
@@ -210,12 +214,43 @@ class TestBackwardSolver:
             bound = 6.0 * grid.T / np.sqrt(grid.dt * l_min)
             assert np.max(np.abs(sol.q_hat[:, n])) <= bound
 
+    def test_hypercube_step_counts_its_cells_once(self, monkeypatch):
+        # example3's live sigma_y runs both regressions at every step; they
+        # share the one unweighted count of the step's partition
+        prob = example3(alpha=0.1)
+        grid, u, bw, ens = self._inputs(prob)
+        spec = BasisSpec(HYPERCUBE, 4)
+        unweighted = []
+        bincount = np.bincount
+
+        def counting(x, weights=None, minlength=0):
+            unweighted.append(weights is None)
+            return bincount(x, weights=weights, minlength=minlength)
+
+        monkeypatch.setattr(np, "bincount", counting)
+        solve_bsde_hat(
+            ens, bw, discretize(prob, grid), u, spec,
+            PartitionCache(*bw.increments.shape, spec.K),
+        )
+        # step 0's states all equal y0: one cell, whose count is L uncounted
+        assert unweighted.count(True) == grid.N - 1
+        assert unweighted.count(False) == 2 * grid.N
+
+    def test_cache_of_another_size_is_rejected(self):
+        prob = example2(alpha=0.1)
+        grid, u, bw, ens = self._inputs(prob)
+        spec = BasisSpec(VORONOI, 5)
+        L, N = bw.increments.shape
+        for shape in ((L + 1, N, 5), (L, N + 1, 5), (L, N, 6)):
+            with pytest.raises(ValueError, match="cache must be a PartitionCache"):
+                solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, PartitionCache(*shape))
+
     def test_terminal_column_is_raw_g(self):
         prob = example3(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4),
-            cold_orders(*bw.increments.shape),
+            PartitionCache(*bw.increments.shape, 4),
         )
         np.testing.assert_array_equal(sol.p_hat[:, -1], prob.costs.g(ens.states[:, -1]))
 
@@ -225,7 +260,7 @@ class TestBackwardSolver:
         spec = BasisSpec(HYPERCUBE, 4)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, spec,
-            cold_orders(*bw.increments.shape),
+            PartitionCache(*bw.increments.shape, spec.K),
         )
         for n in range(grid.N):
             _, idx = partition_and_cells(ens.states[:, n], spec)
@@ -239,7 +274,7 @@ class TestBackwardSolver:
         psi = solve_psi(grid, gp.b_y)
         hat = solve_bsde_hat(
             ens, bw, gp, u, BasisSpec(VORONOI, 5),
-            cold_orders(*bw.increments.shape),
+            PartitionCache(*bw.increments.shape, 5),
         )
         p, q = reference_backward(ens, bw, prob, u, BasisSpec(VORONOI, 5), 0.0, psi)
         np.testing.assert_array_equal(hat.p_hat, p)
@@ -255,7 +290,7 @@ class TestBackwardSolver:
         ens = euler_simulate(gp, u, bw)
         psi = solve_psi(grid, gp.b_y)
         spec = BasisSpec(HYPERCUBE, 8)
-        hat = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(*bw.increments.shape))
+        hat = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, spec.K))
         p, q = reference_backward(ens, bw, prob, u, spec, mu=0.7, psi=psi)
         assert np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
         assert np.max(np.abs(q - hat.q_hat)) <= 1e-10
@@ -273,7 +308,7 @@ class TestBackwardSolver:
             ens = euler_simulate(gp, u, bw)
             sol = solve_bsde_hat(
                 ens, bw, gp, u, BasisSpec(VORONOI, 20),
-                cold_orders(*bw.increments.shape),
+                PartitionCache(*bw.increments.shape, 20),
             )
             return abs(float(sol.p_hat[0, 0]) - (-(1.0 + 0.2) * prob.T))
 
@@ -300,7 +335,7 @@ class TestBackwardSolver:
         with pytest.raises(SimulationError):
             solve_bsde_hat(
                 ens, bw, discretize(bad, grid), u, BasisSpec(HYPERCUBE, 4),
-                cold_orders(*bw.increments.shape),
+                PartitionCache(*bw.increments.shape, 4),
             )
 
     @pytest.mark.parametrize("kind", [HYPERCUBE, VORONOI])
@@ -338,5 +373,5 @@ class TestBackwardSolver:
             with pytest.raises(SimulationError, match=rf"target at step {named}$"):
                 solve_bsde_hat(
                     ens, bw, discretize(bad, grid), u, BasisSpec(kind, 4),
-                    cold_orders(*bw.increments.shape),
+                    PartitionCache(*bw.increments.shape, 4),
                 )

@@ -15,14 +15,14 @@ from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
     BasisSpec,
+    PartitionCache,
     _linear_quantiles,
     _quantile_plan,
     build_partition,
-    cold_orders,
     solve_bsde_hat,
 )
-from socproj.paths import euler_simulate, gen_brownian
-from socproj.problems import discretize, example2, example3
+from socproj.paths import PathEnsemble, euler_simulate, gen_brownian
+from socproj.problems import discretize, example1, example2, example3
 from tests.oracles import (
     reference_backward,
     reference_build_partition,
@@ -73,9 +73,11 @@ class TestSortedPartitionMatchesQuantileOracle:
         spec = BasisSpec(kind, K)
         ref = reference_build_partition(samples, spec)
         cells = np.full(len(samples), -1, dtype=np.intp)
-        part = build_partition(samples, spec, cells, np.full(len(samples), -1, dtype=np.intp))
+        order = np.full(len(samples), -1, dtype=np.intp)
+        part = build_partition(samples, spec, cells, order, np.full(K + 1, -1, dtype=np.intp))
         assert_same_partition(part, ref)
         assert np.array_equal(cells, part.assign(samples))
+        assert np.array_equal(part.counts, np.bincount(cells, minlength=part.n_cells))
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
@@ -119,7 +121,7 @@ def test_backward_pass_matches_reference_bitwise(case, full):
     bw = gen_brownian(31, 600, grid)
     gp = discretize(prob, grid)
     ens = euler_simulate(gp, u, bw)
-    sol = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(*bw.increments.shape))
+    sol = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, spec.K))
     psi = solve_psi(grid, gp.b_y) if full else None
     p, q = reference_backward(ens, bw, prob, u, spec, psi=psi)
 
@@ -175,11 +177,11 @@ class TestSortCache:
         n = len(samples)
         cold_cells = np.empty(n, dtype=np.intp)
         cold_order = np.full(n, -1, dtype=np.intp)
-        cold = build_partition(samples, spec, cold_cells, cold_order)
+        cold = build_partition(samples, spec, cold_cells, cold_order, np.full(K + 1, -1, np.intp))
         order = _guess(guess, samples, np.random.default_rng(seed))
         given_order = order.copy()
         cells = np.empty(n, dtype=np.intp)
-        part = build_partition(samples, spec, cells, order)
+        part = build_partition(samples, spec, cells, order, np.full(K + 1, -1, np.intp))
 
         assert part.n_cells == cold.n_cells
         assert np.array_equal(cells, cold_cells)
@@ -199,10 +201,10 @@ class TestSortCache:
         samples = np.random.default_rng(3).standard_normal(50)
         spec = BasisSpec(VORONOI, 7)
         cold_cells, cold_order = np.empty(50, np.intp), np.full(50, -1, np.intp)
-        build_partition(samples, spec, cold_cells, cold_order)
+        build_partition(samples, spec, cold_cells, cold_order, np.full(8, -1, np.intp))
         cells, order = np.empty(50, np.intp), np.zeros(50, np.intp)
         order[0] = -1
-        build_partition(samples, spec, cells, order)
+        build_partition(samples, spec, cells, order, np.full(8, -1, np.intp))
         assert np.array_equal(cells, cold_cells)
         assert np.array_equal(order, cold_order)
         for kind in (HYPERCUBE, VORONOI):
@@ -213,6 +215,7 @@ class TestSortCache:
                         BasisSpec(kind, 7),
                         np.empty(n_cells, np.intp),
                         np.full(n_order, -1, np.intp),
+                        np.full(8, -1, np.intp),
                     )
 
 
@@ -223,19 +226,90 @@ def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
     gp = discretize(prob, grid)
     u = nodal_sample(lambda t: 0.3 * (1.0 - t), grid)
     other = gen_brownian(5, 600, grid)
-    orders = cold_orders(600, grid.N)
-    solve_bsde_hat(euler_simulate(gp, u, other), other, gp, u, spec, orders)
-    assert np.all(orders >= 0)
+    cache = PartitionCache(600, grid.N, spec.K)
+    solve_bsde_hat(euler_simulate(gp, u, other), other, gp, u, spec, cache)
+    assert np.all(cache.orders >= 0)
 
     bw = gen_brownian(31, 600, grid)
     ens = euler_simulate(gp, u, bw)
-    warm = solve_bsde_hat(ens, bw, gp, u, spec, orders)
-    cold = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(600, grid.N))
+    warm = solve_bsde_hat(ens, bw, gp, u, spec, cache)
+    cold = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(600, grid.N, spec.K))
     p, q = reference_backward(ens, bw, prob, u, spec)
 
     for sol in (warm, cold):
         assert np.array_equal(sol.p_hat, p)
         assert np.array_equal(sol.q_hat, q)
     for n in range(grid.N):
-        column = ens.states[orders[:, n], n]
+        column = ens.states[cache.orders[:, n], n]
         assert np.all(column[:-1] <= column[1:])
+
+
+def test_carried_order_with_a_sample_across_a_boundary_gives_the_cold_cells():
+    samples = np.arange(20.0)
+    spec = BasisSpec(VORONOI, 3)
+    cells, order, cuts = np.empty(20, np.intp), np.full(20, -1, np.intp), np.full(4, -1, np.intp)
+    build_partition(samples, spec, cells, order, cuts)
+    # centers 4.75, 9.5 and 14.25, so boundaries 7.125 and 11.875
+    assert cells[7] == 0
+    moved = samples.copy()
+    moved[7] = 7.5  # still between its neighbours, now past the first boundary
+    part = build_partition(moved, spec, cells, order, cuts)
+    cold_cells = np.empty(20, np.intp)
+    build_partition(moved, spec, cold_cells, np.full(20, -1, np.intp), np.full(4, -1, np.intp))
+
+    assert np.array_equal(order, np.arange(20))
+    assert cells[7] == 1
+    assert np.array_equal(cells, cold_cells)
+    assert np.array_equal(part.counts, [7, 5, 8])
+
+
+def test_resorted_column_with_the_same_cuts_gives_the_cold_cells():
+    samples = np.arange(20.0)
+    spec = BasisSpec(VORONOI, 3)
+    cells, order, cuts = np.empty(20, np.intp), np.full(20, -1, np.intp), np.full(4, -1, np.intp)
+    build_partition(samples, spec, cells, order, cuts)
+    # 7 and 8 sit on either side of the boundary 7.125; swapping them keeps
+    # the sorted column, and with it the cuts, but not the carried order
+    swapped = samples.copy()
+    swapped[[7, 8]] = swapped[[8, 7]]
+    kept_cuts = cuts.copy()
+    build_partition(swapped, spec, cells, order, cuts)
+    cold_cells = np.empty(20, np.intp)
+    build_partition(swapped, spec, cold_cells, np.full(20, -1, np.intp), np.full(4, -1, np.intp))
+
+    assert np.array_equal(cuts, kept_cuts)
+    assert (cells[7], cells[8]) == (1, 0)
+    assert np.array_equal(cells, cold_cells)
+
+
+def test_warm_example1_passes_equal_fresh_cache_passes_bitwise():
+    # A new control only shifts example1's states, so the warm pass keeps its
+    # carried cells; a strictly increasing cubic map of those states keeps
+    # every order but moves some samples across a boundary.
+    prob = example1(d=1, mu=0.3, alpha=0.1).components[0]
+    grid = TimeGrid(1.0, 16)
+    spec = BasisSpec(VORONOI, 30)
+    gp = discretize(prob, grid)
+    bw = gen_brownian(4242, 2000, grid)
+    u = nodal_sample(lambda t: 1.0 - t * t, grid)
+    cache = PartitionCache(2000, grid.N, spec.K)
+    solve_bsde_hat(euler_simulate(gp, u, bw), bw, gp, u, spec, cache)
+
+    u = nodal_sample(lambda t: 1.1 - t * t, grid)
+    shifted = euler_simulate(gp, u, bw)
+    bent = PathEnsemble(grid, shifted.states + 0.5 * shifted.states**3)
+    kept = moved = 0
+    for ens in (shifted, bent):
+        orders, cuts = cache.orders.copy(), cache.cuts.copy()
+        warm = solve_bsde_hat(ens, bw, gp, u, spec, cache)
+        fresh_cache = PartitionCache(2000, grid.N, spec.K)
+        fresh = solve_bsde_hat(ens, bw, gp, u, spec, fresh_cache)
+
+        assert np.array_equal(cache.cells, fresh_cache.cells)
+        assert np.array_equal(warm.p_hat, fresh.p_hat)
+        assert np.array_equal(warm.q_hat, fresh.q_hat)
+        same_order = (cache.orders == orders).all(axis=0)
+        same_cuts = (cache.cuts == cuts).all(axis=0)
+        kept += np.count_nonzero(same_order & same_cuts)
+        moved += np.count_nonzero(same_order & ~same_cuts)
+    assert kept > 0 and moved > 0

@@ -14,7 +14,7 @@ from socproj.gridfn import (
     constant_control,
     linf_dist,
 )
-from socproj.lsmc import BasisSpec, BsdeSolution, cold_orders, solve_bsde_hat
+from socproj.lsmc import BasisSpec, BsdeSolution, PartitionCache, solve_bsde_hat
 from socproj.optimizer import (
     SolveConfig,
     compute_multiplier,
@@ -325,7 +325,8 @@ class TestSolve:
 
         def one_update(w):
             ens = euler_simulate(gp, w, bw)
-            adj = solve_bsde_hat(ens, bw, gp, w, basis, cold_orders(*bw.increments.shape))
+            cache = PartitionCache(*bw.increments.shape, basis.K)
+            adj = solve_bsde_hat(ens, bw, gp, w, basis, cache)
             grad = gradient(w, ens, adj, gp)
             return StepFunction(grid, w.values - rho * grad.values)
 
@@ -348,7 +349,8 @@ class TestSolve:
 
         def one_update(w):
             ens = euler_simulate(gp, w, bw)
-            adj = solve_bsde_hat(ens, bw, gp, w, basis, cold_orders(*bw.increments.shape))
+            cache = PartitionCache(*bw.increments.shape, basis.K)
+            adj = solve_bsde_hat(ens, bw, gp, w, basis, cache)
             grad = gradient(w, ens, adj, gp)
             half = StepFunction(grid, w.values - rho * grad.values)
             return project_update(half, mu, psi, gp.b_u, rho)

@@ -18,8 +18,8 @@ from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
     BasisSpec,
+    PartitionCache,
     build_partition,
-    cold_orders,
     regress,
     solve_bsde_hat,
 )
@@ -84,11 +84,12 @@ def basis_spec():
 def test_regress_is_dense_indicator_least_squares(x, spec, data):
     z = data.draw(arrays(np.float64, len(x), elements=coefficient(-10.0, 10.0)))
     cells = np.empty(len(x), dtype=np.intp)
-    part = build_partition(x, spec, cells, np.full(len(x), -1, dtype=np.intp))
+    order = np.full(len(x), -1, dtype=np.intp)
+    part = build_partition(x, spec, cells, order, np.full(spec.K + 1, -1, dtype=np.intp))
     design = np.zeros((len(x), part.n_cells))
     design[np.arange(len(x)), part.assign(x)] = 1.0
     dense, *_ = np.linalg.lstsq(design, z, rcond=None)
-    coef, fitted = regress(cells, z, part.n_cells)
+    coef, fitted = regress(cells, z, part.counts, np.empty(len(x)))
     assert np.max(np.abs(coef - dense)) <= 1e-12
     assert np.max(np.abs(fitted - design @ dense)) <= 1e-12
 
@@ -112,7 +113,7 @@ def test_shift_identity_links_the_multiplier_driver_to_the_hat_pass(
     gp = discretize(prob, grid)
     ens = euler_simulate(gp, u, bw)
     psi = solve_psi(grid, gp.b_y)
-    hat = solve_bsde_hat(ens, bw, gp, u, spec, cold_orders(*bw.increments.shape))
+    hat = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, spec.K))
     p, q = reference_backward(ens, bw, prob, u, spec, mu=mu, psi=psi)
     assert np.max(np.abs(p - hat.p_hat - mu * psi[None, :])) <= 1e-10
     assert np.max(np.abs(q - hat.q_hat)) <= 1e-10

@@ -8,7 +8,7 @@ import pytest
 
 from socproj import lsmc
 from socproj.gridfn import TimeGrid, constant_control
-from socproj.lsmc import HYPERCUBE, VORONOI, BasisSpec, cold_orders, solve_bsde_hat
+from socproj.lsmc import HYPERCUBE, VORONOI, BasisSpec, PartitionCache, solve_bsde_hat
 from socproj.optimizer import SolveConfig, solve
 from socproj.paths import euler_simulate, gen_brownian
 from socproj.problems import ZERO, discretize, example1, example2, example3, vanishes
@@ -94,7 +94,7 @@ def test_example1_backward_pass_skips_the_q_regression(monkeypatch, full, per_st
         return regress(*args)
 
     monkeypatch.setattr(lsmc, "regress", counting)
-    sol = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5), cold_orders(200, 6))
+    sol = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5), PartitionCache(200, 6, 5))
     assert len(calls) == per_step * grid.N
     if not full:
         assert np.array_equal(sol.q_hat, np.zeros((200, grid.N)))
