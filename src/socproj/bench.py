@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .gridfn import TimeGrid, constant_control, l2_dist, nodal_sample
 from .lsmc import HYPERCUBE, VORONOI, BasisSpec
-from .optimizer import SolveConfig, SolveResult, solve
+from .optimizer import RHO_CONSTANT, SolveConfig, SolveResult, solve
 from .paths import derive_seed
 from .problems import (
     EXAMPLE3_DELTA_ACTIVE,
@@ -38,6 +38,16 @@ from .problems import (
     example2,
     example3,
 )
+
+__all__ = [
+    "RunReport",
+    "RunRow",
+    "SweepConfig",
+    "build_problem",
+    "parse_config",
+    "rate",
+    "run_sweep",
+]
 
 CSV_COLUMNS = (
     "N",
@@ -73,7 +83,7 @@ class SweepConfig:
     N_list: list[int]
     L: int = 2000
     rho: float = 0.1
-    rho_schedule: str = "constant"
+    rho_schedule: str = RHO_CONSTANT
     eps0: float = 1e-4
     max_iters: int = 500
     seed: int = 7071
@@ -113,6 +123,8 @@ class SweepConfig:
             if value != defaults[attr]:
                 raise ValueError(f"{attr} = {value!r} does not apply to {self.problem}")
         self.solve_config(self.seed)  # bad solver knobs fail at parse time, not per N
+        if self.problem in PROBLEM_IDS:
+            build_problem(self)  # so do a built-in's bad parameters
 
     def basis(self) -> BasisSpec:
         return BasisSpec(kind=self.basis_kind, K=self.basis_K)

@@ -21,6 +21,13 @@ import numpy as np
 
 from .gridfn import TimeGrid, trapezoid
 
+__all__ = [
+    "KernelSolution",
+    "solve_kernels",
+    "solve_psi",
+    "solve_varphi_tilde",
+]
+
 
 @dataclass(frozen=True, eq=False)
 class KernelSolution:

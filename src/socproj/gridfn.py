@@ -14,6 +14,16 @@ from typing import Callable
 
 import numpy as np
 
+__all__ = [
+    "StepFunction",
+    "TimeGrid",
+    "constant_control",
+    "l2_dist",
+    "linf_dist",
+    "nodal_sample",
+    "trapezoid",
+]
+
 # Scalar function of time, e.g. a drift coefficient or an exact control.
 TimeFn = Callable[[float], float]
 

@@ -42,6 +42,18 @@ from .gridfn import StepFunction, TimeGrid
 from .paths import BrownianEnsemble, PathEnsemble, SimulationError
 from .problems import GridProblem, vanishes
 
+__all__ = [
+    "HYPERCUBE",
+    "VORONOI",
+    "BasisSpec",
+    "BsdeSolution",
+    "Partition",
+    "PartitionCache",
+    "build_partition",
+    "regress",
+    "solve_bsde_hat",
+]
+
 HYPERCUBE = "hypercube"
 VORONOI = "voronoi"
 

@@ -42,6 +42,16 @@ from .paths import (
 )
 from .problems import GridProblem, ProblemSpec, discretize, vanishes
 
+__all__ = [
+    "IterationState",
+    "SolveConfig",
+    "SolveResult",
+    "compute_multiplier",
+    "gradient",
+    "project_update",
+    "solve",
+]
+
 RHO_CONSTANT = "constant"
 RHO_HARMONIC = "harmonic"
 

@@ -31,6 +31,16 @@ import numpy as np
 from .gridfn import StepFunction, TimeGrid, trapezoid
 from .problems import GridProblem
 
+__all__ = [
+    "BrownianEnsemble",
+    "PathEnsemble",
+    "SimulationError",
+    "derive_seed",
+    "euler_simulate",
+    "gen_brownian",
+    "mean_state_integral",
+]
+
 _MASK64 = (1 << 64) - 1
 
 

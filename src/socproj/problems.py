@@ -35,6 +35,25 @@ import numpy as np
 
 from .gridfn import TimeFn, TimeGrid, nodal_sample
 
+__all__ = [
+    "EXAMPLE2_DELTA",
+    "EXAMPLE2_MU_STAR",
+    "EXAMPLE3_DELTA_ACTIVE",
+    "ZERO",
+    "CostDerivatives",
+    "Diffusion",
+    "ExactSolution",
+    "GridProblem",
+    "LinearDrift",
+    "ProblemSpec",
+    "VectorProblem",
+    "discretize",
+    "example1",
+    "example2",
+    "example3",
+    "vanishes",
+]
+
 StateFn = Callable[[np.ndarray, float], np.ndarray]
 
 #: Constraint level at which example2's constraint is active at the optimum.

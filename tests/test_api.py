@@ -5,6 +5,8 @@ import pathlib
 import types
 from collections import defaultdict
 
+import pytest
+
 import socproj
 from socproj import bench
 from tests.test_bench import load_perfbench
@@ -26,6 +28,37 @@ def test_all_covers_every_public_non_module_name():
         and not isinstance(getattr(socproj, name), types.ModuleType)
     }
     assert public == set(socproj.__all__)
+
+
+def _defined_names(top):
+    """The names a top-level statement binds by ``def``, ``class`` or
+    assignment, not by import."""
+    if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+        return [top.name]
+    if isinstance(top, (ast.Assign, ast.AnnAssign)):
+        targets = top.targets if isinstance(top, ast.Assign) else [top.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def test_each_public_name_is_declared_once_by_the_module_defining_it():
+    """``__init__`` star-imports each module and joins their ``__all__`` lists
+    in that order; every listed name is a top-level definition of its module
+    and is listed by no other module."""
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in init.body if isinstance(node, ast.ImportFrom)]
+    assert [alias.name for node in imports for alias in node.names] == ["*"] * len(imports)
+    joined, owner = [], {}
+    for node in imports:
+        module = getattr(socproj, node.module)
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        defined = {name for top in tree.body for name in _defined_names(top)}
+        for name in module.__all__:
+            assert name in defined, f"{node.module}.{name}"
+            assert owner.setdefault(name, node.module) == node.module, name
+        joined += module.__all__
+    assert len(imports) == 7
+    assert socproj.__all__ == joined
 
 
 def _package_trees(exempt):
@@ -93,14 +126,7 @@ def _referenced_names():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         own = defaultdict(set)  # id of each node -> names defined around it
         for top in tree.body:
-            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                names = [top.name]
-            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
-                targets = top.targets if isinstance(top, ast.Assign) else [top.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            defs = [(name, top) for name in names]
+            defs = [(name, top) for name in _defined_names(top)]
             if isinstance(top, ast.ClassDef):
                 defs += [(f.name, f) for f in top.body if isinstance(f, ast.FunctionDef)]
             for name, definition in defs:
@@ -241,3 +267,15 @@ def test_no_module_reaches_into_c_state():
             if any(n.split(".")[0] == "ctypes" for n in names):
                 uses.append(f"{name}:{node.lineno}")
     assert uses == []
+
+
+def test_version_is_declared_once():
+    """The package metadata reads its version from ``socproj.__version__``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "socproj.__version__"
+    }

@@ -209,6 +209,20 @@ output.formats = csv, json
         assert str(info.value).startswith(f"{path}: ")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"problem": "example2", "alpha": 0.0}, "alpha must be nonzero"),
+            ({"problem": "example1", "d": 0}, "dimension must be >= 1, got 0"),
+            ({"problem": "example1", "mu_star": -1.0}, "multiplier constant must be nonnegative"),
+        ],
+        ids=["example2-alpha0", "example1-d0", "example1-mu-negative"],
+    )
+    def test_bad_problem_parameters_rejected_when_built_in_code(self, params, message):
+        # before any N is solved, as a config file's are
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(N_list=[8], **params)
+
     def test_missing_problem_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("N_list = 8, 16\n")
