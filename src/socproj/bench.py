@@ -237,11 +237,16 @@ def parse_config(path: str) -> SweepConfig:
     if env_dir:
         kwargs["output_dir"] = env_dir
     try:
-        cfg = SweepConfig(**kwargs)
-        build_problem(cfg)
+        cfg = SweepConfig(**kwargs)  # builds a built-in problem once
+        if cfg.problem not in PROBLEM_IDS:
+            raise _unknown_problem(cfg.problem)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return cfg
+
+
+def _unknown_problem(problem: str) -> ValueError:
+    return ValueError(f"unknown problem {problem!r}; built-ins are {', '.join(PROBLEM_IDS)}")
 
 
 def build_problem(cfg: SweepConfig) -> Union[ProblemSpec, VectorProblem]:
@@ -255,9 +260,7 @@ def build_problem(cfg: SweepConfig) -> Union[ProblemSpec, VectorProblem]:
         delta = EXAMPLE3_DELTA_ACTIVE if cfg.delta is None else cfg.delta
         mu_star = 1.0 if cfg.mu_star is None else cfg.mu_star
         return example3(alpha=cfg.alpha, delta=delta, mu_star=mu_star)
-    raise ValueError(
-        f"unknown problem {cfg.problem!r}; built-ins are {', '.join(PROBLEM_IDS)}"
-    )
+    raise _unknown_problem(cfg.problem)
 
 
 @dataclass

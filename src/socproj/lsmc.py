@@ -7,23 +7,28 @@ least squares reduces to per-cell sample means: the minimizer of
 mean of its targets and every empty cell zero.
 
 A Voronoi partition needs the step's samples in sorted order: its K quantiles
-are read off the sorted column with the same arithmetic as
-``np.quantile(method="linear")``, so they match it bit for bit, and every
-sample's cell comes from rank cuts in that sorted column.  The cell array is
+are read off the sorted column in one gather, through a cached read-only
+plan, with the same arithmetic as ``np.quantile(method="linear")``, so they
+match it bit for bit; strictly increasing quantiles are already the sorted
+unique centers, so only tied ones go through ``np.unique``.  Every sample's
+cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
 per step, with the per-cell counts, and ``regress`` takes both for the P- and
 the Q-regression of that step.  A ``PartitionCache`` carries each step's sort
 order, cells and rank cuts from one backward pass to the next on the same
-ensemble.  The carried order often sorts the barely moved samples already;
-else a stable argsort of the gathered column completes it, cheaper than a
-fresh sort when few paths swap.  When the order needed no repair and the new
+ensemble.  The carried order still sorts samples that kept their ranks (every
+warm step of example1); else a stable argsort of the gathered column
+completes it, cheaper than a fresh sort when few paths swap (most warm steps
+of example2).  When the order needed no repair and the new
 cuts equal the carried ones, the carried cells are exactly what the step
 would write, and the step keeps them.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
 p_{n+1} + f(t_n, y_n, p_{n+1}, Q_n(y_n), u_n) dt, where p_{n+1} are the
-step-(n+1) fitted values (terminal values are the raw g(y_N)).
+step-(n+1) fitted values (terminal values are the raw g(y_N)).  A step with
+b_y = +0.0 leaves the signed zero p_{n+1} b_y out of f: a cell sum starts at
++0.0 and ignores the sign of a zero, so every fit stays the same.
 
 The driver is multiplier-free: the multiplier enters the adjoint only through
 the shift identity P = P_hat + mu*psi, Q = Q_hat.
@@ -116,14 +121,21 @@ class PartitionCache:
     """
 
     def __init__(self, L: int, N: int, K: int):
-        self.orders = np.full((L, N), -1, dtype=np.intp, order="F")
+        self.orders = np.empty((L, N), dtype=np.intp, order="F")
+        self.orders[0] = -1
         self.cells = np.empty((L, N), dtype=np.intp, order="F")
         self.cuts = np.full((K + 1, N), -1, dtype=np.intp, order="F")
 
 
 def _quantile_plan(n: int, q: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Indices and lerp weights of ``np.quantile(samples, q)`` for n samples,
-    in the operations and order of numpy's ``linear`` method."""
+    """Read-only gather indices and lerp weights of ``np.quantile(samples,
+    q)`` for n samples, in the operations of numpy's ``linear`` method.
+
+    numpy takes a + (b - a) g below g = 0.5 and b - (b - a)(1 - g) from
+    there.  In IEEE arithmetic b - x is b + (-x) and x (-w) is -(x w), so
+    both read base + (b - a) w, with base = a, w = g or base = b,
+    w = -(1 - g).  The indices are those of [a, b, base].
+    """
     virtual = (n - 1) * q
     below = np.floor(virtual)
     above = below + 1
@@ -133,22 +145,31 @@ def _quantile_plan(n: int, q: np.ndarray) -> tuple[np.ndarray, ...]:
     below = below.astype(np.intp)
     above = above.astype(np.intp)
     gamma = virtual - below
-    return below, above, gamma, 1 - gamma, gamma >= 0.5
+    upper = gamma >= 0.5
+    ends = np.concatenate((below, above, np.where(upper, above, below)))
+    weight = np.where(upper, -(1 - gamma), gamma)
+    for a in (ends, weight):
+        a.setflags(write=False)
+    return ends, weight
 
 
 @functools.lru_cache(maxsize=32)
 def _voronoi_plan(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """The quantile plan of k Voronoi centers among n samples (shared: read only)."""
-    return _quantile_plan(n, np.arange(1, k + 1) / (k + 1))
+    """The quantile plan of k Voronoi centers among n samples, and the cell
+    ids 0 .. k-1 (shared: read only)."""
+    ids = np.arange(k)
+    ids.setflags(write=False)
+    return _quantile_plan(n, np.arange(1, k + 1) / (k + 1)), ids
 
 
 def _linear_quantiles(ordered: np.ndarray, plan: tuple[np.ndarray, ...]) -> np.ndarray:
     """``np.quantile(samples, q)`` bit for bit, from ``_quantile_plan``."""
-    below, above, gamma, one_minus_gamma, upper = plan
-    a, b = ordered[below], ordered[above]
-    diff_b_a = b - a
-    out = a + diff_b_a * gamma
-    np.subtract(b, diff_b_a * one_minus_gamma, out=out, where=upper)
+    ends, weight = plan
+    k = len(weight)
+    abc = ordered.take(ends)
+    out = abc[k : 2 * k] - abc[:k]
+    out *= weight
+    out += abc[2 * k :]
     return out
 
 
@@ -184,12 +205,12 @@ def build_partition(
     cuts[0] = -1
     lo, hi = float(samples.min()), float(samples.max())
     n_cells = 1 if hi == lo else spec.K
-    Partition(HYPERCUBE, n_cells, lo, hi).assign(samples, out=cells)
-    if n_cells == 1:
-        counts = np.array([len(samples)])
-    else:
-        counts = np.bincount(cells, minlength=n_cells)
-    return Partition(HYPERCUBE, n_cells, lo, hi, counts=counts)
+    # One partition per step: its counts are filled in from its cells.
+    counts = np.empty(n_cells, dtype=np.intp)
+    part = Partition(HYPERCUBE, n_cells, lo, hi, counts=counts)
+    part.assign(samples, out=cells)
+    counts[:] = len(samples) if n_cells == 1 else np.bincount(cells, minlength=n_cells)
+    return part
 
 
 def _voronoi_partition(
@@ -199,25 +220,31 @@ def _voronoi_partition(
     carried = order[0] >= 0
     if not carried:
         order[:] = np.argsort(samples)
-    ordered = samples[order]
+    ordered = samples.take(order)
     if carried and not (ordered[:-1] <= ordered[1:]).all():
         resort = np.argsort(ordered, kind="stable")
-        order[:] = order[resort]
-        ordered = ordered[resort]
+        order[:] = order.take(resort)
+        ordered = ordered.take(resort)
         carried = False
-    lo, hi = float(ordered[0]), float(ordered[-1])
-    centers = np.unique(_linear_quantiles(ordered, _voronoi_plan(len(ordered), k)))
+    plan, ids = _voronoi_plan(len(ordered), k)
+    centers = _linear_quantiles(ordered, plan)
+    # Strictly increasing quantiles are their own sorted unique values.
+    if not (centers[:-1] < centers[1:]).all():
+        centers = np.unique(centers)
     n_cells = len(centers)
-    boundaries = 0.5 * (centers[:-1] + centers[1:])
+    boundaries = np.add(centers[:-1], centers[1:])
+    boundaries *= 0.5
     # A sample's cell is the number of boundaries below it, so cell c
     # holds the sorted ranks new[c] .. new[c+1]-1.
     new = np.empty(n_cells + 1, dtype=np.intp)
     new[0], new[-1] = 0, len(ordered)
-    new[1:-1] = np.searchsorted(ordered, boundaries, side="right")
-    counts = np.diff(new)
-    if not (carried and np.array_equal(new, cuts[: n_cells + 1])):
-        cells[order] = np.repeat(np.arange(n_cells), counts)
+    new[1:-1] = ordered.searchsorted(boundaries, side="right")
+    counts = new[1:] - new[:-1]
+    # Two intp arrays are equal when their bytes are.
+    if not (carried and new.tobytes() == cuts[: n_cells + 1].tobytes()):
+        cells[order] = ids[:n_cells].repeat(counts)
         cuts[: n_cells + 1] = new
+    lo, hi = float(ordered[0]), float(ordered[-1])
     return Partition(VORONOI, n_cells, lo, hi, boundaries if n_cells > 1 else None, counts)
 
 
@@ -229,12 +256,13 @@ def regress(
     ``counts[c]`` samples).  Writes the fitted values into ``out`` (float,
     len(z)) and returns (coefficients, out); empty cells get coefficient 0.
     """
-    n_cells = len(counts)
-    sums = np.bincount(cells, weights=z, minlength=n_cells)
-    coef = np.divide(sums, counts, out=np.zeros(n_cells), where=counts > 0)
+    # An empty cell's sum is the +0.0 that bincount starts from, and
+    # dividing it by 1 keeps it.
+    coef = np.bincount(cells, weights=z, minlength=len(counts))
+    np.divide(coef, np.maximum(counts, 1), out=coef)
     # The cells are in range by construction; mode="clip" spares the
     # buffered copy that the default mode makes when given ``out``.
-    return coef, np.take(coef, cells, out=out, mode="clip")
+    return coef, coef.take(cells, out=out, mode="clip")
 
 
 @dataclass(frozen=True, eq=False)
@@ -284,6 +312,12 @@ def solve_bsde_hat(
 
     sigma_y_live = not vanishes(diff.sigma_y)
     q_live = sigma_y_live or not vanishes(diff.sigma_u)
+    nodes, u_values, b_y = grid.nodes.tolist(), control.values.tolist(), problem.b_y.tolist()
+    # With b_y[n] = +0.0 the term p b_y[n] of f_hat is a signed zero, and so
+    # is all it changes downstream: a cell sum, which starts at +0.0, ignores
+    # the sign of a zero, so such a step drops the term.  -0.0 keeps it, as
+    # in ``paths.euler_simulate``.
+    p_term = ((problem.b_y != 0.0) | np.signbit(problem.b_y)).tolist()
 
     p = np.empty((L, N + 1), order="F")
     q = np.empty((L, N), order="F") if q_live else np.zeros((L, N), order="F")
@@ -294,23 +328,23 @@ def solve_bsde_hat(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N - 1, -1, -1):
             yn = y[:, n]
-            tn = float(grid.nodes[n])
-            un = float(control.values[n])
             cells = cache.cells[:, n]
             counts = build_partition(
                 yn, spec, cells, cache.orders[:, n], cache.cuts[:, n]
             ).counts
 
             p_next = p[:, n + 1]
-            np.multiply(p_next, problem.b_y[n], out=f)
-            np.add(costs.h_y(tn, yn), f, out=f)
+            f_n = costs.h_y(nodes[n], yn)
+            if p_term[n]:
+                np.multiply(p_next, b_y[n], out=f)
+                f_n = np.add(f_n, f, out=f)
             if q_live:
                 np.multiply(dw[:, n], p_next, out=target)
                 target /= dt
                 regress(cells, target, counts, q[:, n])
                 if sigma_y_live:
-                    f += q[:, n] * diff.sigma_y(yn, un)
-            f *= dt
+                    f_n = np.add(f_n, q[:, n] * diff.sigma_y(yn, u_values[n]), out=f)
+            np.multiply(f_n, dt, out=f)
             np.add(p_next, f, out=target)
             regress(cells, target, counts, p[:, n])
 

@@ -141,14 +141,18 @@ def gradient(
         raise ValueError("control, paths, adjoint and problem must share one grid")
     diff, costs = problem.spec.diffusion, problem.spec.costs
     sigma_u_live = not vanishes(diff.sigma_u)
-    mean_p = adj.p_hat[:, : grid.N].mean(axis=0)
+    mean_p = adj.p_hat[:, : grid.N].mean(axis=0).tolist()
+    b_u, u_values = problem.b_u.tolist(), control.values.tolist()
     vals = np.empty(grid.N)
+    # One L-buffer for every interval's Q-term; its mean is np.mean's
+    # np.add.reduce(q_term) / L.
+    q_term = np.empty(paths.L) if sigma_u_live else None
     for n in range(grid.N):
-        un = float(control.values[n])
-        grad_n = mean_p[n] * problem.b_u[n]
+        un = u_values[n]
+        grad_n = mean_p[n] * b_u[n]
         if sigma_u_live:
-            q_term = adj.q_hat[:, n] * diff.sigma_u(paths.states[:, n], un)
-            grad_n += float(np.mean(q_term))
+            np.multiply(adj.q_hat[:, n], diff.sigma_u(paths.states[:, n], un), out=q_term)
+            grad_n += float(np.add.reduce(q_term) / paths.L)
         vals[n] = grad_n + costs.j_u(un)
     return StepFunction(grid, vals)
 

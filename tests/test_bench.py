@@ -209,6 +209,25 @@ output.formats = csv, json
         assert str(info.value).startswith(f"{path}: ")
         assert message in str(info.value)
 
+    @pytest.mark.parametrize("problem", ["example1", "example2", "example3"])
+    def test_one_parse_builds_the_problem_once(self, tmp_path, monkeypatch, problem):
+        calls = []
+        build = bench.build_problem
+        monkeypatch.setattr(bench, "build_problem", lambda cfg: calls.append(cfg) or build(cfg))
+        path = tmp_path / "one.cfg"
+        path.write_text(f"problem = {problem}\nN_list = 8\n")
+        parse_config(str(path))
+        assert len(calls) == 1
+
+    def test_misspelt_problem_rejected_with_build_problems_message(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("problem = exmaple2\nN_list = 8\n")
+        with pytest.raises(ValueError) as parsed:
+            parse_config(str(path))
+        with pytest.raises(ValueError) as built:
+            build_problem(SweepConfig(problem="exmaple2", N_list=[8]))
+        assert str(parsed.value) == f"{path}: {built.value}"
+
     @pytest.mark.parametrize(
         "params, message",
         [

@@ -17,8 +17,8 @@ from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
 from socproj.lsmc import VORONOI, BasisSpec, PartitionCache, solve_bsde_hat
 from socproj.optimizer import SolveConfig, gradient, project_update, solve
 from socproj.paths import euler_simulate, gen_brownian
-from socproj.problems import LinearDrift, discretize, example1, example2
-from tests.oracles import time_varying_problem
+from socproj.problems import LinearDrift, discretize, example1, example2, vanishes
+from tests.oracles import reference_backward, time_varying_problem
 
 
 def reference_euler_simulate(problem, control, bw):
@@ -171,6 +171,55 @@ def test_euler_with_negative_zero_b_y_keeps_the_sign_of_a_zero_state():
     want = reference_euler_simulate(prob, u, gen_brownian(5, 3, grid))
     assert np.array_equal(np.signbit(ens.states), np.signbit(want))
     assert not np.signbit(ens.states[:, 1:]).any()
+
+
+def _example2_h_y_returns_its_states():
+    # h_y hands back the read-only states column itself, so a generator
+    # built in place in h_y's result would fail
+    prob = example2(alpha=0.1)
+    return dataclasses.replace(
+        prob, costs=dataclasses.replace(prob.costs, h_y=lambda t, y: y)
+    )
+
+
+@pytest.mark.parametrize("b_y", [0.0, -0.0], ids=["+0", "-0"])
+@pytest.mark.parametrize("noise", [True, False], ids=["noise", "no-noise"])
+@pytest.mark.parametrize("y0", [0.0, -0.0, 0.7])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: example1(d=1, mu=0.3, alpha=0.1).components[0],
+        lambda: example2(alpha=0.1),
+        _example2_h_y_returns_its_states,
+    ],
+    ids=["example1-m0", "example2", "example2-h_y-identity"],
+)
+def test_backward_with_zero_b_y_matches_reference_bitwise(make, y0, noise, b_y):
+    # The generator drops p b_y on a step with b_y = +0.0 and keeps it with
+    # -0.0; the reference always adds it.  Both must give the reference's
+    # fits, sign bits included.
+    prob = make()
+    prob = dataclasses.replace(
+        prob, y0=y0, drift=dataclasses.replace(prob.drift, b_y=lambda t: b_y)
+    )
+    if not noise:
+        prob = dataclasses.replace(prob, diffusion=dataclasses.replace(
+            prob.diffusion, sigma=lambda y, u: np.zeros_like(y)
+        ))
+    grid = TimeGrid(1.0, 12)
+    gp = discretize(prob, grid)
+    assert np.array_equal(np.signbit(gp.b_y), np.full(grid.N, np.signbit(b_y)))
+    u = nodal_sample(lambda t: 0.4 * (1.0 - t) if t < 0.5 else 0.0, grid)
+    bw = gen_brownian(5, 300, grid)
+    ens = euler_simulate(gp, u, bw)
+    spec = BasisSpec(VORONOI, 8)
+    sol = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, 8))
+    p, q = reference_backward(ens, bw, prob, u, spec)
+    if vanishes(prob.diffusion.sigma_y) and vanishes(prob.diffusion.sigma_u):
+        q = np.zeros_like(q)  # example1 runs no Q-regression
+    for got, want in ((sol.p_hat, p), (sol.q_hat, q)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_gradient_q_term_matches_reference_bitwise():

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from socproj import lsmc
 from socproj.detode import solve_psi
 from socproj.gridfn import TimeGrid, constant_control, nodal_sample
 from socproj.lsmc import (
@@ -235,6 +236,35 @@ class TestBackwardSolver:
         # step 0's states all equal y0: one cell, whose count is L uncounted
         assert unweighted.count(True) == grid.N - 1
         assert unweighted.count(False) == 2 * grid.N
+
+    @pytest.mark.parametrize("kind", [VORONOI, HYPERCUBE])
+    def test_steps_reach_partition_and_regression_through_the_module(self, monkeypatch, kind):
+        # A tracer replaces lsmc.build_partition and lsmc.regress and reads
+        # each partition's assign; every step builds one partition through
+        # the module namespace, whose assign gives the cells the step uses,
+        # also on a second pass whose Voronoi steps keep their carried cells.
+        prob = example2(alpha=0.1)
+        grid, u, bw, ens = self._inputs(prob)
+        spec = BasisSpec(kind, 6)
+        calls = {"build_partition": 0, "regress": 0}
+        build, fit = lsmc.build_partition, lsmc.regress
+
+        def traced_build(samples, spec, cells, order, cuts):
+            calls["build_partition"] += 1
+            part = build(samples, spec, cells, order, cuts)
+            assert np.array_equal(part.assign(samples), cells)
+            return part
+
+        def traced_regress(*args):
+            calls["regress"] += 1
+            return fit(*args)
+
+        monkeypatch.setattr(lsmc, "build_partition", traced_build)
+        monkeypatch.setattr(lsmc, "regress", traced_regress)
+        cache = PartitionCache(*bw.increments.shape, spec.K)
+        for _ in range(2):
+            solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, cache)
+        assert calls == {"build_partition": 2 * grid.N, "regress": 4 * grid.N}
 
     def test_cache_of_another_size_is_rejected(self):
         prob = example2(alpha=0.1)

@@ -69,6 +69,9 @@ class TestSortedPartitionMatchesQuantileOracle:
     )
     # centers 0 and 0.5; the lone 0.25 sits on their boundary, in cell 0
     @example(samples=np.repeat([0.0, 0.25, 0.5], [10, 1, 10]), kind=VORONOI, K=2)
+    # quantiles -0.0, 0.0, 0.0 and 1: not strictly increasing, so np.unique
+    # merges the tied centers, -0.0 with 0.0
+    @example(samples=np.repeat([-0.0, 0.0, 1.0], 5), kind=VORONOI, K=4)
     def test_fields_and_cells_bitwise(self, samples, kind, K):
         spec = BasisSpec(kind, K)
         ref = reference_build_partition(samples, spec)
