@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .gridfn import TimeGrid, constant_control, l2_dist, nodal_sample
-from .lsmc import HYPERCUBE, VORONOI, BasisSpec
+from .lsmc import HYPERCUBE, VORONOI, BasisSpec, Workspace
 from .optimizer import RHO_CONSTANT, SolveConfig, SolveResult, solve
 from .paths import derive_seed
 from .problems import (
@@ -339,6 +339,8 @@ def run_sweep(
         for k in range(len(components))
     ]
 
+    # every solve writes into one workspace, sized for the largest N
+    workspace = Workspace(cfg.L, max(cfg.N_list), cfg.basis_K, cfg.basis_kind)
     for N in cfg.N_list:
         # seed of the solve at N; component k of a vector problem derives its own
         seed_n = derive_seed(cfg.seed, N)
@@ -346,7 +348,7 @@ def run_sweep(
             seed = derive_seed(seed_n, k) if vector else seed_n
             u0 = constant_control(TimeGrid(comp.T, N), cfg.u0)
             try:
-                res = solve(comp, cfg.solve_config(seed), u0)
+                res = solve(comp, cfg.solve_config(seed), u0, workspace)
             except Exception as exc:  # hard failure: record, keep sweeping
                 report.rows.append(RunRow(N=N, failure=f"{type(exc).__name__}: {exc}"))
                 continue

@@ -27,8 +27,10 @@ The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
 p_{n+1} + f(t_n, y_n, p_{n+1}, Q_n(y_n), u_n) dt, where p_{n+1} are the
 step-(n+1) fitted values (terminal values are the raw g(y_N)).  A step with
-b_y = +0.0 leaves the signed zero p_{n+1} b_y out of f: a cell sum starts at
-+0.0 and ignores the sign of a zero, so every fit stays the same.
+b_y = 0.0, of either sign, leaves the signed zero p_{n+1} b_y out of f: a
+cell sum starts at +0.0 and ignores the sign of a zero, so every fit stays
+the same.  A ``Workspace`` holds the arrays a pass writes, so the passes of
+one solve shape allocate no ensemble.
 
 The driver is multiplier-free: the multiplier enters the adjoint only through
 the shift identity P = P_hat + mu*psi, Q = Q_hat.
@@ -38,13 +40,14 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid
-from .paths import BrownianEnsemble, PathEnsemble, SimulationError
+from .paths import BrownianEnsemble, PathEnsemble, SimulationError, _forward_terms
 from .problems import GridProblem, vanishes
 
 __all__ = [
@@ -54,6 +57,7 @@ __all__ = [
     "BsdeSolution",
     "Partition",
     "PartitionCache",
+    "Workspace",
     "build_partition",
     "regress",
     "solve_bsde_hat",
@@ -117,14 +121,85 @@ class PartitionCache:
     the sort order ``orders[:, n]``, the cells ``cells[:, n]`` and the rank
     cuts ``cuts[:, n]`` (at most K + 1 of them) of the step's last Voronoi
     partition.  All are column-major intp arrays; -1 in the first entry of an
-    order or cuts column means nothing is known yet.
+    order or cuts column means nothing is known yet.  A hypercube step
+    carries nothing, so a cache of kind ``HYPERCUBE`` has no ``orders`` and
+    one ``cells`` column, the scratch of every step; a ``VORONOI`` cache
+    serves both kinds.
     """
 
-    def __init__(self, L: int, N: int, K: int):
-        self.orders = np.empty((L, N), dtype=np.intp, order="F")
-        self.orders[0] = -1
-        self.cells = np.empty((L, N), dtype=np.intp, order="F")
-        self.cuts = np.full((K + 1, N), -1, dtype=np.intp, order="F")
+    def __init__(self, L: int, N: int, K: int, kind: str = VORONOI):
+        voronoi = kind == VORONOI
+        self.orders = np.empty((L, N), dtype=np.intp, order="F") if voronoi else None
+        self.cells = np.empty((L, N if voronoi else 1), dtype=np.intp, order="F")
+        self.cuts = np.empty((K + 1, N), dtype=np.intp, order="F")
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every carried order and cut (the cold sentinel)."""
+        self.cuts[0] = -1
+        if self.orders is not None:
+            self.orders[0] = -1
+
+    def column(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Step n's (cells, order, cuts) for ``build_partition``; a hypercube
+        step ignores the order, so the scratch cells column stands in."""
+        if self.orders is None:
+            cells = self.cells[:, 0]
+            return cells, cells, self.cuts[:, n]
+        return self.cells[:, n], self.orders[:, n], self.cuts[:, n]
+
+
+class Workspace(PartitionCache):
+    """A ``PartitionCache`` that also holds the arrays the passes of a solve
+    write, allocated once for L paths, up to N steps and K cells: one forward
+    ``states`` array (the states under u are dead once the gradient is
+    taken, so the pass under u_half overwrites them), ``p_hat`` and
+    ``q_hat`` (all zeros while no Q-regression writes it), the backward
+    scratch columns ``f`` and ``target``, the ``noise`` sigma dW of a
+    ``problems.constant`` sigma, and the per-solve terms of both passes.
+
+    The passes ``bind`` it to their (problem, ensemble) pair on n <= N steps,
+    and use the leading columns of each array.  Binding to a new pair resets
+    the partition sentinels and recomputes the terms, so a used workspace
+    gives what a fresh one gives, bit for bit.  A pass returns read-only
+    views of its arrays, overwritten by the next pass: copy what you keep.
+    """
+
+    def __init__(self, L: int, N: int, K: int, kind: str = VORONOI):
+        super().__init__(L, N, K, kind)
+        self.states = np.empty((L, N + 1), order="F")
+        self.p_hat = np.empty((L, N + 1), order="F")
+        self.q_hat = np.zeros((L, N), order="F")
+        self.noise = np.empty((L, N), order="F")
+        self.f, self.target = np.empty(L), np.empty(L)
+        self.forward = self.backward = self._bound = None
+        self._full = (self.orders, self.cells, self.cuts, self.noise, self.q_hat,
+                      self.states, self.p_hat)
+
+    def bind(self, problem: GridProblem, bw: BrownianEnsemble) -> None:
+        """Serve the passes of ``problem`` on ``bw``; a no-op when it already
+        does.  Weak references name the pair, so a workspace keeps no
+        finished solve's ensemble alive."""
+        bound = self._bound
+        if bound is not None and bound[0]() is problem and bound[1]() is bw:
+            return
+        orders, cells, cuts, noise, q_hat, states, p_hat = self._full
+        n = bw.grid.N
+        if bw.L != len(states) or n >= states.shape[1] or problem.grid != bw.grid:
+            raise ValueError(f"workspace holds {len(states)} paths of up to "
+                             f"{states.shape[1] - 1} steps")
+        self._bound = None
+        backward = _backward_terms(problem)
+        if self.backward is not None and self.backward[1] and not backward[1]:
+            q_hat.fill(0.0)  # the last solve's Q-regression wrote it
+        self.orders = None if orders is None else orders[:, :n]
+        self.cells, self.cuts = cells[:, :n], cuts[:, :n]
+        self.noise, self.q_hat = noise[:, :n], q_hat[:, :n]
+        self.states, self.p_hat = states[:, : n + 1], p_hat[:, : n + 1]
+        self.reset()
+        self.forward = _forward_terms(problem, bw, self.noise)
+        self.backward = backward
+        self._bound = (weakref.ref(problem), weakref.ref(bw))
 
 
 def _quantile_plan(n: int, q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -269,12 +344,27 @@ def regress(
 class BsdeSolution:
     """Regressed adjoint values on each path: p_hat is (L, N+1) with the raw
     terminal column, q_hat is (L, N), both column-major like the ensembles,
-    so step n's values are the contiguous column [:, n].  q_hat is all zeros
-    when the Q-regression was skipped (sigma_y and sigma_u both ``ZERO``)."""
+    so step n's values are the contiguous column [:, n], and read-only.
+    q_hat is all zeros when the Q-regression was skipped (sigma_y and sigma_u
+    both ``ZERO``)."""
 
     grid: TimeGrid
     p_hat: np.ndarray
     q_hat: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.p_hat.setflags(write=False)
+        self.q_hat.setflags(write=False)
+
+
+def _backward_terms(problem: GridProblem) -> tuple:
+    """What every backward pass of ``problem`` reads, whatever the control:
+    whether sigma_y is live, whether any Q-regression is, and the nodes and
+    b_y as lists."""
+    diff = problem.spec.diffusion
+    sigma_y_live = not vanishes(diff.sigma_y)
+    q_live = sigma_y_live or not vanishes(diff.sigma_u)
+    return sigma_y_live, q_live, problem.grid.nodes.tolist(), problem.b_y.tolist()
 
 
 def solve_bsde_hat(
@@ -291,12 +381,15 @@ def solve_bsde_hat(
     A sigma_y that ``problems.vanishes`` drops the q-term of f_hat; with
     sigma_u vanishing too, no Q-regression runs and q_hat is all zeros.  Only
     the ``ZERO`` sentinel counts: any other callback keeps the full path.
+    A step with b_y[n] = 0.0 of either sign drops the signed zero p b_y[n]
+    (see the module docstring).
 
-    Step n hands column n of each ``cache`` array to ``build_partition``.
-    The cache is a fresh ``PartitionCache(L, N, spec.K)`` or what earlier
-    calls on it left there, and callers never edit it.  A non-finite target
-    spreads through p_{n+1} to every earlier fit, so one check after the pass
-    finds it, and the highest non-finite fit names it.
+    Step n hands ``cache.column(n)`` to ``build_partition``.  The cache is a
+    fresh ``PartitionCache(L, N, spec.K, spec.kind)`` or what earlier calls
+    on it left there, and callers never edit it.  A ``Workspace`` cache also
+    holds p_hat and q_hat, which its next pass overwrites.
+    A non-finite target spreads through p_{n+1} to every earlier fit, so one
+    check after the pass finds it, and the highest non-finite fit names it.
     """
     if not (paths.grid == bw.grid == control.grid == problem.grid):
         raise ValueError("paths, increments, control and problem must share one grid")
@@ -304,38 +397,39 @@ def solve_bsde_hat(
         raise ValueError("paths and increments must share the path count")
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
-    if cache.cells.shape != (L, N) or len(cache.cuts) != spec.K + 1:
-        raise ValueError(f"cache must be a PartitionCache({L}, {N}, {spec.K})")
+    workspace = isinstance(cache, Workspace)
+    if workspace:
+        cache.bind(problem, bw)
+    if (
+        len(cache.cells) != L
+        or cache.cuts.shape != (spec.K + 1, N)
+        or (spec.kind == VORONOI and cache.orders is None)
+    ):
+        raise ValueError(f"cache must be a PartitionCache({L}, {N}, {spec.K}, {spec.kind!r})")
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
-
-    sigma_y_live = not vanishes(diff.sigma_y)
-    q_live = sigma_y_live or not vanishes(diff.sigma_u)
-    nodes, u_values, b_y = grid.nodes.tolist(), control.values.tolist(), problem.b_y.tolist()
-    # With b_y[n] = +0.0 the term p b_y[n] of f_hat is a signed zero, and so
-    # is all it changes downstream: a cell sum, which starts at +0.0, ignores
-    # the sign of a zero, so such a step drops the term.  -0.0 keeps it, as
-    # in ``paths.euler_simulate``.
-    p_term = ((problem.b_y != 0.0) | np.signbit(problem.b_y)).tolist()
-
-    p = np.empty((L, N + 1), order="F")
-    q = np.empty((L, N), order="F") if q_live else np.zeros((L, N), order="F")
+    if workspace:
+        sigma_y_live, q_live, nodes, b_y = cache.backward
+        p, q, f, target = cache.p_hat, cache.q_hat, cache.f, cache.target
+    else:
+        sigma_y_live, q_live, nodes, b_y = _backward_terms(problem)
+        p = np.empty((L, N + 1), order="F")
+        q = np.empty((L, N), order="F") if q_live else np.zeros((L, N), order="F")
+        # Each step's generator and regression target, overwritten by the next step.
+        f, target = np.empty(L), np.empty(L)
+    u_values = control.values.tolist()
     p[:, N] = costs.g(y[:, N])
 
-    # Each step's generator and regression target, overwritten by the next step.
-    f, target = np.empty(L), np.empty(L)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N - 1, -1, -1):
             yn = y[:, n]
-            cells = cache.cells[:, n]
-            counts = build_partition(
-                yn, spec, cells, cache.orders[:, n], cache.cuts[:, n]
-            ).counts
+            cells, order, cuts = cache.column(n)
+            counts = build_partition(yn, spec, cells, order, cuts).counts
 
             p_next = p[:, n + 1]
             f_n = costs.h_y(nodes[n], yn)
-            if p_term[n]:
+            if b_y[n]:
                 np.multiply(p_next, b_y[n], out=f)
                 f_n = np.add(f_n, f, out=f)
             if q_live:
@@ -351,4 +445,4 @@ def solve_bsde_hat(
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]
         raise SimulationError(f"non-finite regression target at step {bad}")
-    return BsdeSolution(grid=grid, p_hat=p, q_hat=q)
+    return BsdeSolution(grid=grid, p_hat=p.view(), q_hat=q.view())

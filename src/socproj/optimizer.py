@@ -16,7 +16,9 @@ iterations, stops the solve with ``SimulationError("diverged at ...")``.
 
 The drift coefficients are sampled once per solve at the left nodes
 (``problems.discretize``), and the kernels psi and varphi_tilde, which depend
-only on them, are computed once before the loop.  The multiplier step
+only on them, are computed once before the loop.  Every pass writes into one
+``lsmc.Workspace``, and with mu = 0 step 1 of the next iteration is skipped:
+u equals u_half, whose states the workspace holds.  The multiplier step
 makes the freshly updated control's mean-state integral equal
 min(I_hat, delta) on the shared ensemble; with per-step-normalized increments
 this restoration is exact in floating point whenever sigma_y = 0.
@@ -27,12 +29,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .detode import _values, solve_kernels
 from .gridfn import StepFunction, linf_dist
-from .lsmc import BasisSpec, BsdeSolution, PartitionCache, solve_bsde_hat
+from .lsmc import BasisSpec, BsdeSolution, Workspace, solve_bsde_hat
 from .paths import (
     PathEnsemble,
     SimulationError,
@@ -184,9 +187,20 @@ def project_update(
     return StepFunction(grid, u_half.values - rho_i * mu * psi[:-1] * b_u)
 
 
-def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveResult:
+def solve(
+    problem: ProblemSpec,
+    config: SolveConfig,
+    u0: StepFunction,
+    workspace: Optional[Workspace] = None,
+) -> SolveResult:
     """Run the projection iteration from u0 until the sup-norm step change
-    falls below eps0 or max_iters is reached (reported, not raised)."""
+    falls below eps0 or max_iters is reached (reported, not raised).
+
+    Every pass writes into ``workspace``, a ``Workspace(L, N', K, kind)``
+    with N' >= N that earlier solves may have used (it is rebound, so the
+    result is the same bit for bit), or into a new one.  When mu = 0 the
+    updated control is u_half to the byte, so the next pass under it is
+    skipped: the workspace already holds its states."""
     grid = u0.grid
     start = time.perf_counter()
     bw = gen_brownian(config.seed, config.L, grid, normalize=config.normalize_increments)
@@ -194,28 +208,33 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
     kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
     setup_time = time.perf_counter() - start
-    cache = PartitionCache(config.L, grid.N, config.basis.K)
+    basis = config.basis
+    ws = Workspace(config.L, grid.N, basis.K, basis.kind) if workspace is None else workspace
 
     u = u0
     mu = 0.0
     history: list[IterationState] = []
     converged = False
     iterations = grew = 0
+    ens = None  # the states under u, when the workspace still holds them
     for i in range(1, config.max_iters + 1):
         iterations = i
         rho_i = config.rho_at(i)
-        ens = euler_simulate(gp, u, bw)
-        adj = solve_bsde_hat(ens, bw, gp, u, config.basis, cache)
+        if ens is None:
+            ens = euler_simulate(gp, u, bw, ws)
+        adj = solve_bsde_hat(ens, bw, gp, u, basis, ws)
         grad = gradient(u, ens, adj, gp)
         u_half = StepFunction(grid, u.values - rho_i * grad.values)
         if not np.isfinite(u_half.values).all():
             raise SimulationError(f"diverged at iteration {i}: non-finite control")
-        ens_half = euler_simulate(gp, u_half, bw)
-        I_hat = mean_state_integral(ens_half)
+        ens = euler_simulate(gp, u_half, bw, ws)
+        I_hat = mean_state_integral(ens)
         mu = compute_multiplier(I_hat, problem.delta, I_tilde, rho_i)
         u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho_i)
         if not np.isfinite(u_new.values).all():
             raise SimulationError(f"diverged at iteration {i}: non-finite control")
+        if u_new.values.tobytes() != u_half.values.tobytes():
+            ens = None
         error = linf_dist(u_new, u)
         grew = grew + 1 if history and error > history[-1].error else 0
         if grew == DIVERGENCE_STREAK:
@@ -229,7 +248,9 @@ def solve(problem: ProblemSpec, config: SolveConfig, u0: StepFunction) -> SolveR
             converged = True
             break
 
-    state_integral = mean_state_integral(euler_simulate(gp, u, bw))
+    if ens is None:
+        ens = euler_simulate(gp, u, bw, ws)
+    state_integral = mean_state_integral(ens)
     return SolveResult(
         u_final=u,
         mu_final=mu,

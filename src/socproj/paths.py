@@ -13,7 +13,9 @@ on the state; it can be disabled per ensemble.
 One ensemble is generated per solve and reused for every iteration, so
 control perturbations propagate through identical noise (common random
 numbers).  Each Euler pass checks its states for finiteness once, at its end.
-A step whose b_y is +0.0 adds its drift to every path as one scalar.
+A step whose b_y is +0.0 adds its drift to every path as one scalar, and a
+constant diffusion adds its column of sigma dW, an array filled once per
+solve.
 
 Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
@@ -25,11 +27,15 @@ A mean across paths is ``.mean(axis=0)``, a pairwise sum down each column.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid, trapezoid
-from .problems import GridProblem
+from .problems import GridProblem, constant_value
+
+if TYPE_CHECKING:
+    from .lsmc import Workspace
 
 __all__ = [
     "BrownianEnsemble",
@@ -126,8 +132,30 @@ def gen_brownian(
     return BrownianEnsemble(grid=grid, increments=dw)
 
 
+def _forward_terms(
+    problem: GridProblem, bw: BrownianEnsemble, noise: Optional[np.ndarray] = None
+) -> tuple:
+    """What every Euler pass of ``problem`` on ``bw`` reads, whatever the
+    control: b_y, b_u and m as lists, whether each step's b_y is +0.0, and,
+    for a ``constant`` sigma, the noise term sigma dW as one array (written
+    into ``noise``, (L, N) column-major, when one is given; else None).
+    """
+    by = problem.b_y
+    scalar_drift = ((by == 0.0) & ~np.signbit(by)).tolist()
+    value = constant_value(problem.spec.diffusion.sigma)
+    if value is not None:
+        with np.errstate(over="ignore"):
+            noise = np.multiply(value, bw.increments, out=noise)
+    else:
+        noise = None
+    return by.tolist(), problem.b_u.tolist(), problem.m.tolist(), scalar_drift, noise
+
+
 def euler_simulate(
-    problem: GridProblem, control: StepFunction, bw: BrownianEnsemble
+    problem: GridProblem,
+    control: StepFunction,
+    bw: BrownianEnsemble,
+    workspace: Optional[Workspace] = None,
 ) -> PathEnsemble:
     """Forward Euler of the controlled state, path-parallel over the ensemble.
 
@@ -138,23 +166,32 @@ def euler_simulate(
     adds the one scalar (b_u[n] u_n + m[n]) dt to y_n: the term it drops,
     b_y[n] y_n, is then a signed zero that changes no finite sum (with
     b_y[n] = -0.0 it can flip the sign of a zero state, so such a step keeps
-    the full formula).  Each step adds y_n, so a state stays non-finite once
-    it is: the last column is the pass's one check.
+    the full formula).  A ``problems.constant`` sigma is never called: each
+    step adds its column of the noise array sigma dW, the same product.  Each
+    step adds y_n, so a state stays non-finite once it is: the last column is
+    the pass's one check.
+
+    Given an ``lsmc.Workspace``, the pass writes into its state array and
+    reads its per-solve terms, so the returned states are overwritten by the
+    next pass through it; without one it allocates a fresh array.
     """
     if not (problem.grid == control.grid == bw.grid):
         raise ValueError("problem, control and increments live on different grids")
     grid = bw.grid
     dt = grid.dt
-    by, bu, m = problem.b_y, problem.b_u, problem.m
-    sigma = problem.spec.diffusion.sigma
-    scalar_drift = (by == 0.0) & ~np.signbit(by)
+    if workspace is None:
+        states = np.empty((bw.L, grid.N + 1), order="F")
+        by, bu, m, scalar_drift, noise = _forward_terms(problem, bw)
+    else:
+        workspace.bind(problem, bw)
+        states = workspace.states
+        by, bu, m, scalar_drift, noise = workspace.forward
+    sigma, dw = problem.spec.diffusion.sigma, bw.increments
 
-    states = np.empty((bw.L, grid.N + 1), order="F")
     states[:, 0] = problem.spec.y0
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(grid.N):
+        for n, u in enumerate(control.values.tolist()):
             y, out = states[:, n], states[:, n + 1]
-            u = float(control.values[n])
             if scalar_drift[n]:
                 np.add(y, (bu[n] * u + m[n]) * dt, out=out)
             else:
@@ -163,11 +200,14 @@ def euler_simulate(
                 out += m[n]
                 out *= dt
                 np.add(y, out, out=out)
-            out += sigma(y, u) * bw.increments[:, n]
+            if noise is not None:
+                out += noise[:, n]
+            else:
+                out += sigma(y, u) * dw[:, n]
     if not np.isfinite(states[:, -1]).all():
         bad = 1 + np.argmin(np.isfinite(states[:, 1:]).all(axis=0))
         raise SimulationError(f"non-finite state at step {bad}")
-    return PathEnsemble(grid=grid, states=states)
+    return PathEnsemble(grid=grid, states=states.view())
 
 
 def mean_state_integral(paths: PathEnsemble) -> float:

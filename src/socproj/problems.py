@@ -14,6 +14,9 @@ Function-field conventions:
     and the solver skips the adjoint work it would only multiply by zero
     (``vanishes``); any other callback, even one that returns zeros, keeps
     the full path;
+  * ``constant(c)`` as sigma declares a constant diffusion, and the solver
+    takes the noise term c dW from one array filled once per solve
+    (``constant_value``) instead of calling sigma on every step;
   * the tracking target may depend on time, so h_y has signature h_y(t, y).
 
 Three built-in benchmark problems are provided under the identifiers
@@ -47,6 +50,8 @@ __all__ = [
     "LinearDrift",
     "ProblemSpec",
     "VectorProblem",
+    "constant",
+    "constant_value",
     "discretize",
     "example1",
     "example2",
@@ -86,7 +91,8 @@ class Diffusion:
     itself (or a ``functools.wraps`` wrapper of it); the solver then skips
     the products with it, and with both derivatives ``ZERO`` it skips the
     Q-regression.  A custom callback, even one that returns zeros, keeps
-    the full path.
+    the full path.  Likewise a ``constant(c)`` sigma is never called per
+    step: its noise term c dW is one array per solve.
     """
 
     sigma: StateFn
@@ -170,6 +176,29 @@ def vanishes(fn: StateFn) -> bool:
     return inspect.unwrap(fn) is ZERO
 
 
+class _Constant:
+    """A state function equal to one value everywhere (see ``constant``)."""
+
+    def __init__(self, value: float):
+        self.value = float(value)
+
+    def __call__(self, y: np.ndarray, u: float) -> np.ndarray:
+        return np.full_like(y, self.value, dtype=float)
+
+
+def constant(value: float) -> StateFn:
+    """The state function equal to ``value`` everywhere, recognized by
+    ``constant_value``: as ``Diffusion.sigma`` it is never called per step."""
+    return _Constant(value)
+
+
+def constant_value(fn: StateFn) -> Optional[float]:
+    """The value of a ``constant`` state function, seen through
+    ``functools.wraps`` wrappers; None for any other callable."""
+    fn = inspect.unwrap(fn)
+    return fn.value if isinstance(fn, _Constant) else None
+
+
 def _zero_terminal(y: np.ndarray) -> np.ndarray:
     return np.zeros_like(y, dtype=float)
 
@@ -210,7 +239,7 @@ def example1(d: int, mu: float, alpha: float, T: float = 1.0) -> VectorProblem:
                     m=lambda t: 0.0,
                 ),
                 diffusion=Diffusion(
-                    sigma=lambda y, u, _a=alpha: np.full_like(y, _a, dtype=float),
+                    sigma=constant(alpha),
                     sigma_y=ZERO,
                     sigma_u=ZERO,
                 ),

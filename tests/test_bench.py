@@ -865,10 +865,10 @@ class TestRunSingleAndCli:
         )
         real_solve = bench.solve
 
-        def solve(problem, config, u0):
+        def solve(problem, config, u0, workspace):
             if problem.name == "example1[2]":
                 raise SimulationError("boom")
-            return real_solve(problem, config, u0)
+            return real_solve(problem, config, u0, workspace)
 
         monkeypatch.setattr(bench, "solve", solve)
         for flags, code in (([], 0), (["--strict"], 1)):

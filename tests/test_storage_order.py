@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from socproj.gridfn import TimeGrid, nodal_sample
-from socproj.lsmc import VORONOI, BasisSpec, PartitionCache, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, PartitionCache, Workspace, solve_bsde_hat
 from socproj.optimizer import gradient
 from socproj.paths import (
     BrownianEnsemble,
@@ -91,4 +91,25 @@ def test_path_means_copy_no_ensemble(stages, stage):
         "mean_state_integral": lambda: mean_state_integral(ens),
         "gradient": lambda: gradient(u, ens, hat, gp),
     }
+    assert _peak_bytes(calls[stage]) < ens.states.nbytes / 4
+
+
+@pytest.mark.parametrize("stage", ["euler_simulate", "solve_bsde_hat"])
+def test_warm_passes_through_a_workspace_allocate_no_ensemble(stage):
+    """A pass through a bound workspace writes into its arrays: after a first
+    pass has bound it, the peak traced allocation of another stays far below
+    one (L, N+1) state array (1.31 MB here).  What remains are per-step
+    columns, most of them the problem's own callbacks' temporaries."""
+    grid = TimeGrid(1.0, 40)
+    gp = discretize(time_varying_problem(), grid)
+    u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
+    bw = gen_brownian(5, 4000, grid)
+    spec = BasisSpec(VORONOI, 8)
+    ws = Workspace(bw.L, grid.N, spec.K)
+    ens = euler_simulate(gp, u, bw)
+    calls = {
+        "euler_simulate": lambda: euler_simulate(gp, u, bw, ws),
+        "solve_bsde_hat": lambda: solve_bsde_hat(ens, bw, gp, u, spec, ws),
+    }
+    calls[stage]()
     assert _peak_bytes(calls[stage]) < ens.states.nbytes / 4
