@@ -14,7 +14,7 @@ unique centers, so only tied ones go through ``np.unique``.  Every sample's
 cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
 per step, with the per-cell counts, and ``regress`` takes both for the P- and
-the Q-regression of that step.  A ``PartitionCache`` carries each step's sort
+the Q-regression of that step.  A ``Workspace`` carries each step's sort
 order, cells and rank cuts from one backward pass to the next on the same
 ensemble.  The carried order still sorts samples that kept their ranks (every
 warm step of example1); else a stable argsort of the gathered column
@@ -55,11 +55,7 @@ __all__ = [
     "VORONOI",
     "BasisSpec",
     "BsdeSolution",
-    "Partition",
-    "PartitionCache",
     "Workspace",
-    "build_partition",
-    "regress",
     "solve_bsde_hat",
 ]
 
@@ -116,64 +112,42 @@ class Partition:
         return out
 
 
-class PartitionCache:
-    """What one solve's backward passes carry from pass to pass, per step n:
-    the sort order ``orders[:, n]``, the cells ``cells[:, n]`` and the rank
-    cuts ``cuts[:, n]`` (at most K + 1 of them) of the step's last Voronoi
-    partition.  All are column-major intp arrays; -1 in the first entry of an
+class Workspace:
+    """The arrays the passes of a solve write, allocated once for L paths, up
+    to N steps and K cells: one forward ``states`` array (the states under u
+    are dead once the gradient is taken, so the pass under u_half overwrites
+    them), ``p_hat`` and ``q_hat`` (all zeros while no Q-regression writes
+    it), the backward scratch columns ``f`` and ``target``, the ``noise``
+    sigma dW of a ``problems.constant`` sigma, and the per-solve terms of
+    both passes.
+
+    It also carries, per step n, the sort order, cells and rank cuts (at
+    most K + 1) of the step's last Voronoi partition from one backward pass
+    to the next, as column-major intp arrays; -1 in the first entry of an
     order or cuts column means nothing is known yet.  A hypercube step
-    carries nothing, so a cache of kind ``HYPERCUBE`` has no ``orders`` and
-    one ``cells`` column, the scratch of every step; a ``VORONOI`` cache
+    carries nothing, so a workspace of kind ``HYPERCUBE`` has no orders and
+    one cells column, the scratch of every step; a ``VORONOI`` workspace
     serves both kinds.
-    """
-
-    def __init__(self, L: int, N: int, K: int, kind: str = VORONOI):
-        voronoi = kind == VORONOI
-        self.orders = np.empty((L, N), dtype=np.intp, order="F") if voronoi else None
-        self.cells = np.empty((L, N if voronoi else 1), dtype=np.intp, order="F")
-        self.cuts = np.empty((K + 1, N), dtype=np.intp, order="F")
-        self.reset()
-
-    def reset(self) -> None:
-        """Forget every carried order and cut (the cold sentinel)."""
-        self.cuts[0] = -1
-        if self.orders is not None:
-            self.orders[0] = -1
-
-    def column(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step n's (cells, order, cuts) for ``build_partition``; a hypercube
-        step ignores the order, so the scratch cells column stands in."""
-        if self.orders is None:
-            cells = self.cells[:, 0]
-            return cells, cells, self.cuts[:, n]
-        return self.cells[:, n], self.orders[:, n], self.cuts[:, n]
-
-
-class Workspace(PartitionCache):
-    """A ``PartitionCache`` that also holds the arrays the passes of a solve
-    write, allocated once for L paths, up to N steps and K cells: one forward
-    ``states`` array (the states under u are dead once the gradient is
-    taken, so the pass under u_half overwrites them), ``p_hat`` and
-    ``q_hat`` (all zeros while no Q-regression writes it), the backward
-    scratch columns ``f`` and ``target``, the ``noise`` sigma dW of a
-    ``problems.constant`` sigma, and the per-solve terms of both passes.
 
     The passes ``bind`` it to their (problem, ensemble) pair on n <= N steps,
     and use the leading columns of each array.  Binding to a new pair resets
-    the partition sentinels and recomputes the terms, so a used workspace
+    the carried partitions and recomputes the terms, so a used workspace
     gives what a fresh one gives, bit for bit.  A pass returns read-only
     views of its arrays, overwritten by the next pass: copy what you keep.
     """
 
     def __init__(self, L: int, N: int, K: int, kind: str = VORONOI):
-        super().__init__(L, N, K, kind)
+        voronoi = kind == VORONOI
+        self._orders = np.empty((L, N), dtype=np.intp, order="F") if voronoi else None
+        self._cells = np.empty((L, N if voronoi else 1), dtype=np.intp, order="F")
+        self._cuts = np.empty((K + 1, N), dtype=np.intp, order="F")
         self.states = np.empty((L, N + 1), order="F")
         self.p_hat = np.empty((L, N + 1), order="F")
         self.q_hat = np.zeros((L, N), order="F")
         self.noise = np.empty((L, N), order="F")
         self.f, self.target = np.empty(L), np.empty(L)
         self.forward = self.backward = self._bound = None
-        self._full = (self.orders, self.cells, self.cuts, self.noise, self.q_hat,
+        self._full = (self._orders, self._cells, self._cuts, self.noise, self.q_hat,
                       self.states, self.p_hat)
 
     def bind(self, problem: GridProblem, bw: BrownianEnsemble) -> None:
@@ -192,11 +166,13 @@ class Workspace(PartitionCache):
         backward = _backward_terms(problem)
         if self.backward is not None and self.backward[1] and not backward[1]:
             q_hat.fill(0.0)  # the last solve's Q-regression wrote it
-        self.orders = None if orders is None else orders[:, :n]
-        self.cells, self.cuts = cells[:, :n], cuts[:, :n]
+        self._orders = None if orders is None else orders[:, :n]
+        self._cells, self._cuts = cells[:, :n], cuts[:, :n]
         self.noise, self.q_hat = noise[:, :n], q_hat[:, :n]
         self.states, self.p_hat = states[:, : n + 1], p_hat[:, : n + 1]
-        self.reset()
+        self._cuts[0] = -1  # the cold sentinels
+        if orders is not None:
+            self._orders[0] = -1
         self.forward = _forward_terms(problem, bw, self.noise)
         self.backward = backward
         self._bound = (weakref.ref(problem), weakref.ref(bw))
@@ -264,7 +240,7 @@ def build_partition(
     and marks ``cuts`` unknown.  Each of the three holds either the cold
     sentinel (-1 first in ``order`` and ``cuts``) or what an earlier call on
     the same three left there, and callers never edit them: unchecked, as a
-    check would cost what the cache saves.  When the carried order still
+    check would cost what the carry saves.  When the carried order still
     sorts the samples and the cuts come out as carried, ``cells`` already
     holds the step's cells and is left as it is.
     """
@@ -373,7 +349,7 @@ def solve_bsde_hat(
     problem: GridProblem,
     control: StepFunction,
     spec: BasisSpec,
-    cache: PartitionCache,
+    workspace: Optional[Workspace] = None,
 ) -> BsdeSolution:
     """Backward LSMC with the multiplier-free driver
     f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u).
@@ -384,10 +360,10 @@ def solve_bsde_hat(
     A step with b_y[n] = 0.0 of either sign drops the signed zero p b_y[n]
     (see the module docstring).
 
-    Step n hands ``cache.column(n)`` to ``build_partition``.  The cache is a
-    fresh ``PartitionCache(L, N, spec.K, spec.kind)`` or what earlier calls
-    on it left there, and callers never edit it.  A ``Workspace`` cache also
-    holds p_hat and q_hat, which its next pass overwrites.
+    The pass writes p_hat and q_hat into ``workspace``, which its next pass
+    overwrites, and reuses the partitions that earlier passes on the same
+    (problem, ensemble) pair carried there; without one it runs in a fresh
+    ``Workspace(L, N, spec.K, spec.kind)``.
     A non-finite target spreads through p_{n+1} to every earlier fit, so one
     check after the pass finds it, and the highest non-finite fit names it.
     """
@@ -397,35 +373,27 @@ def solve_bsde_hat(
         raise ValueError("paths and increments must share the path count")
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
-    workspace = isinstance(cache, Workspace)
-    if workspace:
-        cache.bind(problem, bw)
-    if (
-        len(cache.cells) != L
-        or cache.cuts.shape != (spec.K + 1, N)
-        or (spec.kind == VORONOI and cache.orders is None)
-    ):
-        raise ValueError(f"cache must be a PartitionCache({L}, {N}, {spec.K}, {spec.kind!r})")
+    if workspace is None:
+        workspace = Workspace(L, N, spec.K, spec.kind)
+    workspace.bind(problem, bw)
+    orders, cells, cuts = workspace._orders, workspace._cells, workspace._cuts
+    if len(cuts) != spec.K + 1 or (spec.kind == VORONOI and orders is None):
+        raise ValueError(f"workspace must be a Workspace({L}, {N}, {spec.K}, {spec.kind!r})")
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
-    if workspace:
-        sigma_y_live, q_live, nodes, b_y = cache.backward
-        p, q, f, target = cache.p_hat, cache.q_hat, cache.f, cache.target
-    else:
-        sigma_y_live, q_live, nodes, b_y = _backward_terms(problem)
-        p = np.empty((L, N + 1), order="F")
-        q = np.empty((L, N), order="F") if q_live else np.zeros((L, N), order="F")
-        # Each step's generator and regression target, overwritten by the next step.
-        f, target = np.empty(L), np.empty(L)
+    sigma_y_live, q_live, nodes, b_y = workspace.backward
+    p, q, f, target = workspace.p_hat, workspace.q_hat, workspace.f, workspace.target
     u_values = control.values.tolist()
     p[:, N] = costs.g(y[:, N])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N - 1, -1, -1):
             yn = y[:, n]
-            cells, order, cuts = cache.column(n)
-            counts = build_partition(yn, spec, cells, order, cuts).counts
+            # a hypercube workspace's one cells column stands in for the order
+            cells_n = cells[:, 0 if orders is None else n]
+            order = cells_n if orders is None else orders[:, n]
+            counts = build_partition(yn, spec, cells_n, order, cuts[:, n]).counts
 
             p_next = p[:, n + 1]
             f_n = costs.h_y(nodes[n], yn)
@@ -435,12 +403,12 @@ def solve_bsde_hat(
             if q_live:
                 np.multiply(dw[:, n], p_next, out=target)
                 target /= dt
-                regress(cells, target, counts, q[:, n])
+                regress(cells_n, target, counts, q[:, n])
                 if sigma_y_live:
                     f_n = np.add(f_n, q[:, n] * diff.sigma_y(yn, u_values[n]), out=f)
             np.multiply(f_n, dt, out=f)
             np.add(p_next, f, out=target)
-            regress(cells, target, counts, p[:, n])
+            regress(cells_n, target, counts, p[:, n])
 
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]

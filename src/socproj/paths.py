@@ -132,13 +132,11 @@ def gen_brownian(
     return BrownianEnsemble(grid=grid, increments=dw)
 
 
-def _forward_terms(
-    problem: GridProblem, bw: BrownianEnsemble, noise: Optional[np.ndarray] = None
-) -> tuple:
+def _forward_terms(problem: GridProblem, bw: BrownianEnsemble, noise: np.ndarray) -> tuple:
     """What every Euler pass of ``problem`` on ``bw`` reads, whatever the
     control: b_y, b_u and m as lists, whether each step's b_y is +0.0, and,
-    for a ``constant`` sigma, the noise term sigma dW as one array (written
-    into ``noise``, (L, N) column-major, when one is given; else None).
+    for a ``constant`` sigma, the noise term sigma dW written into ``noise``
+    ((L, N) column-major; else None).
     """
     by = problem.b_y
     scalar_drift = ((by == 0.0) & ~np.signbit(by)).tolist()
@@ -171,21 +169,20 @@ def euler_simulate(
     step adds y_n, so a state stays non-finite once it is: the last column is
     the pass's one check.
 
-    Given an ``lsmc.Workspace``, the pass writes into its state array and
-    reads its per-solve terms, so the returned states are overwritten by the
-    next pass through it; without one it allocates a fresh array.
+    The pass writes into the state array of ``workspace`` and reads its
+    per-solve terms, so the returned states are overwritten by the next pass
+    through it; without one it runs in a fresh ``lsmc.Workspace``.
     """
     if not (problem.grid == control.grid == bw.grid):
         raise ValueError("problem, control and increments live on different grids")
     grid = bw.grid
     dt = grid.dt
     if workspace is None:
-        states = np.empty((bw.L, grid.N + 1), order="F")
-        by, bu, m, scalar_drift, noise = _forward_terms(problem, bw)
-    else:
-        workspace.bind(problem, bw)
-        states = workspace.states
-        by, bu, m, scalar_drift, noise = workspace.forward
+        from .lsmc import HYPERCUBE, Workspace  # lsmc imports this module
+        workspace = Workspace(bw.L, grid.N, 1, HYPERCUBE)
+    workspace.bind(problem, bw)
+    states = workspace.states
+    by, bu, m, scalar_drift, noise = workspace.forward
     sigma, dw = problem.spec.diffusion.sigma, bw.increments
 
     states[:, 0] = problem.spec.y0

@@ -51,7 +51,6 @@ __all__ = [
     "ProblemSpec",
     "VectorProblem",
     "constant",
-    "constant_value",
     "discretize",
     "example1",
     "example2",

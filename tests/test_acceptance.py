@@ -11,6 +11,7 @@ import pytest
 
 import socproj as sp
 from socproj.detode import solve_psi
+from socproj.lsmc import build_partition, regress
 from socproj.optimizer import gradient
 
 from tests.oracles import (
@@ -221,8 +222,7 @@ def test_criterion_5_shift_identity():
         ens = sp.euler_simulate(gp, u, bw)
         psi = solve_psi(grid, gp.b_y)
         basis = sp.BasisSpec("hypercube", 8)
-        cache = sp.PartitionCache(*bw.increments.shape, basis.K)
-        hat = sp.solve_bsde_hat(ens, bw, gp, u, basis, cache)
+        hat = sp.solve_bsde_hat(ens, bw, gp, u, basis)
         p, q = reference_backward(ens, bw, prob, u, basis, mu=0.7, psi=psi)
         worst_p = max(worst_p, float(np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :]))))
         worst_q = max(worst_q, float(np.max(np.abs(q - hat.q_hat))))
@@ -258,7 +258,6 @@ def _stationarity_residual(n: int, L: int) -> float:
     ens = sp.euler_simulate(gp, u_star, bw)
     adj = sp.solve_bsde_hat(
         ens, bw, gp, u_star, sp.BasisSpec("voronoi", 30),
-        sp.PartitionCache(*bw.increments.shape, 30),
     )
     grad = gradient(u_star, ens, adj, gp)
     # the optimality residual uses the closed-form kernel (b_y = 0 here)
@@ -289,8 +288,8 @@ def test_criterion_8_oracle_equivalences():
         cells = np.empty(100, dtype=np.intp)
         order = np.full(100, -1, dtype=np.intp)
         cuts = np.full(9, -1, dtype=np.intp)
-        part = sp.build_partition(x, sp.BasisSpec(kind, 8), cells, order, cuts)
-        coef, fitted = sp.regress(cells, z, part.counts, np.empty(100))
+        part = build_partition(x, sp.BasisSpec(kind, 8), cells, order, cuts)
+        coef, fitted = regress(cells, z, part.counts, np.empty(100))
         design = np.zeros((100, part.n_cells))
         design[np.arange(100), part.assign(x)] = 1.0
         dense, *_ = np.linalg.lstsq(design, z, rcond=None)

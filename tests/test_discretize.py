@@ -14,7 +14,7 @@ import pytest
 
 from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
-from socproj.lsmc import VORONOI, BasisSpec, PartitionCache, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
 from socproj.optimizer import SolveConfig, gradient, project_update, solve
 from socproj.paths import euler_simulate, gen_brownian
 from socproj.problems import LinearDrift, discretize, example1, example2, vanishes
@@ -117,7 +117,6 @@ def test_solver_stages_match_node_by_node_reference_bitwise(make):
 
     adj = solve_bsde_hat(
         ens, bw, gp, u, BasisSpec(VORONOI, 8),
-        PartitionCache(*bw.increments.shape, 8),
     )
     grad = gradient(u, ens, adj, gp)
     assert np.array_equal(grad.values, reference_gradient(u, ens, adj, prob))
@@ -195,9 +194,9 @@ def _example2_h_y_returns_its_states():
     ids=["example1-m0", "example2", "example2-h_y-identity"],
 )
 def test_backward_with_zero_b_y_matches_reference_bitwise(make, y0, noise, b_y):
-    # The generator drops p b_y on a step with b_y = +0.0 and keeps it with
-    # -0.0; the reference always adds it.  Both must give the reference's
-    # fits, sign bits included.
+    # The generator drops p b_y on a step with b_y = 0.0 of either sign; the
+    # reference always adds it.  Both must give the reference's fits, sign
+    # bits included.
     prob = make()
     prob = dataclasses.replace(
         prob, y0=y0, drift=dataclasses.replace(prob.drift, b_y=lambda t: b_y)
@@ -213,7 +212,7 @@ def test_backward_with_zero_b_y_matches_reference_bitwise(make, y0, noise, b_y):
     bw = gen_brownian(5, 300, grid)
     ens = euler_simulate(gp, u, bw)
     spec = BasisSpec(VORONOI, 8)
-    sol = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, 8))
+    sol = solve_bsde_hat(ens, bw, gp, u, spec)
     p, q = reference_backward(ens, bw, prob, u, spec)
     if vanishes(prob.diffusion.sigma_y) and vanishes(prob.diffusion.sigma_u):
         q = np.zeros_like(q)  # example1 runs no Q-regression
@@ -236,7 +235,6 @@ def test_gradient_q_term_matches_reference_bitwise():
     ens = euler_simulate(gp, u, bw)
     adj = solve_bsde_hat(
         ens, bw, gp, u, BasisSpec(VORONOI, 8),
-        PartitionCache(*bw.increments.shape, 8),
     )
     adj = dataclasses.replace(adj, p_hat=np.zeros_like(adj.p_hat))
     assert np.count_nonzero(adj.q_hat[:, : grid.N]) > 0

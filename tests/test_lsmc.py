@@ -13,7 +13,7 @@ from socproj.lsmc import (
     VORONOI,
     BasisSpec,
     Partition,
-    PartitionCache,
+    Workspace,
     build_partition,
     regress,
     solve_bsde_hat,
@@ -184,7 +184,6 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4),
-            PartitionCache(*bw.increments.shape, 4),
         )
         np.testing.assert_array_equal(sol.p_hat, 0.0)
         np.testing.assert_array_equal(sol.q_hat, 0.0)
@@ -195,7 +194,6 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob, n=10)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, BasisSpec(VORONOI, 6),
-            PartitionCache(*bw.increments.shape, 6),
         )
         expected = grid.T - grid.nodes
         np.testing.assert_allclose(sol.p_hat, np.broadcast_to(expected, sol.p_hat.shape), atol=1e-12)
@@ -206,7 +204,6 @@ class TestBackwardSolver:
         spec = BasisSpec(HYPERCUBE, 8)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, spec,
-            PartitionCache(*bw.increments.shape, spec.K),
         )
         for n in range(grid.N):
             part, cells = partition_and_cells(ens.states[:, n], spec)
@@ -231,7 +228,6 @@ class TestBackwardSolver:
         monkeypatch.setattr(np, "bincount", counting)
         solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, spec,
-            PartitionCache(*bw.increments.shape, spec.K),
         )
         # step 0's states all equal y0: one cell, whose count is L uncounted
         assert unweighted.count(True) == grid.N - 1
@@ -261,9 +257,9 @@ class TestBackwardSolver:
 
         monkeypatch.setattr(lsmc, "build_partition", traced_build)
         monkeypatch.setattr(lsmc, "regress", traced_regress)
-        cache = PartitionCache(*bw.increments.shape, spec.K)
+        ws = Workspace(*bw.increments.shape, spec.K)
         for _ in range(2):
-            solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, cache)
+            solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, ws)
         assert calls == {"build_partition": 2 * grid.N, "regress": 4 * grid.N}
 
     def test_cache_of_another_size_is_rejected(self):
@@ -271,16 +267,21 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob)
         spec = BasisSpec(VORONOI, 5)
         L, N = bw.increments.shape
-        for shape in ((L + 1, N, 5), (L, N + 1, 5), (L, N, 6)):
-            with pytest.raises(ValueError, match="cache must be a PartitionCache"):
-                solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, PartitionCache(*shape))
+        # another path count or fewer steps fail to bind (more steps serve
+        # the leading columns); another K fails the pass's own check
+        for shape, why in (
+            ((L + 1, N, 5), "workspace holds"),
+            ((L, N - 1, 5), "workspace holds"),
+            ((L, N, 6), "workspace must be a Workspace"),
+        ):
+            with pytest.raises(ValueError, match=why):
+                solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, Workspace(*shape))
 
     def test_terminal_column_is_raw_g(self):
         prob = example3(alpha=0.1)
         grid, u, bw, ens = self._inputs(prob)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, BasisSpec(HYPERCUBE, 4),
-            PartitionCache(*bw.increments.shape, 4),
         )
         np.testing.assert_array_equal(sol.p_hat[:, -1], prob.costs.g(ens.states[:, -1]))
 
@@ -290,7 +291,6 @@ class TestBackwardSolver:
         spec = BasisSpec(HYPERCUBE, 4)
         sol = solve_bsde_hat(
             ens, bw, discretize(prob, grid), u, spec,
-            PartitionCache(*bw.increments.shape, spec.K),
         )
         for n in range(grid.N):
             _, idx = partition_and_cells(ens.states[:, n], spec)
@@ -304,7 +304,6 @@ class TestBackwardSolver:
         psi = solve_psi(grid, gp.b_y)
         hat = solve_bsde_hat(
             ens, bw, gp, u, BasisSpec(VORONOI, 5),
-            PartitionCache(*bw.increments.shape, 5),
         )
         p, q = reference_backward(ens, bw, prob, u, BasisSpec(VORONOI, 5), 0.0, psi)
         np.testing.assert_array_equal(hat.p_hat, p)
@@ -320,7 +319,7 @@ class TestBackwardSolver:
         ens = euler_simulate(gp, u, bw)
         psi = solve_psi(grid, gp.b_y)
         spec = BasisSpec(HYPERCUBE, 8)
-        hat = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, spec.K))
+        hat = solve_bsde_hat(ens, bw, gp, u, spec)
         p, q = reference_backward(ens, bw, prob, u, spec, mu=0.7, psi=psi)
         assert np.max(np.abs(p - hat.p_hat - 0.7 * psi[None, :])) <= 1e-10
         assert np.max(np.abs(q - hat.q_hat)) <= 1e-10
@@ -338,7 +337,6 @@ class TestBackwardSolver:
             ens = euler_simulate(gp, u, bw)
             sol = solve_bsde_hat(
                 ens, bw, gp, u, BasisSpec(VORONOI, 20),
-                PartitionCache(*bw.increments.shape, 20),
             )
             return abs(float(sol.p_hat[0, 0]) - (-(1.0 + 0.2) * prob.T))
 
@@ -365,7 +363,6 @@ class TestBackwardSolver:
         with pytest.raises(SimulationError):
             solve_bsde_hat(
                 ens, bw, discretize(bad, grid), u, BasisSpec(HYPERCUBE, 4),
-                PartitionCache(*bw.increments.shape, 4),
             )
 
     @pytest.mark.parametrize("kind", [HYPERCUBE, VORONOI])
@@ -403,5 +400,4 @@ class TestBackwardSolver:
             with pytest.raises(SimulationError, match=rf"target at step {named}$"):
                 solve_bsde_hat(
                     ens, bw, discretize(bad, grid), u, BasisSpec(kind, 4),
-                    PartitionCache(*bw.increments.shape, 4),
                 )

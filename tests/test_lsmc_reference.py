@@ -15,7 +15,7 @@ from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
     BasisSpec,
-    PartitionCache,
+    Workspace,
     _linear_quantiles,
     _quantile_plan,
     build_partition,
@@ -124,7 +124,7 @@ def test_backward_pass_matches_reference_bitwise(case, full):
     bw = gen_brownian(31, 600, grid)
     gp = discretize(prob, grid)
     ens = euler_simulate(gp, u, bw)
-    sol = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, spec.K))
+    sol = solve_bsde_hat(ens, bw, gp, u, spec)
     psi = solve_psi(grid, gp.b_y) if full else None
     p, q = reference_backward(ens, bw, prob, u, spec, psi=psi)
 
@@ -229,21 +229,23 @@ def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
     gp = discretize(prob, grid)
     u = nodal_sample(lambda t: 0.3 * (1.0 - t), grid)
     other = gen_brownian(5, 600, grid)
-    cache = PartitionCache(600, grid.N, spec.K)
-    solve_bsde_hat(euler_simulate(gp, u, other), other, gp, u, spec, cache)
-    assert np.all(cache.orders >= 0)
-
     bw = gen_brownian(31, 600, grid)
+    # binding to (gp, bw) resets what the workspace carries, so the first
+    # pass regresses the other ensemble's states on bw's increments
+    ws = Workspace(600, grid.N, spec.K)
+    solve_bsde_hat(euler_simulate(gp, u, other), bw, gp, u, spec, ws)
+    assert np.all(ws._orders >= 0)
+
     ens = euler_simulate(gp, u, bw)
-    warm = solve_bsde_hat(ens, bw, gp, u, spec, cache)
-    cold = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(600, grid.N, spec.K))
+    warm = solve_bsde_hat(ens, bw, gp, u, spec, ws)
+    cold = solve_bsde_hat(ens, bw, gp, u, spec)
     p, q = reference_backward(ens, bw, prob, u, spec)
 
     for sol in (warm, cold):
         assert np.array_equal(sol.p_hat, p)
         assert np.array_equal(sol.q_hat, q)
     for n in range(grid.N):
-        column = ens.states[cache.orders[:, n], n]
+        column = ens.states[ws._orders[:, n], n]
         assert np.all(column[:-1] <= column[1:])
 
 
@@ -295,24 +297,24 @@ def test_warm_example1_passes_equal_fresh_cache_passes_bitwise():
     gp = discretize(prob, grid)
     bw = gen_brownian(4242, 2000, grid)
     u = nodal_sample(lambda t: 1.0 - t * t, grid)
-    cache = PartitionCache(2000, grid.N, spec.K)
-    solve_bsde_hat(euler_simulate(gp, u, bw), bw, gp, u, spec, cache)
+    ws = Workspace(2000, grid.N, spec.K)
+    solve_bsde_hat(euler_simulate(gp, u, bw), bw, gp, u, spec, ws)
 
     u = nodal_sample(lambda t: 1.1 - t * t, grid)
     shifted = euler_simulate(gp, u, bw)
     bent = PathEnsemble(grid, shifted.states + 0.5 * shifted.states**3)
     kept = moved = 0
     for ens in (shifted, bent):
-        orders, cuts = cache.orders.copy(), cache.cuts.copy()
-        warm = solve_bsde_hat(ens, bw, gp, u, spec, cache)
-        fresh_cache = PartitionCache(2000, grid.N, spec.K)
-        fresh = solve_bsde_hat(ens, bw, gp, u, spec, fresh_cache)
+        orders, cuts = ws._orders.copy(), ws._cuts.copy()
+        warm = solve_bsde_hat(ens, bw, gp, u, spec, ws)
+        fresh_ws = Workspace(2000, grid.N, spec.K)
+        fresh = solve_bsde_hat(ens, bw, gp, u, spec, fresh_ws)
 
-        assert np.array_equal(cache.cells, fresh_cache.cells)
+        assert np.array_equal(ws._cells, fresh_ws._cells)
         assert np.array_equal(warm.p_hat, fresh.p_hat)
         assert np.array_equal(warm.q_hat, fresh.q_hat)
-        same_order = (cache.orders == orders).all(axis=0)
-        same_cuts = (cache.cuts == cuts).all(axis=0)
+        same_order = (ws._orders == orders).all(axis=0)
+        same_cuts = (ws._cuts == cuts).all(axis=0)
         kept += np.count_nonzero(same_order & same_cuts)
         moved += np.count_nonzero(same_order & ~same_cuts)
     assert kept > 0 and moved > 0

@@ -18,7 +18,6 @@ from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
     BasisSpec,
-    PartitionCache,
     build_partition,
     regress,
     solve_bsde_hat,
@@ -113,7 +112,7 @@ def test_shift_identity_links_the_multiplier_driver_to_the_hat_pass(
     gp = discretize(prob, grid)
     ens = euler_simulate(gp, u, bw)
     psi = solve_psi(grid, gp.b_y)
-    hat = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(*bw.increments.shape, spec.K))
+    hat = solve_bsde_hat(ens, bw, gp, u, spec)
     p, q = reference_backward(ens, bw, prob, u, spec, mu=mu, psi=psi)
     assert np.max(np.abs(p - hat.p_hat - mu * psi[None, :])) <= 1e-10
     assert np.max(np.abs(q - hat.q_hat)) <= 1e-10

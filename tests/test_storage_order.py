@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from socproj.gridfn import TimeGrid, nodal_sample
-from socproj.lsmc import VORONOI, BasisSpec, PartitionCache, Workspace, solve_bsde_hat
+from socproj.lsmc import VORONOI, BasisSpec, Workspace, solve_bsde_hat
 from socproj.optimizer import gradient
 from socproj.paths import (
     BrownianEnsemble,
@@ -34,7 +34,6 @@ def stages():
     ens = euler_simulate(gp, u, bw)
     hat = solve_bsde_hat(
         ens, bw, gp, u, BasisSpec(VORONOI, 8),
-        PartitionCache(*bw.increments.shape, 8),
     )
     return gp, u, bw, ens, hat
 

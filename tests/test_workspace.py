@@ -2,8 +2,8 @@
 
 A ``Workspace`` is allocated once and every pass writes into it; a
 ``problems.constant`` sigma takes its noise term from one array per solve;
-and with mu = 0 the next Euler pass is skipped.  Each is checked against the
-path that allocates per pass or calls sigma per step.
+and with mu = 0 the next Euler pass is skipped.  Each is checked against a
+pass in a fresh workspace or a sigma called per step.
 """
 
 import dataclasses
@@ -11,14 +11,15 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socproj import optimizer
-from socproj.gridfn import TimeGrid, constant_control, nodal_sample
+from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample
 from socproj.lsmc import (
     HYPERCUBE,
     VORONOI,
     BasisSpec,
-    PartitionCache,
     Workspace,
     solve_bsde_hat,
 )
@@ -145,7 +146,7 @@ class TestWorkspaceReuse:
         for L, N in ((CFG1.L + 1, 8), (CFG1.L, 7)):
             with pytest.raises(ValueError, match="workspace holds"):
                 solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), Workspace(L, N, 8))
-        with pytest.raises(ValueError, match="cache must be a PartitionCache"):
+        with pytest.raises(ValueError, match="workspace must be a Workspace"):
             solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), Workspace(CFG1.L, 8, 8, HYPERCUBE))
 
 
@@ -162,8 +163,7 @@ class TestPasses:
         spec = BasisSpec(VORONOI, 6)
         a, b = euler_simulate(gp, u, bw), euler_simulate(gp, u, bw)
         assert not np.shares_memory(a.states, b.states)
-        cache = PartitionCache(300, 10, 6)
-        p, q = solve_bsde_hat(a, bw, gp, u, spec, cache), solve_bsde_hat(a, bw, gp, u, spec, cache)
+        p, q = solve_bsde_hat(a, bw, gp, u, spec), solve_bsde_hat(a, bw, gp, u, spec)
         assert not np.shares_memory(p.p_hat, q.p_hat)
         assert not np.shares_memory(p.q_hat, q.q_hat)
 
@@ -177,7 +177,7 @@ class TestPasses:
         assert np.shares_memory(ws_ens.states, ws.states)
         assert not ws_ens.states.flags.writeable and ws.states.flags.writeable
         assert ens.states.tobytes() == ws_ens.states.tobytes()
-        want = solve_bsde_hat(ens, bw, gp, u, spec, PartitionCache(300, 10, 6, kind))
+        want = solve_bsde_hat(ens, bw, gp, u, spec)
         sol = solve_bsde_hat(ens, bw, gp, u, spec, ws)
         assert np.shares_memory(sol.p_hat, ws.p_hat)
         assert not (sol.p_hat.flags.writeable or want.p_hat.flags.writeable)
@@ -195,10 +195,44 @@ class TestPasses:
         assert again.states.tobytes() == euler_simulate(gp, u, other).states.tobytes()
 
     def test_hypercube_cache_holds_one_cells_column_and_no_orders(self):
-        cache = PartitionCache(100, 12, 5, HYPERCUBE)
-        assert cache.orders is None and cache.cells.shape == (100, 1)
-        voronoi = PartitionCache(100, 12, 5)
-        assert voronoi.orders.shape == voronoi.cells.shape == (100, 12)
+        cache = Workspace(100, 12, 5, HYPERCUBE)
+        assert cache._orders is None and cache._cells.shape == (100, 1)
+        voronoi = Workspace(100, 12, 5)
+        assert voronoi._orders.shape == voronoi._cells.shape == (100, 12)
+
+
+# The (problem, ensemble) pairs that one workspace serves in turn, all on one
+# grid shorter than the workspace: example1 has a constant sigma and no
+# Q-regression, example2 and example3 regress Q, and example3's noise moves
+# the paths' ranks.
+GRID = TimeGrid(1.0, 8)
+PROBLEMS = [discretize(p, GRID) for p in (example2(alpha=0.1), example3(alpha=0.1), EXAMPLE1)]
+ENSEMBLES = [gen_brownian(seed, 80, GRID) for seed in (3, 4)]
+PASS = st.tuples(
+    st.sampled_from(["euler", "backward"]),
+    st.sampled_from(PROBLEMS),
+    st.sampled_from(ENSEMBLES),
+    st.sampled_from([VORONOI, HYPERCUBE]),
+    st.lists(st.floats(-1.0, 1.0), min_size=GRID.N, max_size=GRID.N),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(PASS, min_size=1, max_size=8))
+def test_interleaved_passes_through_one_workspace_match_fresh_passes(passes):
+    """Whatever ran in a workspace before, each pass through it gives what the
+    same pass gives in a fresh workspace, bit for bit."""
+    ws = Workspace(80, GRID.N + 2, 6)
+    for stage, gp, bw, kind, values in passes:
+        u = StepFunction(GRID, np.array(values))
+        fresh = euler_simulate(gp, u, bw)
+        if stage == "euler":
+            assert euler_simulate(gp, u, bw, ws).states.tobytes() == fresh.states.tobytes()
+        else:
+            spec = BasisSpec(kind, 6)
+            got, want = solve_bsde_hat(fresh, bw, gp, u, spec, ws), solve_bsde_hat(fresh, bw, gp, u, spec)
+            assert got.p_hat.tobytes() == want.p_hat.tobytes()
+            assert got.q_hat.tobytes() == want.q_hat.tobytes()
 
 
 class TestHalfStepReuse:
