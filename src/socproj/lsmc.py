@@ -47,8 +47,8 @@ from typing import Optional
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid
-from .paths import BrownianEnsemble, PathEnsemble, SimulationError, _forward_terms
-from .problems import GridProblem, vanishes
+from .paths import BrownianEnsemble, PathEnsemble, SimulationError
+from .problems import GridProblem
 
 __all__ = [
     "HYPERCUBE",
@@ -117,23 +117,23 @@ class Workspace:
     to N steps and K cells: one forward ``states`` array (the states under u
     are dead once the gradient is taken, so the pass under u_half overwrites
     them), ``p_hat`` and ``q_hat`` (all zeros while no Q-regression writes
-    it), the backward scratch columns ``f`` and ``target``, the ``noise``
-    sigma dW of a ``problems.constant`` sigma, and the per-solve terms of
-    both passes.
+    it), the backward scratch columns ``f`` and ``target``, and the ``noise``
+    sigma dW of a ``problems.constant`` sigma.
 
     It also carries, per step n, the sort order, cells and rank cuts (at
     most K + 1) of the step's last Voronoi partition from one backward pass
     to the next, as column-major intp arrays; -1 in the first entry of an
-    order or cuts column means nothing is known yet.  A hypercube step
-    carries nothing, so a workspace of kind ``HYPERCUBE`` has no orders and
-    one cells column, the scratch of every step; a ``VORONOI`` workspace
-    serves both kinds.
+    order column means nothing is known yet, and a step reads its cuts only
+    when it carries an order (a hypercube step sets -1 first in them).  A
+    hypercube step carries nothing, so a workspace of kind ``HYPERCUBE``
+    has no orders and one cells column, the scratch of every step; a
+    ``VORONOI`` workspace serves both kinds.
 
     The passes ``bind`` it to their (problem, ensemble) pair on n <= N steps,
     and use the leading columns of each array.  Binding to a new pair resets
-    the carried partitions and recomputes the terms, so a used workspace
-    gives what a fresh one gives, bit for bit.  A pass returns read-only
-    views of its arrays, overwritten by the next pass: copy what you keep.
+    the carried orders and refills the noise, so a used workspace gives what
+    a fresh one gives, bit for bit.  A pass returns read-only views of its
+    arrays, overwritten by the next pass: copy what you keep.
     """
 
     def __init__(self, L: int, N: int, K: int, kind: str = VORONOI):
@@ -146,7 +146,7 @@ class Workspace:
         self.q_hat = np.zeros((L, N), order="F")
         self.noise = np.empty((L, N), order="F")
         self.f, self.target = np.empty(L), np.empty(L)
-        self.forward = self.backward = self._bound = None
+        self._bound, self._q_live = None, False
         self._full = (self._orders, self._cells, self._cuts, self.noise, self.q_hat,
                       self.states, self.p_hat)
 
@@ -163,18 +163,19 @@ class Workspace:
             raise ValueError(f"workspace holds {len(states)} paths of up to "
                              f"{states.shape[1] - 1} steps")
         self._bound = None
-        backward = _backward_terms(problem)
-        if self.backward is not None and self.backward[1] and not backward[1]:
+        q_live = problem.sigma_y_live or problem.sigma_u_live
+        if self._q_live and not q_live:
             q_hat.fill(0.0)  # the last solve's Q-regression wrote it
+        self._q_live = q_live
         self._orders = None if orders is None else orders[:, :n]
         self._cells, self._cuts = cells[:, :n], cuts[:, :n]
         self.noise, self.q_hat = noise[:, :n], q_hat[:, :n]
         self.states, self.p_hat = states[:, : n + 1], p_hat[:, : n + 1]
-        self._cuts[0] = -1  # the cold sentinels
         if orders is not None:
-            self._orders[0] = -1
-        self.forward = _forward_terms(problem, bw, self.noise)
-        self.backward = backward
+            self._orders[0] = -1  # the cold sentinel
+        if problem.sigma_value is not None:
+            with np.errstate(over="ignore"):
+                np.multiply(problem.sigma_value, bw.increments, out=self.noise)
         self._bound = (weakref.ref(problem), weakref.ref(bw))
 
 
@@ -237,10 +238,10 @@ def build_partition(
     A Voronoi step reads both from the sorted samples.  It leaves the sorting
     permutation in ``order`` (intp, len(samples)) and the rank cuts of its
     cells in ``cuts`` (intp, spec.K + 1); a hypercube step ignores ``order``
-    and marks ``cuts`` unknown.  Each of the three holds either the cold
-    sentinel (-1 first in ``order`` and ``cuts``) or what an earlier call on
-    the same three left there, and callers never edit them: unchecked, as a
-    check would cost what the carry saves.  When the carried order still
+    and marks ``cuts`` unknown (-1 first).  ``order`` holds either the cold
+    sentinel (-1 first) or, like ``cells`` and ``cuts`` then, what an earlier
+    call on the same three left there, and callers never edit them: unchecked,
+    as a check would cost what the carry saves.  When the carried order still
     sorts the samples and the cuts come out as carried, ``cells`` already
     holds the step's cells and is left as it is.
     """
@@ -333,16 +334,6 @@ class BsdeSolution:
         self.q_hat.setflags(write=False)
 
 
-def _backward_terms(problem: GridProblem) -> tuple:
-    """What every backward pass of ``problem`` reads, whatever the control:
-    whether sigma_y is live, whether any Q-regression is, and the nodes and
-    b_y as lists."""
-    diff = problem.spec.diffusion
-    sigma_y_live = not vanishes(diff.sigma_y)
-    q_live = sigma_y_live or not vanishes(diff.sigma_u)
-    return sigma_y_live, q_live, problem.grid.nodes.tolist(), problem.b_y.tolist()
-
-
 def solve_bsde_hat(
     paths: PathEnsemble,
     bw: BrownianEnsemble,
@@ -354,9 +345,10 @@ def solve_bsde_hat(
     """Backward LSMC with the multiplier-free driver
     f_hat = h_y(t_n, y) + p b_y[n] + q sigma_y(y, u).
 
-    A sigma_y that ``problems.vanishes`` drops the q-term of f_hat; with
-    sigma_u vanishing too, no Q-regression runs and q_hat is all zeros.  Only
-    the ``ZERO`` sentinel counts: any other callback keeps the full path.
+    A ``ZERO`` sigma_y (``problem.sigma_y_live`` is False) drops the q-term
+    of f_hat; with sigma_u ``ZERO`` too, no Q-regression runs and q_hat is
+    all zeros.  Only the sentinel counts: any other callback keeps the full
+    path.
     A step with b_y[n] = 0.0 of either sign drops the signed zero p b_y[n]
     (see the module docstring).
 
@@ -382,7 +374,8 @@ def solve_bsde_hat(
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
-    sigma_y_live, q_live, nodes, b_y = workspace.backward
+    q_live = problem.sigma_y_live or problem.sigma_u_live
+    nodes, b_y = grid.nodes.tolist(), problem.b_y.tolist()
     p, q, f, target = workspace.p_hat, workspace.q_hat, workspace.f, workspace.target
     u_values = control.values.tolist()
     p[:, N] = costs.g(y[:, N])
@@ -404,7 +397,7 @@ def solve_bsde_hat(
                 np.multiply(dw[:, n], p_next, out=target)
                 target /= dt
                 regress(cells_n, target, counts, q[:, n])
-                if sigma_y_live:
+                if problem.sigma_y_live:
                     f_n = np.add(f_n, q[:, n] * diff.sigma_y(yn, u_values[n]), out=f)
             np.multiply(f_n, dt, out=f)
             np.add(p_next, f, out=target)

@@ -43,7 +43,7 @@ from .paths import (
     gen_brownian,
     mean_state_integral,
 )
-from .problems import GridProblem, ProblemSpec, discretize, vanishes
+from .problems import GridProblem, ProblemSpec, discretize
 
 __all__ = [
     "IterationState",
@@ -135,25 +135,24 @@ def gradient(
     grad_n = mean_l[ P_hat_n(y_l) b_u[n] + Q_hat_n(y_l) sigma_u(y_l, u_n) ]
              + j_u(u_n).
 
-    A sigma_u that ``problems.vanishes`` drops the Q-term: neither sigma_u
-    nor q_hat is read.  Any other callback, even one returning zeros, is
-    evaluated on every interval.
+    A ``ZERO`` sigma_u (``problem.sigma_u_live`` is False) drops the Q-term:
+    neither sigma_u nor q_hat is read.  Any other callback, even one
+    returning zeros, is evaluated on every interval.
     """
     grid = control.grid
     if not (paths.grid == adj.grid == problem.grid == grid):
         raise ValueError("control, paths, adjoint and problem must share one grid")
     diff, costs = problem.spec.diffusion, problem.spec.costs
-    sigma_u_live = not vanishes(diff.sigma_u)
     mean_p = adj.p_hat[:, : grid.N].mean(axis=0).tolist()
     b_u, u_values = problem.b_u.tolist(), control.values.tolist()
     vals = np.empty(grid.N)
     # One L-buffer for every interval's Q-term; its mean is np.mean's
     # np.add.reduce(q_term) / L.
-    q_term = np.empty(paths.L) if sigma_u_live else None
+    q_term = np.empty(paths.L) if problem.sigma_u_live else None
     for n in range(grid.N):
         un = u_values[n]
         grad_n = mean_p[n] * b_u[n]
-        if sigma_u_live:
+        if problem.sigma_u_live:
             np.multiply(adj.q_hat[:, n], diff.sigma_u(paths.states[:, n], un), out=q_term)
             grad_n += float(np.add.reduce(q_term) / paths.L)
         vals[n] = grad_n + costs.j_u(un)

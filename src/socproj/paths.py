@@ -26,13 +26,14 @@ A mean across paths is ``.mean(axis=0)``, a pairwise sum down each column.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from .gridfn import StepFunction, TimeGrid, trapezoid
-from .problems import GridProblem, constant_value
+from .problems import GridProblem
 
 if TYPE_CHECKING:
     from .lsmc import Workspace
@@ -132,23 +133,6 @@ def gen_brownian(
     return BrownianEnsemble(grid=grid, increments=dw)
 
 
-def _forward_terms(problem: GridProblem, bw: BrownianEnsemble, noise: np.ndarray) -> tuple:
-    """What every Euler pass of ``problem`` on ``bw`` reads, whatever the
-    control: b_y, b_u and m as lists, whether each step's b_y is +0.0, and,
-    for a ``constant`` sigma, the noise term sigma dW written into ``noise``
-    ((L, N) column-major; else None).
-    """
-    by = problem.b_y
-    scalar_drift = ((by == 0.0) & ~np.signbit(by)).tolist()
-    value = constant_value(problem.spec.diffusion.sigma)
-    if value is not None:
-        with np.errstate(over="ignore"):
-            noise = np.multiply(value, bw.increments, out=noise)
-    else:
-        noise = None
-    return by.tolist(), problem.b_u.tolist(), problem.m.tolist(), scalar_drift, noise
-
-
 def euler_simulate(
     problem: GridProblem,
     control: StepFunction,
@@ -169,8 +153,8 @@ def euler_simulate(
     step adds y_n, so a state stays non-finite once it is: the last column is
     the pass's one check.
 
-    The pass writes into the state array of ``workspace`` and reads its
-    per-solve terms, so the returned states are overwritten by the next pass
+    The pass writes into the state array of ``workspace`` (and reads its
+    noise array), so the returned states are overwritten by the next pass
     through it; without one it runs in a fresh ``lsmc.Workspace``.
     """
     if not (problem.grid == control.grid == bw.grid):
@@ -182,14 +166,15 @@ def euler_simulate(
         workspace = Workspace(bw.L, grid.N, 1, HYPERCUBE)
     workspace.bind(problem, bw)
     states = workspace.states
-    by, bu, m, scalar_drift, noise = workspace.forward
+    by, bu, m = problem.b_y.tolist(), problem.b_u.tolist(), problem.m.tolist()
+    noise = None if problem.sigma_value is None else workspace.noise
     sigma, dw = problem.spec.diffusion.sigma, bw.increments
 
     states[:, 0] = problem.spec.y0
     with np.errstate(over="ignore", invalid="ignore"):
         for n, u in enumerate(control.values.tolist()):
             y, out = states[:, n], states[:, n + 1]
-            if scalar_drift[n]:
+            if by[n] == 0.0 and math.copysign(1.0, by[n]) > 0.0:
                 np.add(y, (bu[n] * u + m[n]) * dt, out=out)
             else:
                 np.multiply(by[n], y, out=out)

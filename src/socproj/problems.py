@@ -17,6 +17,8 @@ Function-field conventions:
   * ``constant(c)`` as sigma declares a constant diffusion, and the solver
     takes the noise term c dW from one array filled once per solve
     (``constant_value``) instead of calling sigma on every step;
+  * ``discretize`` reads both declarations once per grid, into the
+    ``GridProblem`` that every pass reads;
   * the tracking target may depend on time, so h_y has signature h_y(t, y).
 
 Three built-in benchmark problems are provided under the identifiers
@@ -149,20 +151,30 @@ class VectorProblem:
 @dataclass(frozen=True, eq=False)
 class GridProblem:
     """``spec`` on one grid, with its drift coefficients at the left nodes
-    t_0 .. t_{N-1} as read-only arrays of length N."""
+    t_0 .. t_{N-1} as read-only arrays of length N, and what its diffusion
+    declares: the value of a ``constant`` sigma (else None), and whether
+    sigma_y and sigma_u are live (not ``ZERO``)."""
 
     spec: ProblemSpec
     grid: TimeGrid
     b_y: np.ndarray
     b_u: np.ndarray
     m: np.ndarray
+    sigma_value: Optional[float]
+    sigma_y_live: bool
+    sigma_u_live: bool
 
 
 def discretize(problem: ProblemSpec, grid: TimeGrid) -> GridProblem:
-    """Sample the drift coefficients of ``problem`` at the left nodes of ``grid``."""
-    drift = problem.drift
+    """Sample the drift coefficients of ``problem`` at the left nodes of
+    ``grid`` and read its diffusion declarations: the one place the passes
+    learn either from."""
+    drift, diff = problem.drift, problem.diffusion
     b_y, b_u, m = (nodal_sample(f, grid).values for f in (drift.b_y, drift.b_u, drift.m))
-    return GridProblem(spec=problem, grid=grid, b_y=b_y, b_u=b_u, m=m)
+    return GridProblem(spec=problem, grid=grid, b_y=b_y, b_u=b_u, m=m,
+                       sigma_value=constant_value(diff.sigma),
+                       sigma_y_live=not vanishes(diff.sigma_y),
+                       sigma_u_live=not vanishes(diff.sigma_u))
 
 
 def ZERO(y: np.ndarray, u: float) -> np.ndarray:

@@ -90,6 +90,21 @@ def test_drift_coefficients_are_called_only_in_discretize():
     assert calls == []
 
 
+def test_diffusion_declarations_are_read_only_in_discretize():
+    """``problems.discretize`` is the one place that calls ``vanishes`` or
+    ``constant_value``; every pass reads the ``GridProblem`` fields instead."""
+    calls = []
+    for name, tree, skip in _package_trees("discretize"):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in skip:
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called in ("vanishes", "constant_value"):
+                calls.append(f"{name}:{node.lineno}")
+    assert calls == []
+
+
 def test_only_vanishes_compares_against_the_zero_sentinel():
     """``problems.vanishes`` is the one place that tests for ``ZERO``, so every
     check sees through ``functools.wraps`` wrappers the same way."""

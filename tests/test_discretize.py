@@ -17,8 +17,9 @@ from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
 from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
 from socproj.optimizer import SolveConfig, gradient, project_update, solve
 from socproj.paths import euler_simulate, gen_brownian
-from socproj.problems import LinearDrift, discretize, example1, example2, vanishes
+from socproj.problems import LinearDrift, discretize, example1, example2, example3, vanishes
 from tests.oracles import reference_backward, time_varying_problem
+from tests.test_bench import load_perfbench
 
 
 def reference_euler_simulate(problem, control, bw):
@@ -95,6 +96,34 @@ def test_discretize_samples_each_coefficient_at_the_left_nodes(make):
         f = getattr(prob.drift, name)
         assert np.array_equal(values, [float(f(t)) for t in grid.nodes[:-1]])
         assert not values.flags.writeable
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["plain", "counted"])
+@pytest.mark.parametrize(
+    "make, sigma_value, sigma_y_live, sigma_u_live",
+    [
+        (lambda: example1(d=2, mu=0.3, alpha=0.25).components[1], 0.25, False, False),
+        (lambda: example2(alpha=0.1), None, False, True),
+        (lambda: example3(alpha=0.1), None, True, False),
+    ],
+    ids=["example1", "example2", "example3"],
+)
+def test_discretize_records_the_diffusion_declarations(
+    monkeypatch, make, sigma_value, sigma_y_live, sigma_u_live, counted
+):
+    # perfbench's counting tracer wraps every callback with functools.wraps;
+    # the declarations must still be seen through its wrappers
+    prob = make()
+    if counted:
+        tracer = load_perfbench(monkeypatch, "tracing").Tracer("fields")
+        tracer.callback_calls.append(0)
+        prob = tracer._counting_problem(prob)
+        diff = prob.diffusion
+        assert all(hasattr(f, "__wrapped__") for f in (diff.sigma, diff.sigma_y, diff.sigma_u))
+    gp = discretize(prob, TimeGrid(1.0, 8))
+    assert (gp.sigma_value, gp.sigma_y_live, gp.sigma_u_live) == (
+        sigma_value, sigma_y_live, sigma_u_live
+    )
 
 
 @CASES

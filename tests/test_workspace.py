@@ -184,6 +184,19 @@ class TestPasses:
         assert sol.p_hat.tobytes() == want.p_hat.tobytes()
         assert sol.q_hat.tobytes() == want.q_hat.tobytes()
 
+    def test_voronoi_after_hypercube_on_one_pair_matches_a_fresh_pass(self, inputs):
+        # the hypercube pass overwrites the carried cells but keeps the
+        # orders, which still sort the same states; the third pass must not
+        # take its cuts, equal to the first pass's, as a cache hit
+        gp, u, bw = inputs
+        ens = euler_simulate(gp, u, bw)
+        ws = Workspace(300, 10, 6)
+        for kind in (VORONOI, HYPERCUBE, VORONOI):
+            spec = BasisSpec(kind, 6)
+            got, want = solve_bsde_hat(ens, bw, gp, u, spec, ws), solve_bsde_hat(ens, bw, gp, u, spec)
+            assert got.p_hat.tobytes() == want.p_hat.tobytes()
+            assert got.q_hat.tobytes() == want.q_hat.tobytes()
+
     def test_a_bound_workspace_follows_a_new_ensemble(self, inputs):
         gp, u, bw = inputs
         other = gen_brownian(9, 300, bw.grid)
