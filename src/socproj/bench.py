@@ -340,7 +340,7 @@ def run_sweep(
     ]
 
     # every solve writes into one workspace, sized for the largest N
-    workspace = Workspace(cfg.L, max(cfg.N_list), cfg.basis_K, cfg.basis_kind)
+    workspace = Workspace(cfg.L, max(cfg.N_list))
     for N in cfg.N_list:
         # seed of the solve at N; component k of a vector problem derives its own
         seed_n = derive_seed(cfg.seed, N)

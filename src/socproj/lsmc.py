@@ -14,14 +14,15 @@ unique centers, so only tied ones go through ``np.unique``.  Every sample's
 cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
 per step, with the per-cell counts, and ``regress`` takes both for the P- and
-the Q-regression of that step.  A ``Workspace`` carries each step's sort
-order, cells and rank cuts from one backward pass to the next on the same
-ensemble.  The carried order still sorts samples that kept their ranks (every
-warm step of example1); else a stable argsort of the gathered column
-completes it, cheaper than a fresh sort when few paths swap (most warm steps
-of example2).  When the order needed no repair and the new
-cuts equal the carried ones, the carried cells are exactly what the step
-would write, and the step keeps them.
+the Q-regression of that step.  A ``Workspace``, which serves every basis
+and K, carries each step's sort order and cells from one backward pass to
+the next on the same ensemble, and the step's last rank cuts by reference.
+The carried order still sorts samples that kept their ranks (every warm step
+of example1); else a stable argsort of the gathered column completes it,
+cheaper than a fresh sort when few paths swap (most warm steps of example2).
+When the order needed no repair and the new cuts equal the carried ones, the
+carried cells are exactly what the step would write, and the step keeps
+them.  A hypercube step carries nothing: it marks its order unknown.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -88,7 +89,9 @@ class Partition:
     partitions carry the midpoints between their sorted centers (the unique
     ``np.quantile(method="linear")`` values, bit for bit) and assign by
     nearest center with ties to the lower index.  All-equal samples give one
-    cell.  A built partition also carries its samples' per-cell ``counts``.
+    cell.  A built partition also carries its samples' per-cell ``counts``,
+    and a built Voronoi partition its read-only rank ``cuts``: cell c holds
+    the sorted ranks cuts[c] .. cuts[c+1]-1.
     """
 
     kind: str
@@ -97,6 +100,7 @@ class Partition:
     hi: float = math.nan
     boundaries: Optional[np.ndarray] = None
     counts: Optional[np.ndarray] = None
+    cuts: Optional[np.ndarray] = None
 
     def assign(self, y: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         out = np.empty(len(y), dtype=np.intp) if out is None else out
@@ -113,42 +117,40 @@ class Partition:
 
 
 class Workspace:
-    """The arrays the passes of a solve write, allocated once for L paths, up
-    to N steps and K cells: one forward ``states`` array (the states under u
-    are dead once the gradient is taken, so the pass under u_half overwrites
-    them), ``p_hat`` and ``q_hat`` (all zeros while no Q-regression writes
-    it), the backward scratch columns ``f`` and ``target``, and the ``noise``
-    sigma dW of a ``problems.constant`` sigma.
+    """The arrays the passes of a solve write, allocated once for L paths and
+    up to N steps, whatever the basis: one forward ``states`` array (the
+    states under u are dead once the gradient is taken, so the pass under
+    u_half overwrites them), ``p_hat`` and ``q_hat`` (all zeros while no
+    Q-regression writes it) and the backward scratch columns ``f`` and
+    ``target``.  ``noise``, the sigma dW of a ``problems.constant`` sigma,
+    is made by the first Euler pass after a binding (None until then).
 
-    It also carries, per step n, the sort order, cells and rank cuts (at
-    most K + 1) of the step's last Voronoi partition from one backward pass
-    to the next, as column-major intp arrays; -1 in the first entry of an
-    order column means nothing is known yet, and a step reads its cuts only
-    when it carries an order (a hypercube step sets -1 first in them).  A
-    hypercube step carries nothing, so a workspace of kind ``HYPERCUBE``
-    has no orders and one cells column, the scratch of every step; a
-    ``VORONOI`` workspace serves both kinds.
+    It also carries, per step n, the sort order and cells of the step's last
+    partition, as column-major intp arrays, and the rank cuts of its last
+    Voronoi partition, by reference in a per-step list; -1 in the first
+    entry of an order column means nothing is known yet, and a step reads
+    its cuts only when it carries an order.  A hypercube step sorts nothing
+    and sets that -1 itself, so passes of either basis and any K share one
+    workspace.
 
     The passes ``bind`` it to their (problem, ensemble) pair on n <= N steps,
     and use the leading columns of each array.  Binding to a new pair resets
-    the carried orders and refills the noise, so a used workspace gives what
-    a fresh one gives, bit for bit.  A pass returns read-only views of its
-    arrays, overwritten by the next pass: copy what you keep.
+    the carried orders and the noise, so a used workspace gives what a fresh
+    one gives, bit for bit.  A pass returns read-only views of its arrays,
+    overwritten by the next pass: copy what you keep.
     """
 
-    def __init__(self, L: int, N: int, K: int, kind: str = VORONOI):
-        voronoi = kind == VORONOI
-        self._orders = np.empty((L, N), dtype=np.intp, order="F") if voronoi else None
-        self._cells = np.empty((L, N if voronoi else 1), dtype=np.intp, order="F")
-        self._cuts = np.empty((K + 1, N), dtype=np.intp, order="F")
+    def __init__(self, L: int, N: int):
+        self._orders = np.empty((L, N), dtype=np.intp, order="F")
+        self._cells = np.empty((L, N), dtype=np.intp, order="F")
+        self._cuts: list[Optional[np.ndarray]] = [None] * N
         self.states = np.empty((L, N + 1), order="F")
         self.p_hat = np.empty((L, N + 1), order="F")
         self.q_hat = np.zeros((L, N), order="F")
-        self.noise = np.empty((L, N), order="F")
+        self.noise = None
         self.f, self.target = np.empty(L), np.empty(L)
         self._bound, self._q_live = None, False
-        self._full = (self._orders, self._cells, self._cuts, self.noise, self.q_hat,
-                      self.states, self.p_hat)
+        self._full = (self.q_hat, self.states, self.p_hat)
 
     def bind(self, problem: GridProblem, bw: BrownianEnsemble) -> None:
         """Serve the passes of ``problem`` on ``bw``; a no-op when it already
@@ -157,7 +159,7 @@ class Workspace:
         bound = self._bound
         if bound is not None and bound[0]() is problem and bound[1]() is bw:
             return
-        orders, cells, cuts, noise, q_hat, states, p_hat = self._full
+        q_hat, states, p_hat = self._full
         n = bw.grid.N
         if bw.L != len(states) or n >= states.shape[1] or problem.grid != bw.grid:
             raise ValueError(f"workspace holds {len(states)} paths of up to "
@@ -167,15 +169,9 @@ class Workspace:
         if self._q_live and not q_live:
             q_hat.fill(0.0)  # the last solve's Q-regression wrote it
         self._q_live = q_live
-        self._orders = None if orders is None else orders[:, :n]
-        self._cells, self._cuts = cells[:, :n], cuts[:, :n]
-        self.noise, self.q_hat = noise[:, :n], q_hat[:, :n]
+        self.q_hat, self.noise = q_hat[:, :n], None
         self.states, self.p_hat = states[:, : n + 1], p_hat[:, : n + 1]
-        if orders is not None:
-            self._orders[0] = -1  # the cold sentinel
-        if problem.sigma_value is not None:
-            with np.errstate(over="ignore"):
-                np.multiply(problem.sigma_value, bw.increments, out=self.noise)
+        self._orders[0] = -1  # the cold sentinel
         self._bound = (weakref.ref(problem), weakref.ref(bw))
 
 
@@ -230,31 +226,29 @@ def build_partition(
     spec: BasisSpec,
     cells: np.ndarray,
     order: np.ndarray,
-    cuts: np.ndarray,
+    cuts: Optional[np.ndarray] = None,
 ) -> Partition:
     """Build the step's partition of ``spec.K`` cells from the sampled states
     and fill ``cells`` (intp, len(samples)) with ``part.assign(samples)``.
 
-    A Voronoi step reads both from the sorted samples.  It leaves the sorting
-    permutation in ``order`` (intp, len(samples)) and the rank cuts of its
-    cells in ``cuts`` (intp, spec.K + 1); a hypercube step ignores ``order``
-    and marks ``cuts`` unknown (-1 first).  ``order`` holds either the cold
-    sentinel (-1 first) or, like ``cells`` and ``cuts`` then, what an earlier
-    call on the same three left there, and callers never edit them: unchecked,
-    as a check would cost what the carry saves.  When the carried order still
-    sorts the samples and the cuts come out as carried, ``cells`` already
-    holds the step's cells and is left as it is.
+    A Voronoi step reads both from the sorted samples and leaves the sorting
+    permutation in ``order`` (intp, len(samples)); a hypercube step sorts
+    nothing and marks ``order`` unknown (-1 first).  ``order`` holds either
+    that cold sentinel or, like ``cells`` then, what an earlier call on the
+    same two left there, and callers never edit them: unchecked, as a check
+    would cost what the carry saves.  ``cuts`` is the ``Partition.cuts`` of
+    that earlier call, if any.  When the carried order still sorts the
+    samples and the cuts come out as carried, ``cells`` already holds the
+    step's cells and is left as it is.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
         raise ValueError("need at least one sample")
     if len(cells) != len(samples) or len(order) != len(samples):
         raise ValueError("cells and order need one entry per sample")
-    if len(cuts) != spec.K + 1:
-        raise ValueError(f"cuts need K + 1 = {spec.K + 1} entries")
     if spec.kind == VORONOI:
         return _voronoi_partition(samples, spec.K, cells, order, cuts)
-    cuts[0] = -1
+    order[0] = -1
     lo, hi = float(samples.min()), float(samples.max())
     n_cells = 1 if hi == lo else spec.K
     # One partition per step: its counts are filled in from its cells.
@@ -266,7 +260,7 @@ def build_partition(
 
 
 def _voronoi_partition(
-    samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray, cuts: np.ndarray
+    samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray, cuts: Optional[np.ndarray]
 ) -> Partition:
     """Cells around the k quantiles, all read from the sorted samples."""
     carried = order[0] >= 0
@@ -286,18 +280,17 @@ def _voronoi_partition(
     n_cells = len(centers)
     boundaries = np.add(centers[:-1], centers[1:])
     boundaries *= 0.5
-    # A sample's cell is the number of boundaries below it, so cell c
-    # holds the sorted ranks new[c] .. new[c+1]-1.
+    # A sample's cell is the number of boundaries below it.
     new = np.empty(n_cells + 1, dtype=np.intp)
     new[0], new[-1] = 0, len(ordered)
     new[1:-1] = ordered.searchsorted(boundaries, side="right")
+    new.setflags(write=False)
     counts = new[1:] - new[:-1]
     # Two intp arrays are equal when their bytes are.
-    if not (carried and new.tobytes() == cuts[: n_cells + 1].tobytes()):
+    if not (carried and cuts is not None and new.tobytes() == cuts.tobytes()):
         cells[order] = ids[:n_cells].repeat(counts)
-        cuts[: n_cells + 1] = new
     lo, hi = float(ordered[0]), float(ordered[-1])
-    return Partition(VORONOI, n_cells, lo, hi, boundaries if n_cells > 1 else None, counts)
+    return Partition(VORONOI, n_cells, lo, hi, boundaries if n_cells > 1 else None, counts, new)
 
 
 def regress(
@@ -355,7 +348,7 @@ def solve_bsde_hat(
     The pass writes p_hat and q_hat into ``workspace``, which its next pass
     overwrites, and reuses the partitions that earlier passes on the same
     (problem, ensemble) pair carried there; without one it runs in a fresh
-    ``Workspace(L, N, spec.K, spec.kind)``.
+    ``Workspace(L, N)``.
     A non-finite target spreads through p_{n+1} to every earlier fit, so one
     check after the pass finds it, and the highest non-finite fit names it.
     """
@@ -366,11 +359,9 @@ def solve_bsde_hat(
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
     if workspace is None:
-        workspace = Workspace(L, N, spec.K, spec.kind)
+        workspace = Workspace(L, N)
     workspace.bind(problem, bw)
     orders, cells, cuts = workspace._orders, workspace._cells, workspace._cuts
-    if len(cuts) != spec.K + 1 or (spec.kind == VORONOI and orders is None):
-        raise ValueError(f"workspace must be a Workspace({L}, {N}, {spec.K}, {spec.kind!r})")
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
@@ -382,11 +373,9 @@ def solve_bsde_hat(
 
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N - 1, -1, -1):
-            yn = y[:, n]
-            # a hypercube workspace's one cells column stands in for the order
-            cells_n = cells[:, 0 if orders is None else n]
-            order = cells_n if orders is None else orders[:, n]
-            counts = build_partition(yn, spec, cells_n, order, cuts[:, n]).counts
+            yn, cells_n = y[:, n], cells[:, n]
+            part = build_partition(yn, spec, cells_n, orders[:, n], cuts[n])
+            cuts[n], counts = part.cuts, part.counts
 
             p_next = p[:, n + 1]
             f_n = costs.h_y(nodes[n], yn)

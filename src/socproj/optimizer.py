@@ -195,9 +195,9 @@ def solve(
     """Run the projection iteration from u0 until the sup-norm step change
     falls below eps0 or max_iters is reached (reported, not raised).
 
-    Every pass writes into ``workspace``, a ``Workspace(L, N', K, kind)``
-    with N' >= N that earlier solves may have used (it is rebound, so the
-    result is the same bit for bit), or into a new one.  When mu = 0 the
+    Every pass writes into ``workspace``, a ``Workspace(L, N')`` with
+    N' >= N that earlier solves of any basis may have used (it is rebound, so
+    the result is the same bit for bit), or into a new one.  When mu = 0 the
     updated control is u_half to the byte, so the next pass under it is
     skipped: the workspace already holds its states."""
     grid = u0.grid
@@ -207,8 +207,7 @@ def solve(
     kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
     setup_time = time.perf_counter() - start
-    basis = config.basis
-    ws = Workspace(config.L, grid.N, basis.K, basis.kind) if workspace is None else workspace
+    ws = Workspace(config.L, grid.N) if workspace is None else workspace
 
     u = u0
     mu = 0.0
@@ -221,7 +220,7 @@ def solve(
         rho_i = config.rho_at(i)
         if ens is None:
             ens = euler_simulate(gp, u, bw, ws)
-        adj = solve_bsde_hat(ens, bw, gp, u, basis, ws)
+        adj = solve_bsde_hat(ens, bw, gp, u, config.basis, ws)
         grad = gradient(u, ens, adj, gp)
         u_half = StepFunction(grid, u.values - rho_i * grad.values)
         if not np.isfinite(u_half.values).all():

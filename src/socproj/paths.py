@@ -14,8 +14,8 @@ One ensemble is generated per solve and reused for every iteration, so
 control perturbations propagate through identical noise (common random
 numbers).  Each Euler pass checks its states for finiteness once, at its end.
 A step whose b_y is +0.0 adds its drift to every path as one scalar, and a
-constant diffusion adds its column of sigma dW, an array filled once per
-solve.
+constant diffusion adds its column of sigma dW, an array the first pass of a
+solve fills.
 
 Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
@@ -149,25 +149,28 @@ def euler_simulate(
     b_y[n] y_n, is then a signed zero that changes no finite sum (with
     b_y[n] = -0.0 it can flip the sign of a zero state, so such a step keeps
     the full formula).  A ``problems.constant`` sigma is never called: each
-    step adds its column of the noise array sigma dW, the same product.  Each
+    step adds its column of the noise array sigma dW, the same product, which
+    the first pass after the workspace is bound to (problem, bw) fills.  Each
     step adds y_n, so a state stays non-finite once it is: the last column is
     the pass's one check.
 
-    The pass writes into the state array of ``workspace`` (and reads its
-    noise array), so the returned states are overwritten by the next pass
-    through it; without one it runs in a fresh ``lsmc.Workspace``.
+    The pass writes into the state array of ``workspace`` (and keeps the
+    noise array there), so the returned states are overwritten by the next
+    pass through it; without one it runs in a fresh ``lsmc.Workspace``.
     """
     if not (problem.grid == control.grid == bw.grid):
         raise ValueError("problem, control and increments live on different grids")
     grid = bw.grid
     dt = grid.dt
     if workspace is None:
-        from .lsmc import HYPERCUBE, Workspace  # lsmc imports this module
-        workspace = Workspace(bw.L, grid.N, 1, HYPERCUBE)
+        from .lsmc import Workspace  # lsmc imports this module
+        workspace = Workspace(bw.L, grid.N)
     workspace.bind(problem, bw)
-    states = workspace.states
+    states, noise = workspace.states, workspace.noise
+    if noise is None and problem.sigma_value is not None:
+        with np.errstate(over="ignore"):
+            noise = workspace.noise = np.multiply(problem.sigma_value, bw.increments)
     by, bu, m = problem.b_y.tolist(), problem.b_u.tolist(), problem.m.tolist()
-    noise = None if problem.sigma_value is None else workspace.noise
     sigma, dw = problem.spec.diffusion.sigma, bw.increments
 
     states[:, 0] = problem.spec.y0

@@ -287,8 +287,7 @@ def test_criterion_8_oracle_equivalences():
         z = np.cos(x) + rng.normal(size=100, scale=0.3)
         cells = np.empty(100, dtype=np.intp)
         order = np.full(100, -1, dtype=np.intp)
-        cuts = np.full(9, -1, dtype=np.intp)
-        part = build_partition(x, sp.BasisSpec(kind, 8), cells, order, cuts)
+        part = build_partition(x, sp.BasisSpec(kind, 8), cells, order)
         coef, fitted = regress(cells, z, part.counts, np.empty(100))
         design = np.zeros((100, part.n_cells))
         design[np.arange(100), part.assign(x)] = 1.0

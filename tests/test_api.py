@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import types
 from collections import defaultdict
 
@@ -282,6 +283,30 @@ def test_no_module_reaches_into_c_state():
             if any(n.split(".")[0] == "ctypes" for n in names):
                 uses.append(f"{name}:{node.lineno}")
     assert uses == []
+
+
+def test_every_workspace_is_made_from_a_path_count_and_a_step_count():
+    """``Workspace(L, N)`` serves every basis and K, so no call in the package
+    or in the README's code names one."""
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    snippets = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.S | re.M)
+    snippets += re.findall(r"`([^`\n]*Workspace\([^`\n]*)`", readme)
+    trees = [(name, tree) for name, tree, _ in _package_trees(None)]
+    trees += [("README.md", ast.parse(snippet)) for snippet in snippets]
+    calls = [
+        (name, node)
+        for name, tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "Workspace" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+    assert {name for name, _ in calls} == {
+        "README.md", "bench.py", "lsmc.py", "optimizer.py", "paths.py"
+    }
+    wrong = [
+        f"{name}:{node.lineno}" for name, node in calls if len(node.args) != 2 or node.keywords
+    ]
+    assert wrong == []
 
 
 def test_version_is_declared_once():

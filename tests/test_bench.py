@@ -183,6 +183,27 @@ output.formats = csv, json
             parse_config(str(path))
         assert str(info.value) == f"{path}:4: bad value for '{key}': {detail}"
 
+    @pytest.mark.parametrize(
+        "line, want",
+        [
+            ("self_convergence = false", False),
+            ("self_convergence = 0", False),
+            ("self_convergence = No", False),
+            ("self_convergence = OFF", False),
+            ("self_convergence = on", True),
+            ("self_convergence", "expected 'key = value'"),
+        ],
+    )
+    def test_boolean_spellings_and_a_line_without_a_value(self, tmp_path, line, want):
+        path = tmp_path / "c.cfg"
+        path.write_text(f"problem = example3\nN_list = 8\n{line}\n")
+        if isinstance(want, bool):
+            assert parse_config(str(path)).self_convergence is want
+            return
+        with pytest.raises(ValueError) as info:
+            parse_config(str(path))
+        assert str(info.value) == f"{path}:3: {want}"
+
     def test_every_float_key_must_be_finite(self):
         float_attrs = {f.name for f in dataclasses.fields(SweepConfig) if "float" in f.type}
         float_keys = sorted(k for k, (attr, _) in CONFIG_KEYS.items() if attr in float_attrs)
@@ -573,6 +594,25 @@ class TestReports:
         rows = reports[0].rows
         assert rows[0].control_error is not None and rows[0].control_error > 0
         assert rows[-1].control_error is None  # finest row has no reference
+
+    def test_self_convergence_without_a_finest_solve_leaves_the_column_blank(
+        self, monkeypatch
+    ):
+        solve = bench.solve
+
+        def failing_at_the_finest_n(comp, cfg, u0, workspace):
+            if u0.grid.N == 8:
+                raise SimulationError("diverged")
+            return solve(comp, cfg, u0, workspace)
+
+        monkeypatch.setattr(bench, "solve", failing_at_the_finest_n)
+        cfg = SweepConfig(
+            problem="example3", delta=1.0, N_list=[4, 8], L=300, rho=0.1, eps0=1e-3,
+            seed=2, basis_K=8, self_convergence=True,
+        )
+        (report,) = run_sweep(cfg, write=False)
+        assert [row.failure for row in report.rows] == [None, "SimulationError: diverged"]
+        assert [row.control_error for row in report.rows] == [None, None]
 
 
 def standalone(comp, cfg, N, k):

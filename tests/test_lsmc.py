@@ -35,8 +35,7 @@ from tests.oracles import reference_backward
 def partition_and_cells(samples, spec):
     cells = np.empty(len(samples), dtype=np.intp)
     order = np.full(len(samples), -1, dtype=np.intp)
-    cuts = np.full(spec.K + 1, -1, dtype=np.intp)
-    return build_partition(samples, spec, cells, order, cuts), cells
+    return build_partition(samples, spec, cells, order), cells
 
 
 def _unit_source_problem():
@@ -257,7 +256,7 @@ class TestBackwardSolver:
 
         monkeypatch.setattr(lsmc, "build_partition", traced_build)
         monkeypatch.setattr(lsmc, "regress", traced_regress)
-        ws = Workspace(*bw.increments.shape, spec.K)
+        ws = Workspace(*bw.increments.shape)
         for _ in range(2):
             solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, ws)
         assert calls == {"build_partition": 2 * grid.N, "regress": 4 * grid.N}
@@ -268,13 +267,9 @@ class TestBackwardSolver:
         spec = BasisSpec(VORONOI, 5)
         L, N = bw.increments.shape
         # another path count or fewer steps fail to bind (more steps serve
-        # the leading columns); another K fails the pass's own check
-        for shape, why in (
-            ((L + 1, N, 5), "workspace holds"),
-            ((L, N - 1, 5), "workspace holds"),
-            ((L, N, 6), "workspace must be a Workspace"),
-        ):
-            with pytest.raises(ValueError, match=why):
+        # the leading columns)
+        for shape in ((L + 1, N), (L, N - 1)):
+            with pytest.raises(ValueError, match="workspace holds"):
                 solve_bsde_hat(ens, bw, discretize(prob, grid), u, spec, Workspace(*shape))
 
     def test_terminal_column_is_raw_g(self):
@@ -401,3 +396,28 @@ class TestBackwardSolver:
                 solve_bsde_hat(
                     ens, bw, discretize(bad, grid), u, BasisSpec(kind, 4),
                 )
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("no-samples", "need at least one sample"),
+        ("grid", "paths, increments, control and problem must share one grid"),
+        ("path-count", "paths and increments must share the path count"),
+    ],
+)
+def test_partition_and_pass_inputs_are_checked(case, message):
+    prob = example2(alpha=0.1)
+    grid = TimeGrid(1.0, 4)
+    gp, u, bw = discretize(prob, grid), constant_control(grid, 0.0), gen_brownian(1, 20, grid)
+    ens, spec = euler_simulate(gp, u, bw), BasisSpec(VORONOI, 4)
+    calls = {
+        "no-samples": lambda: build_partition(
+            np.empty(0), spec, np.empty(0, np.intp), np.empty(0, np.intp)
+        ),
+        "grid": lambda: solve_bsde_hat(ens, bw, discretize(prob, TimeGrid(1.0, 5)), u, spec),
+        "path-count": lambda: solve_bsde_hat(ens, gen_brownian(1, 21, grid), gp, u, spec),
+    }
+    with pytest.raises(ValueError) as info:
+        calls[case]()
+    assert str(info.value) == message

@@ -77,7 +77,7 @@ class TestSortedPartitionMatchesQuantileOracle:
         ref = reference_build_partition(samples, spec)
         cells = np.full(len(samples), -1, dtype=np.intp)
         order = np.full(len(samples), -1, dtype=np.intp)
-        part = build_partition(samples, spec, cells, order, np.full(K + 1, -1, dtype=np.intp))
+        part = build_partition(samples, spec, cells, order)
         assert_same_partition(part, ref)
         assert np.array_equal(cells, part.assign(samples))
         assert np.array_equal(part.counts, np.bincount(cells, minlength=part.n_cells))
@@ -180,16 +180,17 @@ class TestSortCache:
         n = len(samples)
         cold_cells = np.empty(n, dtype=np.intp)
         cold_order = np.full(n, -1, dtype=np.intp)
-        cold = build_partition(samples, spec, cold_cells, cold_order, np.full(K + 1, -1, np.intp))
+        cold = build_partition(samples, spec, cold_cells, cold_order)
         order = _guess(guess, samples, np.random.default_rng(seed))
         given_order = order.copy()
         cells = np.empty(n, dtype=np.intp)
-        part = build_partition(samples, spec, cells, order, np.full(K + 1, -1, np.intp))
+        part = build_partition(samples, spec, cells, order)
 
         assert part.n_cells == cold.n_cells
         assert np.array_equal(cells, cold_cells)
         if kind == HYPERCUBE:
-            assert np.array_equal(order, given_order)
+            # a hypercube step sorts nothing and marks the order unknown
+            assert order[0] == -1 and np.array_equal(order[1:], given_order[1:])
             assert np.array_equal(cold_order, np.full(n, -1))
             return
         for perm in (order, cold_order):
@@ -204,10 +205,10 @@ class TestSortCache:
         samples = np.random.default_rng(3).standard_normal(50)
         spec = BasisSpec(VORONOI, 7)
         cold_cells, cold_order = np.empty(50, np.intp), np.full(50, -1, np.intp)
-        build_partition(samples, spec, cold_cells, cold_order, np.full(8, -1, np.intp))
+        build_partition(samples, spec, cold_cells, cold_order)
         cells, order = np.empty(50, np.intp), np.zeros(50, np.intp)
         order[0] = -1
-        build_partition(samples, spec, cells, order, np.full(8, -1, np.intp))
+        build_partition(samples, spec, cells, order)
         assert np.array_equal(cells, cold_cells)
         assert np.array_equal(order, cold_order)
         for kind in (HYPERCUBE, VORONOI):
@@ -218,7 +219,6 @@ class TestSortCache:
                         BasisSpec(kind, 7),
                         np.empty(n_cells, np.intp),
                         np.full(n_order, -1, np.intp),
-                        np.full(8, -1, np.intp),
                     )
 
 
@@ -232,7 +232,7 @@ def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
     bw = gen_brownian(31, 600, grid)
     # binding to (gp, bw) resets what the workspace carries, so the first
     # pass regresses the other ensemble's states on bw's increments
-    ws = Workspace(600, grid.N, spec.K)
+    ws = Workspace(600, grid.N)
     solve_bsde_hat(euler_simulate(gp, u, other), bw, gp, u, spec, ws)
     assert np.all(ws._orders >= 0)
 
@@ -252,15 +252,15 @@ def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
 def test_carried_order_with_a_sample_across_a_boundary_gives_the_cold_cells():
     samples = np.arange(20.0)
     spec = BasisSpec(VORONOI, 3)
-    cells, order, cuts = np.empty(20, np.intp), np.full(20, -1, np.intp), np.full(4, -1, np.intp)
-    build_partition(samples, spec, cells, order, cuts)
+    cells, order = np.empty(20, np.intp), np.full(20, -1, np.intp)
+    first = build_partition(samples, spec, cells, order)
     # centers 4.75, 9.5 and 14.25, so boundaries 7.125 and 11.875
     assert cells[7] == 0
     moved = samples.copy()
     moved[7] = 7.5  # still between its neighbours, now past the first boundary
-    part = build_partition(moved, spec, cells, order, cuts)
+    part = build_partition(moved, spec, cells, order, first.cuts)
     cold_cells = np.empty(20, np.intp)
-    build_partition(moved, spec, cold_cells, np.full(20, -1, np.intp), np.full(4, -1, np.intp))
+    build_partition(moved, spec, cold_cells, np.full(20, -1, np.intp))
 
     assert np.array_equal(order, np.arange(20))
     assert cells[7] == 1
@@ -271,18 +271,17 @@ def test_carried_order_with_a_sample_across_a_boundary_gives_the_cold_cells():
 def test_resorted_column_with_the_same_cuts_gives_the_cold_cells():
     samples = np.arange(20.0)
     spec = BasisSpec(VORONOI, 3)
-    cells, order, cuts = np.empty(20, np.intp), np.full(20, -1, np.intp), np.full(4, -1, np.intp)
-    build_partition(samples, spec, cells, order, cuts)
+    cells, order = np.empty(20, np.intp), np.full(20, -1, np.intp)
+    first = build_partition(samples, spec, cells, order)
     # 7 and 8 sit on either side of the boundary 7.125; swapping them keeps
     # the sorted column, and with it the cuts, but not the carried order
     swapped = samples.copy()
     swapped[[7, 8]] = swapped[[8, 7]]
-    kept_cuts = cuts.copy()
-    build_partition(swapped, spec, cells, order, cuts)
+    part = build_partition(swapped, spec, cells, order, first.cuts)
     cold_cells = np.empty(20, np.intp)
-    build_partition(swapped, spec, cold_cells, np.full(20, -1, np.intp), np.full(4, -1, np.intp))
+    build_partition(swapped, spec, cold_cells, np.full(20, -1, np.intp))
 
-    assert np.array_equal(cuts, kept_cuts)
+    assert np.array_equal(part.cuts, first.cuts)
     assert (cells[7], cells[8]) == (1, 0)
     assert np.array_equal(cells, cold_cells)
 
@@ -297,7 +296,7 @@ def test_warm_example1_passes_equal_fresh_cache_passes_bitwise():
     gp = discretize(prob, grid)
     bw = gen_brownian(4242, 2000, grid)
     u = nodal_sample(lambda t: 1.0 - t * t, grid)
-    ws = Workspace(2000, grid.N, spec.K)
+    ws = Workspace(2000, grid.N)
     solve_bsde_hat(euler_simulate(gp, u, bw), bw, gp, u, spec, ws)
 
     u = nodal_sample(lambda t: 1.1 - t * t, grid)
@@ -305,16 +304,16 @@ def test_warm_example1_passes_equal_fresh_cache_passes_bitwise():
     bent = PathEnsemble(grid, shifted.states + 0.5 * shifted.states**3)
     kept = moved = 0
     for ens in (shifted, bent):
-        orders, cuts = ws._orders.copy(), ws._cuts.copy()
+        orders, cuts = ws._orders.copy(), list(ws._cuts)
         warm = solve_bsde_hat(ens, bw, gp, u, spec, ws)
-        fresh_ws = Workspace(2000, grid.N, spec.K)
+        fresh_ws = Workspace(2000, grid.N)
         fresh = solve_bsde_hat(ens, bw, gp, u, spec, fresh_ws)
 
         assert np.array_equal(ws._cells, fresh_ws._cells)
         assert np.array_equal(warm.p_hat, fresh.p_hat)
         assert np.array_equal(warm.q_hat, fresh.q_hat)
         same_order = (ws._orders == orders).all(axis=0)
-        same_cuts = (ws._cuts == cuts).all(axis=0)
+        same_cuts = np.array([np.array_equal(a, b) for a, b in zip(ws._cuts, cuts, strict=True)])
         kept += np.count_nonzero(same_order & same_cuts)
         moved += np.count_nonzero(same_order & ~same_cuts)
     assert kept > 0 and moved > 0

@@ -443,3 +443,29 @@ class TestSolveConfig:
         assert const.rho_at(1) == const.rho_at(7) == 0.4
         assert harm.rho_at(1) == 0.4
         assert harm.rho_at(4) == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("gradient-grid", "control, paths, adjoint and problem must share one grid"),
+        ("rho_i=0", "rho_i must be positive"),
+        ("rho_i<0", "rho_i must be positive"),
+        ("psi-shape", "psi must carry one value per grid node"),
+    ],
+)
+def test_stage_inputs_are_checked(case, message):
+    grid = TimeGrid(1.0, 4)
+    gp, u = discretize(example2(alpha=0.1), grid), constant_control(grid, 0.0)
+    bw = gen_brownian(1, 20, grid)
+    ens = euler_simulate(gp, u, bw)
+    adj = solve_bsde_hat(ens, bw, gp, u, BasisSpec("voronoi", 4))
+    calls = {
+        "gradient-grid": lambda: gradient(constant_control(TimeGrid(1.0, 5), 0.0), ens, adj, gp),
+        "rho_i=0": lambda: compute_multiplier(1.0, 0.5, 1.0, 0.0),
+        "rho_i<0": lambda: compute_multiplier(1.0, 0.5, 1.0, -0.1),
+        "psi-shape": lambda: project_update(u, 1.0, np.ones(grid.N), gp.b_u, 0.5),
+    }
+    with pytest.raises(ValueError) as info:
+        calls[case]()
+    assert str(info.value) == message

@@ -8,6 +8,8 @@ import pytest
 
 from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample
 from socproj.paths import (
+    BrownianEnsemble,
+    PathEnsemble,
     SimulationError,
     derive_seed,
     euler_simulate,
@@ -292,8 +294,24 @@ class TestMeanStateIntegral:
         assert mean_state_integral(paths) == pytest.approx(0.5)
 
     def test_two_path_hand_value(self):
-        from socproj.paths import PathEnsemble
 
         grid = TimeGrid(1.0, 2)
         paths = PathEnsemble(grid=grid, states=np.array([[0.0, 0.0, 0.0], [0.0, 2.0, 4.0]]))
         assert mean_state_integral(paths) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (
+            lambda g: BrownianEnsemble(g, np.zeros((3, g.N + 1))),
+            "increments do not match the grid",
+        ),
+        (lambda g: PathEnsemble(g, np.zeros((3, g.N))), "states do not match the grid"),
+    ],
+    ids=["increments", "states"],
+)
+def test_ensembles_reject_arrays_of_another_grid(make, message):
+    with pytest.raises(ValueError) as info:
+        make(TimeGrid(1.0, 4))
+    assert str(info.value) == message

@@ -1,5 +1,6 @@
 """Built-in problem construction and self-consistency tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from socproj.paths import euler_simulate, gen_brownian, mean_state_integral
 from socproj.problems import (
     EXAMPLE2_DELTA,
     EXAMPLE3_DELTA_ACTIVE,
+    VectorProblem,
     discretize,
     example1,
     example2,
@@ -156,3 +158,19 @@ class TestDeclaredBounds:
         us = np.linspace(-2.0, 2.0, 5)
         for prob in (example2(alpha=0.1), example3(alpha=0.1)):
             assert finite_difference_mismatch(prob.diffusion, ys, us) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: dataclasses.replace(example2(alpha=0.1), T=0.0), "horizon T must be positive"),
+        (lambda: dataclasses.replace(example2(alpha=0.1), T=-1.0), "horizon T must be positive"),
+        (lambda: VectorProblem(components=()), "need at least one component"),
+        (lambda: example3(alpha=0.0), "alpha must be nonzero"),
+    ],
+    ids=["T=0", "T<0", "empty-vector", "example3-alpha0"],
+)
+def test_problem_constructors_name_the_bad_input(make, message):
+    with pytest.raises(ValueError) as info:
+        make()
+    assert str(info.value) == message

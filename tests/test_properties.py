@@ -84,7 +84,7 @@ def test_regress_is_dense_indicator_least_squares(x, spec, data):
     z = data.draw(arrays(np.float64, len(x), elements=coefficient(-10.0, 10.0)))
     cells = np.empty(len(x), dtype=np.intp)
     order = np.full(len(x), -1, dtype=np.intp)
-    part = build_partition(x, spec, cells, order, np.full(spec.K + 1, -1, dtype=np.intp))
+    part = build_partition(x, spec, cells, order)
     design = np.zeros((len(x), part.n_cells))
     design[np.arange(len(x)), part.assign(x)] = 1.0
     dense, *_ = np.linalg.lstsq(design, z, rcond=None)

@@ -104,7 +104,7 @@ def test_warm_passes_through_a_workspace_allocate_no_ensemble(stage):
     u = nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
     bw = gen_brownian(5, 4000, grid)
     spec = BasisSpec(VORONOI, 8)
-    ws = Workspace(bw.L, grid.N, spec.K)
+    ws = Workspace(bw.L, grid.N)
     ens = euler_simulate(gp, u, bw)
     calls = {
         "euler_simulate": lambda: euler_simulate(gp, u, bw, ws),

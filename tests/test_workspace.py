@@ -105,7 +105,7 @@ class TestConstantSigma:
         gp = discretize(_with_sigma(EXAMPLE1, counted), grid)
         bw = gen_brownian(3, 50, grid)
         ens = euler_simulate(gp, constant_control(grid, 0.2), bw)
-        ws_ens = euler_simulate(gp, constant_control(grid, 0.2), bw, Workspace(50, 6, 4))
+        ws_ens = euler_simulate(gp, constant_control(grid, 0.2), bw, Workspace(50, 6))
         assert calls == []
         assert np.array_equal(ens.states, ws_ens.states)
 
@@ -113,7 +113,7 @@ class TestConstantSigma:
 class TestWorkspaceReuse:
     def test_solve_on_a_workspace_another_seed_used_matches_a_fresh_solve(self):
         grid = TimeGrid(1.0, 8)
-        ws = Workspace(CFG1.L, 8, 8)
+        ws = Workspace(CFG1.L, 8)
         solve(EXAMPLE1, dataclasses.replace(CFG1, seed=99), constant_control(grid, 0.0), ws)
         used = solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), ws)
         _assert_same_solve(used, solve(EXAMPLE1, CFG1, constant_control(grid, 0.0)))
@@ -121,7 +121,7 @@ class TestWorkspaceReuse:
     def test_solve_after_a_failed_solve_on_the_workspace_matches_a_fresh_solve(self):
         grid = TimeGrid(1.0, 8)
         cfg = SolveConfig(rho=0.1, eps0=1e-4, L=200, basis=BasisSpec(VORONOI, 10), seed=4)
-        ws = Workspace(200, 8, 10)
+        ws = Workspace(200, 8)
         with pytest.raises(SimulationError, match="diverged at iteration 6"):
             solve(example2(alpha=0.1), dataclasses.replace(cfg, rho=50.0),
                   constant_control(grid, 0.0), ws)
@@ -134,7 +134,7 @@ class TestWorkspaceReuse:
         grid = TimeGrid(1.0, 8)
         basis = BasisSpec(HYPERCUBE, 8)
         cfg = dataclasses.replace(CFG1, basis=basis)
-        ws = Workspace(CFG1.L, 12, 8, HYPERCUBE)
+        ws = Workspace(CFG1.L, 12)
         solve(example3(alpha=0.1), cfg, constant_control(TimeGrid(1.0, 12), 0.0), ws)
         assert ws.q_hat.any()
         used = solve(EXAMPLE1, cfg, constant_control(grid, 0.0), ws)
@@ -145,9 +145,7 @@ class TestWorkspaceReuse:
         grid = TimeGrid(1.0, 8)
         for L, N in ((CFG1.L + 1, 8), (CFG1.L, 7)):
             with pytest.raises(ValueError, match="workspace holds"):
-                solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), Workspace(L, N, 8))
-        with pytest.raises(ValueError, match="workspace must be a Workspace"):
-            solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), Workspace(CFG1.L, 8, 8, HYPERCUBE))
+                solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), Workspace(L, N))
 
 
 class TestPasses:
@@ -171,7 +169,7 @@ class TestPasses:
     def test_workspace_passes_match_allocating_passes_bitwise(self, inputs, kind):
         gp, u, bw = inputs
         spec = BasisSpec(kind, 6)
-        ws = Workspace(300, 10, 6, kind)
+        ws = Workspace(300, 10)
         ens = euler_simulate(gp, u, bw)
         ws_ens = euler_simulate(gp, u, bw, ws)
         assert np.shares_memory(ws_ens.states, ws.states)
@@ -185,12 +183,12 @@ class TestPasses:
         assert sol.q_hat.tobytes() == want.q_hat.tobytes()
 
     def test_voronoi_after_hypercube_on_one_pair_matches_a_fresh_pass(self, inputs):
-        # the hypercube pass overwrites the carried cells but keeps the
-        # orders, which still sort the same states; the third pass must not
-        # take its cuts, equal to the first pass's, as a cache hit
+        # the hypercube pass overwrites the carried cells of orders that still
+        # sort the same states; the third pass, whose cuts equal the first
+        # pass's, must not keep those cells as a cache hit
         gp, u, bw = inputs
         ens = euler_simulate(gp, u, bw)
-        ws = Workspace(300, 10, 6)
+        ws = Workspace(300, 10)
         for kind in (VORONOI, HYPERCUBE, VORONOI):
             spec = BasisSpec(kind, 6)
             got, want = solve_bsde_hat(ens, bw, gp, u, spec, ws), solve_bsde_hat(ens, bw, gp, u, spec)
@@ -202,22 +200,16 @@ class TestPasses:
         other = gen_brownian(9, 300, bw.grid)
         sigma = constant(0.2)
         gp = discretize(_with_sigma(gp.spec, sigma), bw.grid)
-        ws = Workspace(300, 10, 6)
+        ws = Workspace(300, 10)
         euler_simulate(gp, u, bw, ws)
         again = euler_simulate(gp, u, other, ws)
         assert again.states.tobytes() == euler_simulate(gp, u, other).states.tobytes()
-
-    def test_hypercube_cache_holds_one_cells_column_and_no_orders(self):
-        cache = Workspace(100, 12, 5, HYPERCUBE)
-        assert cache._orders is None and cache._cells.shape == (100, 1)
-        voronoi = Workspace(100, 12, 5)
-        assert voronoi._orders.shape == voronoi._cells.shape == (100, 12)
 
 
 # The (problem, ensemble) pairs that one workspace serves in turn, all on one
 # grid shorter than the workspace: example1 has a constant sigma and no
 # Q-regression, example2 and example3 regress Q, and example3's noise moves
-# the paths' ranks.
+# the paths' ranks.  Each backward pass draws its basis and K.
 GRID = TimeGrid(1.0, 8)
 PROBLEMS = [discretize(p, GRID) for p in (example2(alpha=0.1), example3(alpha=0.1), EXAMPLE1)]
 ENSEMBLES = [gen_brownian(seed, 80, GRID) for seed in (3, 4)]
@@ -226,6 +218,7 @@ PASS = st.tuples(
     st.sampled_from(PROBLEMS),
     st.sampled_from(ENSEMBLES),
     st.sampled_from([VORONOI, HYPERCUBE]),
+    st.sampled_from([1, 4, 6, 9]),
     st.lists(st.floats(-1.0, 1.0), min_size=GRID.N, max_size=GRID.N),
 )
 
@@ -235,14 +228,14 @@ PASS = st.tuples(
 def test_interleaved_passes_through_one_workspace_match_fresh_passes(passes):
     """Whatever ran in a workspace before, each pass through it gives what the
     same pass gives in a fresh workspace, bit for bit."""
-    ws = Workspace(80, GRID.N + 2, 6)
-    for stage, gp, bw, kind, values in passes:
+    ws = Workspace(80, GRID.N + 2)
+    for stage, gp, bw, kind, K, values in passes:
         u = StepFunction(GRID, np.array(values))
         fresh = euler_simulate(gp, u, bw)
         if stage == "euler":
             assert euler_simulate(gp, u, bw, ws).states.tobytes() == fresh.states.tobytes()
         else:
-            spec = BasisSpec(kind, 6)
+            spec = BasisSpec(kind, K)
             got, want = solve_bsde_hat(fresh, bw, gp, u, spec, ws), solve_bsde_hat(fresh, bw, gp, u, spec)
             assert got.p_hat.tobytes() == want.p_hat.tobytes()
             assert got.q_hat.tobytes() == want.q_hat.tobytes()
