@@ -771,7 +771,7 @@ class TestComponentSolves:
             assert row.state_integral is None and row.iterations is None
 
 
-class TestRunSingleAndCli:
+class TestOneNSweepAndCli:
     def test_one_n_sweep_row_and_result(self):
         cfg = SweepConfig(
             problem="example2", N_list=[8], L=300, rho=0.1, eps0=1e-3, seed=3, basis_K=8

@@ -69,7 +69,7 @@ def _reference_brownian(seed, L, grid, normalize):
 class TestGenBrownian:
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
-    def test_matches_fresh_generator_per_path(self, seed, normalize):
+    def test_matches_one_stream_drawn_path_by_path(self, seed, normalize):
         for L in (1, 2, 7, 2000):
             for N in (2, 40):
                 grid = TimeGrid(1.0, N)
@@ -79,7 +79,7 @@ class TestGenBrownian:
 
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("N", [8, 16])
-    def test_matches_fresh_generator_per_path_at_tracking5d_size(self, N, normalize):
+    def test_matches_one_stream_drawn_path_by_path_at_tracking5d_size(self, N, normalize):
         grid = TimeGrid(1.0, N)
         bw = gen_brownian(90817, 10_000, grid, normalize=normalize)
         ref = _reference_brownian(90817, 10_000, grid, normalize)
@@ -97,7 +97,7 @@ class TestGenBrownian:
         b = gen_brownian(2, 50, grid)
         assert not np.array_equal(a.increments, b.increments)
 
-    def test_per_path_substreams_independent_of_path_count(self):
+    def test_leading_paths_independent_of_path_count(self):
         grid = TimeGrid(1.0, 6)
         small = gen_brownian(9, 5, grid, normalize=False)
         large = gen_brownian(9, 50, grid, normalize=False)
