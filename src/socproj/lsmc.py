@@ -22,7 +22,8 @@ of example1); else a stable argsort of the gathered column completes it,
 cheaper than a fresh sort when few paths swap (most warm steps of example2).
 When the order needed no repair and the new cuts equal the carried ones, the
 carried cells are exactly what the step would write, and the step keeps
-them.  A hypercube step carries nothing: it marks its order unknown.
+them.  A step's order and cells count as carried only with the cuts of its
+last partition; a hypercube step sorts nothing and leaves no cuts.
 
 The backward recursion is explicit: at step n the Q-values regress
 dW_{n+1} p_{n+1} / dt on the step-n cells, then the P-values regress
@@ -127,17 +128,17 @@ class Workspace:
 
     It also carries, per step n, the sort order and cells of the step's last
     partition, as column-major intp arrays, and the rank cuts of its last
-    Voronoi partition, by reference in a per-step list; -1 in the first
-    entry of an order column means nothing is known yet, and a step reads
-    its cuts only when it carries an order.  A hypercube step sorts nothing
-    and sets that -1 itself, so passes of either basis and any K share one
-    workspace.
+    Voronoi partition, by reference in a per-step list.  A step's order and
+    cells are carried exactly when its cuts entry is not None; a hypercube
+    step sorts nothing and stores None there, so passes of either basis and
+    any K share one workspace.
 
     The passes ``bind`` it to their (problem, ensemble) pair on n <= N steps,
     and use the leading columns of each array.  Binding to a new pair resets
-    the carried orders and the noise, so a used workspace gives what a fresh
-    one gives, bit for bit.  A pass returns read-only views of its arrays,
-    overwritten by the next pass: copy what you keep.
+    the cuts list and the noise, so a used workspace gives what a fresh one
+    gives, bit for bit; no order column is written before a Voronoi pass.
+    A pass returns read-only views of its arrays, overwritten by the next
+    pass: copy what you keep.
     """
 
     def __init__(self, L: int, N: int):
@@ -171,7 +172,7 @@ class Workspace:
         self._q_live = q_live
         self.q_hat, self.noise = q_hat[:, :n], None
         self.states, self.p_hat = states[:, : n + 1], p_hat[:, : n + 1]
-        self._orders[0] = -1  # the cold sentinel
+        self._cuts = [None] * len(self._cuts)  # nothing is carried
         self._bound = (weakref.ref(problem), weakref.ref(bw))
 
 
@@ -233,13 +234,13 @@ def build_partition(
 
     A Voronoi step reads both from the sorted samples and leaves the sorting
     permutation in ``order`` (intp, len(samples)); a hypercube step sorts
-    nothing and marks ``order`` unknown (-1 first).  ``order`` holds either
-    that cold sentinel or, like ``cells`` then, what an earlier call on the
-    same two left there, and callers never edit them: unchecked, as a check
-    would cost what the carry saves.  ``cuts`` is the ``Partition.cuts`` of
-    that earlier call, if any.  When the carried order still sorts the
-    samples and the cuts come out as carried, ``cells`` already holds the
-    step's cells and is left as it is.
+    nothing and leaves ``order`` alone.  ``cuts`` is the ``Partition.cuts``
+    of the previous call on the same ``cells`` and ``order``, if that call
+    built a Voronoi partition: only then are the two carried, and callers
+    never edit them in between (unchecked, as a check would cost what the
+    carry saves).  Without ``cuts`` whatever ``order`` holds is ignored.
+    When the carried order still sorts the samples and the cuts come out as
+    carried, ``cells`` already holds the step's cells and is left as it is.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
@@ -248,7 +249,6 @@ def build_partition(
         raise ValueError("cells and order need one entry per sample")
     if spec.kind == VORONOI:
         return _voronoi_partition(samples, spec.K, cells, order, cuts)
-    order[0] = -1
     lo, hi = float(samples.min()), float(samples.max())
     n_cells = 1 if hi == lo else spec.K
     # One partition per step: its counts are filled in from its cells.
@@ -263,7 +263,7 @@ def _voronoi_partition(
     samples: np.ndarray, k: int, cells: np.ndarray, order: np.ndarray, cuts: Optional[np.ndarray]
 ) -> Partition:
     """Cells around the k quantiles, all read from the sorted samples."""
-    carried = order[0] >= 0
+    carried = cuts is not None
     if not carried:
         order[:] = np.argsort(samples)
     ordered = samples.take(order)
@@ -287,7 +287,7 @@ def _voronoi_partition(
     new.setflags(write=False)
     counts = new[1:] - new[:-1]
     # Two intp arrays are equal when their bytes are.
-    if not (carried and cuts is not None and new.tobytes() == cuts.tobytes()):
+    if not (carried and new.tobytes() == cuts.tobytes()):
         cells[order] = ids[:n_cells].repeat(counts)
     lo, hi = float(ordered[0]), float(ordered[-1])
     return Partition(VORONOI, n_cells, lo, hi, boundaries if n_cells > 1 else None, counts, new)
@@ -374,7 +374,9 @@ def solve_bsde_hat(
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(N - 1, -1, -1):
             yn, cells_n = y[:, n], cells[:, n]
-            part = build_partition(yn, spec, cells_n, orders[:, n], cuts[n])
+            # a step that raises leaves no cuts, so nothing half-written is carried
+            carried, cuts[n] = cuts[n], None
+            part = build_partition(yn, spec, cells_n, orders[:, n], carried)
             cuts[n], counts = part.cuts, part.counts
 
             p_next = p[:, n + 1]

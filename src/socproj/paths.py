@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1 << 15  # doubles per drawn row block (256 KiB)
 
 
 def derive_seed(base: int, key: int) -> int:
@@ -115,22 +116,59 @@ def gen_brownian(
     row lambda is draws lambda*N ... lambda*N + N - 1 of that stream.  With
     ``normalize`` (the default) each step's column is then shifted and scaled
     to sample mean 0 and sample variance dt exactly; requires L >= 2 and is
-    skipped otherwise.  The ensemble stores the rows column-major.
+    skipped otherwise.
+
+    The rows are drawn in blocks of about ``_BLOCK`` doubles and copied into
+    the column-major array the ensemble stores, so for N >= 2 the call holds
+    one ensemble and one block at its peak (and, below 8192 paths, numpy's
+    64 KiB ufunc buffer).  The column sums of the moments add the rows in
+    path order, as a row-major ``mean(axis=0)`` does; with N = 1 the column
+    is contiguous and numpy's pairwise mean is kept.
     """
     if L < 1:
         raise ValueError(f"path count must be >= 1, got {L}")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    dw = np.empty((L, grid.N))
-    np.random.Generator(np.random.Philox(key=seed)).standard_normal(out=dw)
-    dw *= np.sqrt(grid.dt)
+    N, root_dt = grid.N, np.sqrt(grid.dt)
+    dw = np.empty((L, N), order="F")
+    normal = np.random.Generator(np.random.Philox(key=seed)).standard_normal
+
+    def draw(block: np.ndarray, rows: slice) -> None:
+        normal(out=block)
+        block *= root_dt
+        dw[rows] = block
+
+    def square(block: np.ndarray, rows: slice) -> None:
+        block[...] = dw[rows]  # a ufunc across the two layouts would buffer
+        block *= block
+
+    buf = np.empty((min(max(1, _BLOCK // N), L) + 1, N))
+    total = _by_row_blocks(buf, L, draw)
     if normalize and L >= 2:
-        dw -= dw.mean(axis=0)
-        scale = np.sqrt(np.mean(dw * dw, axis=0))
+        dw -= total / L if N > 1 else dw.mean(axis=0)
+        sumsq = _by_row_blocks(buf, L, square) if N > 1 else np.sum(dw * dw, axis=0)
+        scale = np.sqrt(sumsq / L)
         if np.any(scale <= 0.0):
             raise SimulationError("degenerate increment column")
-        dw *= np.sqrt(grid.dt) / scale
+        dw *= root_dt / scale
     return BrownianEnsemble(grid=grid, increments=dw)
+
+
+def _by_row_blocks(
+    buf: np.ndarray, L: int, fill: Callable[[np.ndarray, slice], None]
+) -> np.ndarray:
+    """Call ``fill(block, rows)`` on the consecutive row blocks of an L-row
+    array, each block a C-order view of ``buf``'s rows 1 and on, and return
+    the column sums of what it wrote, added row by row as a row-major
+    ``sum(axis=0)`` adds them: row 0 of ``buf`` carries the running sums
+    into each block's reduce."""
+    size, total = len(buf) - 1, np.zeros(buf.shape[1])
+    for start in range(0, L, size):
+        block = buf[1 : 1 + min(size, L - start)]
+        fill(block, slice(start, start + len(block)))
+        buf[0] = total
+        np.add.reduce(buf[: 1 + len(block)], axis=0, out=total)
+    return total
 
 
 def euler_simulate(

@@ -184,13 +184,15 @@ class TestSortCache:
         order = _guess(guess, samples, np.random.default_rng(seed))
         given_order = order.copy()
         cells = np.empty(n, dtype=np.intp)
-        part = build_partition(samples, spec, cells, order)
+        # any cuts carry the guess; empty ones match no partition's cuts, so
+        # the cells are written afresh
+        part = build_partition(samples, spec, cells, order, np.empty(0, np.intp))
 
         assert part.n_cells == cold.n_cells
         assert np.array_equal(cells, cold_cells)
         if kind == HYPERCUBE:
-            # a hypercube step sorts nothing and marks the order unknown
-            assert order[0] == -1 and np.array_equal(order[1:], given_order[1:])
+            # a hypercube step sorts nothing and leaves the order alone
+            assert np.array_equal(order, given_order)
             assert np.array_equal(cold_order, np.full(n, -1))
             return
         for perm in (order, cold_order):
@@ -199,15 +201,15 @@ class TestSortCache:
 
 
     def test_order_contract(self):
-        # -1 first means no order is known, whatever follows it; an order
-        # or a cell array of the wrong length is rejected.  A full-length
-        # order that starts >= 0 must be a permutation (not checked).
+        # Without the previous call's cuts no order is known, whatever the
+        # order holds (here zeros, not a permutation); an order or a cell
+        # array of the wrong length is rejected.  An order handed in with
+        # cuts must be a permutation (not checked).
         samples = np.random.default_rng(3).standard_normal(50)
         spec = BasisSpec(VORONOI, 7)
         cold_cells, cold_order = np.empty(50, np.intp), np.full(50, -1, np.intp)
         build_partition(samples, spec, cold_cells, cold_order)
         cells, order = np.empty(50, np.intp), np.zeros(50, np.intp)
-        order[0] = -1
         build_partition(samples, spec, cells, order)
         assert np.array_equal(cells, cold_cells)
         assert np.array_equal(order, cold_order)

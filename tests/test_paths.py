@@ -1,6 +1,7 @@
 """Brownian ensemble and Euler simulation tests."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,12 +71,15 @@ class TestGenBrownian:
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 - 1])
     def test_matches_one_stream_drawn_path_by_path(self, seed, normalize):
-        for L in (1, 2, 7, 2000):
-            for N in (2, 40):
-                grid = TimeGrid(1.0, N)
-                bw = gen_brownian(seed, L, grid, normalize=normalize)
-                ref = _reference_brownian(seed, L, grid, normalize)
-                assert np.array_equal(bw.increments, ref), (L, N)
+        # N = 1 keeps numpy's pairwise column mean; at N = 40 a 256 KiB block
+        # holds 819 rows, so 2500 paths fill three blocks and end in a
+        # partial one
+        sizes = [(L, N) for L in (1, 2, 7, 2000) for N in (1, 2, 40)] + [(2500, 40)]
+        for L, N in sizes:
+            grid = TimeGrid(1.0, N)
+            bw = gen_brownian(seed, L, grid, normalize=normalize)
+            ref = _reference_brownian(seed, L, grid, normalize)
+            assert np.array_equal(bw.increments, ref), (L, N)
 
     @pytest.mark.parametrize("normalize", [True, False])
     @pytest.mark.parametrize("N", [8, 16])
@@ -84,6 +88,17 @@ class TestGenBrownian:
         bw = gen_brownian(90817, 10_000, grid, normalize=normalize)
         ref = _reference_brownian(90817, 10_000, grid, normalize)
         assert np.array_equal(bw.increments, ref)
+
+    def test_peak_memory_is_one_ensemble_and_one_block(self):
+        grid = TimeGrid(1.0, 16)
+        gen_brownian(90817, 10_000, grid)
+        tracemalloc.start()
+        try:
+            bw = gen_brownian(90817, 10_000, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bw.increments.nbytes + 256 * 1024 + 64 * 1024
 
     def test_same_seed_reproduces_bitwise(self):
         grid = TimeGrid(1.0, 8)

@@ -24,7 +24,7 @@ from socproj.lsmc import (
     solve_bsde_hat,
 )
 from socproj.optimizer import SolveConfig, solve
-from socproj.paths import SimulationError, euler_simulate, gen_brownian
+from socproj.paths import PathEnsemble, SimulationError, euler_simulate, gen_brownian
 from socproj.problems import (
     ZERO,
     CostDerivatives,
@@ -194,6 +194,37 @@ class TestPasses:
             got, want = solve_bsde_hat(ens, bw, gp, u, spec, ws), solve_bsde_hat(ens, bw, gp, u, spec)
             assert got.p_hat.tobytes() == want.p_hat.tobytes()
             assert got.q_hat.tobytes() == want.q_hat.tobytes()
+
+    def test_only_a_voronoi_pass_writes_orders_and_binding_drops_its_cuts(self, inputs):
+        gp, u, bw = inputs
+        ws = Workspace(300, 10)
+        ws._orders.fill(7)
+        ens = euler_simulate(gp, u, bw, ws)
+        solve_bsde_hat(ens, bw, gp, u, BasisSpec(HYPERCUBE, 6), ws)
+        assert (ws._orders == 7).all()
+        assert ws._cuts == [None] * 10
+        solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 6), ws)
+        assert all(c is not None for c in ws._cuts)
+        assert (np.sort(ws._orders, axis=0) == np.arange(300)[:, None]).all()
+        euler_simulate(gp, u, gen_brownian(9, 300, bw.grid), ws)
+        assert ws._cuts == [None] * 10
+
+    def test_a_pass_that_raises_carries_nothing_it_wrote(self, inputs):
+        # the hypercube step on non-finite states writes its cells, then
+        # fails counting them; the cuts of the first pass must not make the
+        # third keep those cells
+        gp, u, bw = inputs
+        ens = euler_simulate(gp, u, bw)
+        bad = ens.states.copy()
+        bad[:, -2] = np.nan
+        ws = Workspace(300, 10)
+        solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 6), ws)
+        with pytest.raises(ValueError):
+            solve_bsde_hat(PathEnsemble(bw.grid, bad), bw, gp, u, BasisSpec(HYPERCUBE, 6), ws)
+        spec = BasisSpec(VORONOI, 6)
+        got, want = solve_bsde_hat(ens, bw, gp, u, spec, ws), solve_bsde_hat(ens, bw, gp, u, spec)
+        assert got.p_hat.tobytes() == want.p_hat.tobytes()
+        assert got.q_hat.tobytes() == want.q_hat.tobytes()
 
     def test_a_bound_workspace_follows_a_new_ensemble(self, inputs):
         gp, u, bw = inputs
