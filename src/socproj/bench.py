@@ -7,12 +7,12 @@ exists, and emits one report per component.  The control-error column is the
 L2 norm of the difference between the computed step control and the reference
 control sampled at the left grid nodes, the discrete error the tables track.
 
-Config files are flat ``key = value`` text (see ``CONFIG_KEYS``; a key the
-chosen problem would ignore, see ``IGNORED_KEYS``, is an error); reports are
-CSV with the fixed columns ``CSV_COLUMNS``, with per-N control-trajectory
-CSV files for plotting, and a JSON mirror whose metadata holds the whole
-``SweepConfig``: ``delta`` lists each component's constraint level and
-``config_delta`` keeps the config's own value.
+Config files are flat ``key = value`` text, a key per ``SweepConfig`` field
+(``CONFIG_KEYS``; a key the chosen problem would ignore, see ``IGNORED_KEYS``,
+is an error); reports are CSV with a column per ``RunRow`` field but
+``converged`` and ``failure``, per-N control-trajectory CSVs for plotting,
+and a JSON mirror whose metadata holds the whole ``SweepConfig``: ``delta``
+lists each component's constraint level, ``config_delta`` the config's own.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Union
+from typing import Optional, Union, get_type_hints
 
 import numpy as np
 
@@ -48,18 +48,6 @@ __all__ = [
     "rate",
     "run_sweep",
 ]
-
-CSV_COLUMNS = (
-    "N",
-    "control_error",
-    "control_rate",
-    "multiplier_error",
-    "multiplier_rate",
-    "state_integral",
-    "iterations",
-    "wall_time_s",
-)
-CSV_HEADER = ",".join(CSV_COLUMNS)
 
 PROBLEM_IDS = ("example1", "example2", "example3")
 
@@ -169,27 +157,22 @@ def _parse_basis_kind(s: str) -> str:
     return kind
 
 
-#: config-file key -> (SweepConfig attribute, parser)
+_PARSERS = {
+    str: str.strip,
+    int: int,
+    float: _parse_float,
+    Optional[float]: _parse_float,
+    bool: _parse_bool,
+    list[int]: _parse_int_list,
+    list[str]: _parse_str_list,
+}
+
+#: config-file key -> (SweepConfig attribute, parser of its type or aliases)
 CONFIG_KEYS = {
-    "problem": ("problem", str.strip),
-    "d": ("d", int),
-    "alpha": ("alpha", _parse_float),
-    "mu_star": ("mu_star", _parse_float),
-    "delta": ("delta", _parse_float),
-    "N_list": ("N_list", _parse_int_list),
-    "L": ("L", int),
-    "rho": ("rho", _parse_float),
-    "rho_schedule": ("rho_schedule", str.strip),
-    "eps0": ("eps0", _parse_float),
-    "max_iters": ("max_iters", int),
-    "seed": ("seed", int),
-    "u0": ("u0", _parse_float),
-    "self_convergence": ("self_convergence", _parse_bool),
-    "normalize_increments": ("normalize_increments", _parse_bool),
-    "basis.kind": ("basis_kind", _parse_basis_kind),
-    "basis.K": ("basis_K", int),
-    "output.dir": ("output_dir", str.strip),
-    "output.formats": ("output_formats", _parse_str_list),
+    (attr.replace("_", ".", 1) if attr.startswith(("basis_", "output_")) else attr): (
+        attr, _parse_basis_kind if attr == "basis_kind" else _PARSERS[hint]
+    )
+    for attr, hint in get_type_hints(SweepConfig).items()
 }
 
 
@@ -218,10 +201,9 @@ def parse_config(path: str) -> SweepConfig:
             if key in raw:
                 raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
             raw[key] = (lineno, value)
-    if "problem" not in raw:
-        raise ValueError(f"{path}: missing required key 'problem'")
-    if "N_list" not in raw:
-        raise ValueError(f"{path}: missing required key 'N_list'")
+    for key in ("problem", "N_list"):
+        if key not in raw:
+            raise ValueError(f"{path}: missing required key {key!r}")
     problem = raw["problem"][1]
     for key in IGNORED_KEYS.get(problem, ()):
         if key in raw:
@@ -277,12 +259,16 @@ class RunRow:
     failure: Optional[str] = None
 
 
+#: report CSV columns: every ``RunRow`` field but those only the JSON holds
+CSV_COLUMNS = tuple(f.name for f in fields(RunRow) if f.name not in ("converged", "failure"))
+CSV_HEADER = ",".join(CSV_COLUMNS)
+
+
 @dataclass
 class RunReport:
     """Per-component sweep results plus the settings that produced them;
     ``results`` holds each successful solve by N and is never written."""
 
-    problem: str
     component: int
     metadata: dict
     rows: list[RunRow] = field(default_factory=list)
@@ -335,7 +321,7 @@ def run_sweep(
         "numpy_version": np.__version__,
     }
     reports = [
-        RunReport(problem=cfg.problem, component=k + 1, metadata=dict(meta))
+        RunReport(component=k + 1, metadata=dict(meta))
         for k in range(len(components))
     ]
 
@@ -429,28 +415,30 @@ def report_csv_lines(report: RunReport) -> list[str]:
     ]
 
 
-def _report_stem(cfg: SweepConfig, component: int, n_components: int) -> str:
-    stem = f"{cfg.problem}_{cfg.basis_kind}"
-    if n_components > 1:
-        stem += f"_c{component}"
-    return stem
+def _report_stem(cfg: SweepConfig, component: Optional[int]) -> str:
+    stem = os.path.join(cfg.output_dir, f"{cfg.problem}_{cfg.basis_kind}")
+    return stem if component is None else f"{stem}_c{component}"
 
 
-def write_outputs(cfg, components, reports) -> list[str]:
-    """Write the requested report files; returns the paths written."""
-    outdir = cfg.output_dir
-    os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
+def write_outputs(cfg, components, reports) -> None:
+    """Write the requested report files; with csv, each component's report
+    and its per-N control trajectories: node, numerical value, exact value."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
     if "csv" in cfg.output_formats:
-        for report in reports:
-            stem = _report_stem(cfg, report.component, len(reports))
-            path = os.path.join(outdir, f"{stem}_report.csv")
-            with open(path, "w", encoding="utf-8") as fh:
+        for comp, report in zip(components, reports):
+            stem = _report_stem(cfg, report.component if len(reports) > 1 else None)
+            with open(f"{stem}_report.csv", "w", encoding="utf-8") as fh:
                 fh.write("\n".join(report_csv_lines(report)) + "\n")
-            written.append(path)
-        written.extend(_write_trajectories(cfg, components, reports))
+            u_star = comp.exact.u_star if comp.exact is not None else None
+            for N, res in report.results.items():
+                u = res.u_final
+                with open(f"{stem}_control_N{N}.csv", "w", encoding="utf-8") as fh:
+                    fh.write("node,numerical,exact\n")
+                    for n in range(u.grid.N):
+                        t = u.grid.nodes[n]
+                        exact = "" if u_star is None else repr(float(u_star(float(t))))
+                        fh.write(f"{t!r},{u.values[n]!r},{exact}\n")
     if "json" in cfg.output_formats:
-        path = os.path.join(outdir, f"{cfg.problem}_{cfg.basis_kind}_report.json")
         payload = {
             "metadata": reports[0].metadata,
             "components": [
@@ -461,28 +449,6 @@ def write_outputs(cfg, components, reports) -> list[str]:
                 for report in reports
             ],
         }
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(f"{_report_stem(cfg, None)}_report.json", "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        written.append(path)
-    return written
-
-
-def _write_trajectories(cfg, components, reports) -> list[str]:
-    """Per-N control trajectories: node, numerical value, exact value."""
-    written = []
-    for comp, report in zip(components, reports):
-        stem = _report_stem(cfg, report.component, len(reports))
-        for N, res in report.results.items():
-            u = res.u_final
-            path = os.path.join(cfg.output_dir, f"{stem}_control_N{N}.csv")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write("node,numerical,exact\n")
-                for n in range(u.grid.N):
-                    t = u.grid.nodes[n]
-                    exact = ""
-                    if comp.exact is not None and comp.exact.u_star is not None:
-                        exact = repr(float(comp.exact.u_star(float(t))))
-                    fh.write(f"{t!r},{u.values[n]!r},{exact}\n")
-            written.append(path)
-    return written

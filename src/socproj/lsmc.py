@@ -340,8 +340,8 @@ def solve_bsde_hat(
 
     A ``ZERO`` sigma_y (``problem.sigma_y_live`` is False) drops the q-term
     of f_hat; with sigma_u ``ZERO`` too, no Q-regression runs and q_hat is
-    all zeros.  Only the sentinel counts: any other callback keeps the full
-    path.
+    all zeros.  Only a ``constant(0.0)`` counts: any other callback keeps
+    the full path.
     A step with b_y[n] = 0.0 of either sign drops the signed zero p b_y[n]
     (see the module docstring).
 

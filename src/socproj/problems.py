@@ -10,14 +10,14 @@ Function-field conventions:
     reads them only through ``discretize``, once per grid;
   * state functions (sigma, sigma_y, sigma_u, h_y, g) are vectorized over a
     path-batch ndarray of states, with the control value passed as a scalar;
-  * ``ZERO`` as sigma_y or sigma_u declares that derivative identically zero,
-    and the solver skips the adjoint work it would only multiply by zero
-    (``vanishes``); any other callback, even one that returns zeros, keeps
-    the full path;
-  * ``constant(c)`` as sigma declares a constant diffusion, and the solver
-    takes the noise term c dW from one array filled once per solve
-    (``constant_value``) instead of calling sigma on every step;
-  * ``discretize`` reads both declarations once per grid, into the
+  * ``constant(c)`` declares a state function equal to c everywhere, seen
+    by ``constant_value`` alone; as sigma it is never called per step: the
+    noise term c dW comes from one array filled once per solve;
+  * ``ZERO`` is ``constant(0.0)``: as sigma_y or sigma_u it declares that
+    derivative identically zero, and the solver skips the adjoint work it
+    would only multiply by zero; any other callback, even one that returns
+    zeros, keeps the full path;
+  * ``discretize`` reads every declaration once per grid, into the
     ``GridProblem`` that every pass reads;
   * the tracking target may depend on time, so h_y has signature h_y(t, y).
 
@@ -57,7 +57,6 @@ __all__ = [
     "example1",
     "example2",
     "example3",
-    "vanishes",
 ]
 
 StateFn = Callable[[np.ndarray, float], np.ndarray]
@@ -88,12 +87,12 @@ class LinearDrift:
 class Diffusion:
     """Diffusion coefficient and its state/control derivatives.
 
-    A derivative that is identically zero is declared by passing ``ZERO``
-    itself (or a ``functools.wraps`` wrapper of it); the solver then skips
-    the products with it, and with both derivatives ``ZERO`` it skips the
-    Q-regression.  A custom callback, even one that returns zeros, keeps
-    the full path.  Likewise a ``constant(c)`` sigma is never called per
-    step: its noise term c dW is one array per solve.
+    A derivative that is identically zero is declared by passing ``ZERO``,
+    that is ``constant(0.0)`` (or a ``functools.wraps`` wrapper of one); the
+    solver then skips the products with it, and with both derivatives zero
+    it skips the Q-regression.  A custom callback, even one that returns
+    zeros, keeps the full path.  Likewise a ``constant(c)`` sigma is never
+    called per step: its noise term c dW is one array per solve.
     """
 
     sigma: StateFn
@@ -153,7 +152,7 @@ class GridProblem:
     """``spec`` on one grid, with its drift coefficients at the left nodes
     t_0 .. t_{N-1} as read-only arrays of length N, and what its diffusion
     declares: the value of a ``constant`` sigma (else None), and whether
-    sigma_y and sigma_u are live (not ``ZERO``)."""
+    sigma_y and sigma_u are live (not ``constant(0.0)``)."""
 
     spec: ProblemSpec
     grid: TimeGrid
@@ -173,18 +172,8 @@ def discretize(problem: ProblemSpec, grid: TimeGrid) -> GridProblem:
     b_y, b_u, m = (nodal_sample(f, grid).values for f in (drift.b_y, drift.b_u, drift.m))
     return GridProblem(spec=problem, grid=grid, b_y=b_y, b_u=b_u, m=m,
                        sigma_value=constant_value(diff.sigma),
-                       sigma_y_live=not vanishes(diff.sigma_y),
-                       sigma_u_live=not vanishes(diff.sigma_u))
-
-
-def ZERO(y: np.ndarray, u: float) -> np.ndarray:
-    """The identically zero ``Diffusion`` derivative, recognized by ``vanishes``."""
-    return np.zeros_like(y, dtype=float)
-
-
-def vanishes(fn: StateFn) -> bool:
-    """Whether ``fn`` is ``ZERO``, seen through ``functools.wraps`` wrappers."""
-    return inspect.unwrap(fn) is ZERO
+                       sigma_y_live=constant_value(diff.sigma_y) != 0.0,
+                       sigma_u_live=constant_value(diff.sigma_u) != 0.0)
 
 
 class _Constant:
@@ -195,6 +184,9 @@ class _Constant:
 
     def __call__(self, y: np.ndarray, u: float) -> np.ndarray:
         return np.full_like(y, self.value, dtype=float)
+
+    def __repr__(self) -> str:
+        return f"constant({self.value!r})"
 
 
 def constant(value: float) -> StateFn:
@@ -208,6 +200,10 @@ def constant_value(fn: StateFn) -> Optional[float]:
     ``functools.wraps`` wrappers; None for any other callable."""
     fn = inspect.unwrap(fn)
     return fn.value if isinstance(fn, _Constant) else None
+
+
+#: The identically zero ``Diffusion`` derivative.
+ZERO = constant(0.0)
 
 
 def _zero_terminal(y: np.ndarray) -> np.ndarray:

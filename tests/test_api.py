@@ -62,7 +62,7 @@ def test_each_public_name_is_declared_once_by_the_module_defining_it():
     assert socproj.__all__ == joined
 
 
-def _package_trees(exempt):
+def _package_trees(exempt=None):
     """(file name, AST, ids of the nodes inside ``problems.<exempt>``) for
     each module of the package."""
     for path in sorted(SRC.glob("*.py")):
@@ -92,8 +92,8 @@ def test_drift_coefficients_are_called_only_in_discretize():
 
 
 def test_diffusion_declarations_are_read_only_in_discretize():
-    """``problems.discretize`` is the one place that calls ``vanishes`` or
-    ``constant_value``; every pass reads the ``GridProblem`` fields instead."""
+    """``problems.discretize`` is the one place that calls ``constant_value``;
+    every pass reads the ``GridProblem`` fields instead."""
     calls = []
     for name, tree, skip in _package_trees("discretize"):
         for node in ast.walk(tree):
@@ -101,16 +101,17 @@ def test_diffusion_declarations_are_read_only_in_discretize():
                 continue
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if called in ("vanishes", "constant_value"):
+            if called == "constant_value":
                 calls.append(f"{name}:{node.lineno}")
     assert calls == []
 
 
-def test_only_vanishes_compares_against_the_zero_sentinel():
-    """``problems.vanishes`` is the one place that tests for ``ZERO``, so every
-    check sees through ``functools.wraps`` wrappers the same way."""
+def test_no_module_compares_against_the_zero_sentinel():
+    """No module tests for ``ZERO`` by identity or equality: every check
+    reads the declaration's ``constant_value``, so each sees through
+    ``functools.wraps`` wrappers the same way and takes any ``constant(0.0)``."""
     compares = []
-    for name, tree, skip in _package_trees("vanishes"):
+    for name, tree, skip in _package_trees():
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare) or id(node) in skip:
                 continue

@@ -91,7 +91,7 @@ class TestRate:
 
 class TestFitOrder:
     def _report(self, pairs):
-        rep = RunReport(problem="x", component=1, metadata={})
+        rep = RunReport(component=1, metadata={})
         rep.rows = [RunRow(N=n, control_error=e) for n, e in pairs]
         return rep
 
@@ -405,7 +405,7 @@ class TestReports:
         )
 
     def test_csv_formatting(self):
-        rep = RunReport(problem="x", component=1, metadata={})
+        rep = RunReport(component=1, metadata={})
         rep.rows = [
             RunRow(N=8, control_error=2.56788e-2, state_integral=0.16543,
                    iterations=37, wall_time_s=0.1234567),
@@ -886,7 +886,7 @@ class TestOneNSweepAndCli:
         cfg_path.write_text("problem = example2\nN_list = 4\nL = 4\nseed = 1\n")
 
         def boom(cfg, problem=None, write=True):
-            rep = RunReport(problem="example2", component=1, metadata={})
+            rep = RunReport(component=1, metadata={})
             rep.rows = [RunRow(N=4, failure="SimulationError: boom")]
             return [rep]
 

@@ -11,7 +11,9 @@ from socproj.gridfn import TimeGrid, constant_control
 from socproj.lsmc import HYPERCUBE, VORONOI, BasisSpec, solve_bsde_hat
 from socproj.optimizer import SolveConfig, solve
 from socproj.paths import euler_simulate, gen_brownian
-from socproj.problems import ZERO, discretize, example1, example2, example3, vanishes
+from socproj.problems import (
+    ZERO, constant, constant_value, discretize, example1, example2, example3,
+)
 
 
 def _zero(y, u):
@@ -65,22 +67,37 @@ def test_skipping_zero_derivatives_is_bitwise_exact(case):
             assert a.I_hat == b.I_hat and a.mu == b.mu
 
 
-def test_vanishes_sees_through_wraps_and_only_the_sentinel():
+def test_constant_value_reads_zero_through_wraps_and_only_from_the_sentinel():
     @functools.wraps(ZERO)
     def counted(*args, **kwargs):
         return ZERO(*args, **kwargs)
 
-    assert vanishes(ZERO) and vanishes(counted)
-    assert not vanishes(_zero)
-    assert not vanishes(functools.wraps(_zero)(lambda y, u: _zero(y, u)))
+    assert constant_value(ZERO) == 0.0 and constant_value(counted) == 0.0
+    assert constant_value(_zero) is None
+    assert constant_value(functools.wraps(_zero)(lambda y, u: _zero(y, u))) is None
+
+
+def test_declarations_print_as_constants():
+    assert repr(ZERO) == "constant(0.0)"
+    assert repr(example1(d=1, mu=0.3, alpha=0.1).components[0].diffusion) == (
+        "Diffusion(sigma=constant(0.1), sigma_y=constant(0.0), sigma_u=constant(0.0))"
+    )
+
+
+def _fresh_zeros(spec):
+    """``spec`` with sigma_y and sigma_u each a new ``constant(0.0)``, not ``ZERO``."""
+    return dataclasses.replace(spec, diffusion=dataclasses.replace(
+        spec.diffusion, sigma_y=constant(0.0), sigma_u=constant(0.0)
+    ))
 
 
 @pytest.mark.parametrize(
-    "full, per_step", [(False, 1), (True, 2)], ids=["sentinel", "zero-callback"]
+    "declare, per_step",
+    [(lambda spec: spec, 1), (_fresh_zeros, 1), (_full_path, 2)],
+    ids=["sentinel", "fresh-constant", "zero-callback"],
 )
-def test_example1_backward_pass_skips_the_q_regression(monkeypatch, full, per_step):
-    spec = example1(d=1, mu=0.3, alpha=0.1).components[0]
-    spec = _full_path(spec) if full else spec
+def test_example1_backward_pass_skips_the_q_regression(monkeypatch, declare, per_step):
+    spec = declare(example1(d=1, mu=0.3, alpha=0.1).components[0])
     grid = TimeGrid(1.0, 6)
     gp = discretize(spec, grid)
     u = constant_control(grid, 0.5)
@@ -96,5 +113,5 @@ def test_example1_backward_pass_skips_the_q_regression(monkeypatch, full, per_st
     monkeypatch.setattr(lsmc, "regress", counting)
     sol = solve_bsde_hat(ens, bw, gp, u, BasisSpec(VORONOI, 5))
     assert len(calls) == per_step * grid.N
-    if not full:
+    if per_step == 1:
         assert np.array_equal(sol.q_hat, np.zeros((200, grid.N)))
