@@ -1,11 +1,12 @@
 """Experiment harness: flat-file configs, convergence sweeps, CSV/JSON reports.
 
 A sweep solves each component of one problem on a list of grid sizes, one
-solve per (N, component) whose hard failure blanks only its own row, measures
-control and multiplier errors against the reference solution where one
-exists, and emits one report per component.  The control-error column is the
-L2 norm of the difference between the computed step control and the reference
-control sampled at the left grid nodes, the discrete error the tables track.
+solve per (N, component) whose hard failure blanks only its own row (the
+components on one grid share a Brownian ensemble per N), measures control
+and multiplier errors against the reference solution where one exists, and
+emits one report per component.  The control-error column is the L2 norm of
+the difference between the computed step control and the reference control
+sampled at the left grid nodes, the discrete error the tables track.
 
 Config files are flat ``key = value`` text, a key per ``SweepConfig`` field
 (``CONFIG_KEYS``; a key the chosen problem would ignore, see ``IGNORED_KEYS``,
@@ -306,6 +307,11 @@ def run_sweep(
     ``problem`` overrides the built-in lookup (library use only).  Each
     successful solve is kept in its report's ``results``; a hard failure is
     recorded in its own (N, component) row, and the sweep continues.
+
+    The solves at N take the seed derive_seed(seed, N); a vector problem's
+    component takes derive_seed(that, j), j the index of the first component
+    with its T, so the components on one grid share one ensemble (common
+    random numbers) and those on different grids draw distinct ones.
     """
     prob = build_problem(cfg) if problem is None else problem
     vector = isinstance(prob, VectorProblem)
@@ -325,13 +331,19 @@ def run_sweep(
         for k in range(len(components))
     ]
 
+    # components on one grid (the same T) share the seed of the first of them,
+    # and run back to back, so the workspace draws their ensemble once per N
+    first: dict[float, int] = {}
+    for k, comp in enumerate(components):
+        first.setdefault(comp.T, k)
+    order = sorted(range(len(components)), key=lambda k: first[components[k].T])
     # every solve writes into one workspace, sized for the largest N
     workspace = Workspace(cfg.L, max(cfg.N_list))
     for N in cfg.N_list:
-        # seed of the solve at N; component k of a vector problem derives its own
         seed_n = derive_seed(cfg.seed, N)
-        for k, (comp, report) in enumerate(zip(components, reports)):
-            seed = derive_seed(seed_n, k) if vector else seed_n
+        for k in order:
+            comp, report = components[k], reports[k]
+            seed = derive_seed(seed_n, first[comp.T]) if vector else seed_n
             u0 = constant_control(TimeGrid(comp.T, N), cfg.u0)
             try:
                 res = solve(comp, cfg.solve_config(seed), u0, workspace)
@@ -434,10 +446,10 @@ def write_outputs(cfg, components, reports) -> None:
                 u = res.u_final
                 with open(f"{stem}_control_N{N}.csv", "w", encoding="utf-8") as fh:
                     fh.write("node,numerical,exact\n")
-                    for n in range(u.grid.N):
-                        t = u.grid.nodes[n]
-                        exact = "" if u_star is None else repr(float(u_star(float(t))))
-                        fh.write(f"{t!r},{u.values[n]!r},{exact}\n")
+                    # tolist() gives Python floats, whose repr is a plain number
+                    for t, value in zip(u.grid.nodes.tolist(), u.values.tolist()):
+                        exact = "" if u_star is None else repr(float(u_star(t)))
+                        fh.write(f"{t!r},{value!r},{exact}\n")
     if "json" in cfg.output_formats:
         payload = {
             "metadata": reports[0].metadata,

@@ -44,7 +44,7 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -139,6 +139,9 @@ class Workspace:
     gives, bit for bit; no order column is written before a Voronoi pass.
     A pass returns read-only views of its arrays, overwritten by the next
     pass: copy what you keep.
+
+    Between solves it holds the last ensemble a solve drew through
+    ``ensemble``, so consecutive solves that need the same one share it.
     """
 
     def __init__(self, L: int, N: int):
@@ -152,11 +155,23 @@ class Workspace:
         self.f, self.target = np.empty(L), np.empty(L)
         self._bound, self._q_live = None, False
         self._full = (self.q_hat, self.states, self.p_hat)
+        self._held: Optional[tuple[tuple, BrownianEnsemble]] = None
+
+    def ensemble(self, key: tuple, draw: Callable[[], BrownianEnsemble]) -> BrownianEnsemble:
+        """The held ensemble if it was drawn for ``key``; else drop it, so
+        two ensembles are never alive at once, and hold ``draw()`` for
+        ``key``.  The ensemble is read-only, so sharing it is safe."""
+        if self._held is not None and self._held[0] == key:
+            return self._held[1]
+        self._held = None
+        bw = draw()
+        self._held = (key, bw)
+        return bw
 
     def bind(self, problem: GridProblem, bw: BrownianEnsemble) -> None:
         """Serve the passes of ``problem`` on ``bw``; a no-op when it already
-        does.  Weak references name the pair, so a workspace keeps no
-        finished solve's ensemble alive."""
+        does.  Weak references name the pair: binding keeps neither alive
+        (only ``ensemble`` holds one)."""
         bound = self._bound
         if bound is not None and bound[0]() is problem and bound[1]() is bw:
             return

@@ -21,11 +21,13 @@ only on them, are computed once before the loop.  Every pass writes into one
 u equals u_half, whose states the workspace holds.  The multiplier step
 makes the freshly updated control's mean-state integral equal
 min(I_hat, delta) on the shared ensemble; with per-step-normalized increments
-this restoration is exact in floating point whenever sigma_y = 0.
+this restoration is exact in floating point whenever sigma_y = 0, which the
+solve checks at its end.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -60,6 +62,11 @@ RHO_HARMONIC = "harmonic"
 
 # No shipped config's control step ever grows; a too-large rho's always does.
 DIVERGENCE_STREAK = 5
+
+# Bound on an exact restoration's residual, relative to the magnitude of the
+# integrals, max(1, |delta|, |I_hat|): the shipped configs' largest residual
+# is about 2e-16, and a diverging solve's rounding grows with I_hat.
+FEASIBILITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,8 +117,9 @@ class SolveResult:
     """Outcome of one solve; ``state_integral`` is the mean-state integral of
     ``u_final`` on the solve's own ensemble, and ``feasibility_residual`` its
     distance from min(I_hat, delta) of the last iteration.  ``setup_time`` is
-    the part of ``wall_time`` spent before the first iteration: the ensemble,
-    the discretized problem and the kernels."""
+    the part of ``wall_time`` spent before the first iteration: the ensemble
+    (no draw when the workspace already held it), the discretized problem and
+    the kernels."""
 
     u_final: StepFunction
     mu_final: float
@@ -199,10 +207,17 @@ def solve(
     N' >= N that earlier solves of any basis may have used (it is rebound, so
     the result is the same bit for bit), or into a new one.  When mu = 0 the
     updated control is u_half to the byte, so the next pass under it is
-    skipped: the workspace already holds its states."""
+    skipped: the workspace already holds its states.
+
+    The ensemble, fixed by (seed, L, grid, normalize_increments), is the one
+    ``workspace`` holds for those four, or a new draw.  With sigma_y = ``ZERO``
+    and normalized increments, a final feasibility residual above
+    FEASIBILITY_TOL * max(1, |delta|, |I_hat|) raises ``SimulationError``."""
     grid = u0.grid
     start = time.perf_counter()
-    bw = gen_brownian(config.seed, config.L, grid, normalize=config.normalize_increments)
+    key = (config.seed, config.L, grid, config.normalize_increments)
+    draw = functools.partial(gen_brownian, *key)
+    bw = draw() if workspace is None else workspace.ensemble(key, draw)
     gp = discretize(problem, grid)
     kern = solve_kernels(grid, gp.b_y, gp.b_u)
     I_tilde = kern.i_tilde
@@ -249,6 +264,13 @@ def solve(
     if ens is None:
         ens = euler_simulate(gp, u, bw, ws)
     state_integral = mean_state_integral(ens)
+    I_hat = history[-1].I_hat
+    residual = abs(state_integral - min(I_hat, problem.delta))
+    bound = FEASIBILITY_TOL * max(1.0, abs(problem.delta), abs(I_hat))
+    exact = not gp.sigma_y_live and config.normalize_increments and config.L >= 2
+    if exact and not residual <= bound:
+        why = f"feasibility residual {residual:.3g} exceeds {bound:.3g}"
+        raise SimulationError(f"{why} after iteration {iterations}")
     return SolveResult(
         u_final=u,
         mu_final=mu,
@@ -258,5 +280,5 @@ def solve(
         wall_time=time.perf_counter() - start,
         setup_time=setup_time,
         state_integral=state_integral,
-        feasibility_residual=abs(state_integral - min(history[-1].I_hat, problem.delta)),
+        feasibility_residual=residual,
     )

@@ -10,12 +10,13 @@ the mean-state recursion, and with it the multiplier's feasibility
 restoration, exact in floating point whenever the diffusion does not depend
 on the state; it can be disabled per ensemble.
 
-One ensemble is generated per solve and reused for every iteration, so
-control perturbations propagate through identical noise (common random
-numbers).  Each Euler pass checks its states for finiteness once, at its end.
-A step whose b_y is +0.0 adds its drift to every path as one scalar, and a
-constant diffusion adds its column of sigma dW, an array the first pass of a
-solve fills.
+One ensemble serves every iteration of a solve, so control perturbations
+propagate through identical noise (common random numbers); solves through
+one ``lsmc.Workspace`` with the same (seed, L, grid, normalization), such as
+the components of a vector sweep on one grid, share it.  Each Euler pass
+checks its states for finiteness once, at its end.  A step whose b_y is +0.0
+adds its drift to every path as one scalar, and a constant diffusion adds its
+column of sigma dW, an array the first pass of a solve fills.
 
 Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
@@ -64,7 +65,9 @@ def derive_seed(base: int, key: int) -> int:
 
 
 class SimulationError(RuntimeError):
-    """A state path left the representable range (diffusion blow-up)."""
+    """A solve broke down: a state path left the representable range
+    (diffusion blow-up), the iteration diverged, or an exact feasibility
+    restoration missed."""
 
 
 @dataclass(frozen=True, eq=False)

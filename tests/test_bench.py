@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import socproj
-from socproj import bench, cli
+from socproj import bench, cli, optimizer
 from socproj.bench import (
     CONFIG_KEYS,
     CSV_HEADER,
@@ -510,6 +510,24 @@ class TestReports:
             rate(r[0].control_error, 4, r[1].control_error, 8)
         )
 
+    def test_trajectory_cells_parse_back_to_the_controls(self, tmp_path):
+        cfg = SweepConfig(
+            problem="example1", d=2, N_list=[4, 8], L=200, rho=0.5, eps0=1e-3,
+            basis_K=6, output_dir=str(tmp_path), output_formats=["csv"],
+        )
+        reports = run_sweep(cfg)
+        for comp, report in zip(build_problem(cfg).components, reports):
+            for N, res in report.results.items():
+                path = tmp_path / f"example1_voronoi_c{report.component}_control_N{N}.csv"
+                header, *lines = path.read_text().splitlines()
+                assert header == "node,numerical,exact"
+                cells = np.array([[float(x) for x in line.split(",")] for line in lines])
+                grid = res.u_final.grid
+                assert cells[:, 0].tobytes() == grid.nodes[:-1].tobytes()
+                assert cells[:, 1].tobytes() == res.u_final.values.tobytes()
+                exact = [comp.exact.u_star(t) for t in grid.nodes[:-1].tolist()]
+                assert cells[:, 2].tolist() == exact
+
     def test_json_metadata_holds_the_whole_config(self, tmp_path):
         cfg = SweepConfig(
             problem="example2",
@@ -615,15 +633,16 @@ class TestReports:
         assert [row.control_error for row in report.rows] == [None, None]
 
 
-def standalone(comp, cfg, N, k):
-    """Component k's solve at grid size N, built by hand: seed
-    derive_seed(derive_seed(seed, N), k) and every other knob of ``cfg``."""
+def standalone(comp, cfg, N, j):
+    """A component's solve at grid size N, built by hand: seed
+    derive_seed(derive_seed(seed, N), j), j the index of the first component
+    on its grid (the same T), and every other knob of ``cfg``."""
     solve_cfg = SolveConfig(
         rho=cfg.rho,
         eps0=cfg.eps0,
         L=cfg.L,
         basis=BasisSpec(cfg.basis_kind, cfg.basis_K),
-        seed=derive_seed(derive_seed(cfg.seed, N), k),
+        seed=derive_seed(derive_seed(cfg.seed, N), j),
         rho_schedule=cfg.rho_schedule,
         max_iters=cfg.max_iters,
         normalize_increments=cfg.normalize_increments,
@@ -651,7 +670,8 @@ def row_matches(row, comp, res):
 
 class TestComponentSolves:
     """Each (N, component) pair of a sweep is one independent solve of that
-    component, with its own seed, kept on the component's report."""
+    component, kept on the component's report; the components on one grid
+    share one seed, and so one ensemble."""
 
     def test_single_component_matches_scalar_solve(self):
         cfg = SweepConfig(
@@ -696,7 +716,8 @@ class TestComponentSolves:
         grid = TimeGrid(1.0, 8)
         for k, (comp, report) in enumerate(zip(build_problem(cfg).components, reports)):
             res = report.results[8]
-            bw = gen_brownian(derive_seed(derive_seed(17, 8), k), cfg.L, grid)
+            # every component is on one grid, so all share component 1's ensemble
+            bw = gen_brownian(derive_seed(derive_seed(17, 8), 0), cfg.L, grid)
             assert report.rows[0].state_integral == res.state_integral == mean_state_integral(
                 euler_simulate(discretize(comp, grid), res.u_final, bw)
             )
@@ -724,7 +745,7 @@ class TestComponentSolves:
         for k, comp in enumerate(comps):
             assert list(reports[k].results) == cfg.N_list
             for N, row in zip(cfg.N_list, reports[k].rows):
-                res, ref = reports[k].results[N], standalone(comp, cfg, N, k)
+                res, ref = reports[k].results[N], standalone(comp, cfg, N, 0)
                 assert res.iterations == ref.iterations == 4
                 np.testing.assert_array_equal(res.u_final.values, ref.u_final.values)
                 assert res.mu_final == ref.mu_final
@@ -744,11 +765,62 @@ class TestComponentSolves:
         grid = TimeGrid(1.0, 12)
         reports = run_sweep(cfg, write=False)
         for k, (comp, report) in enumerate(zip(build_problem(cfg).components, reports)):
-            bw = gen_brownian(derive_seed(derive_seed(13, 12), k), cfg.L, grid)
+            bw = gen_brownian(derive_seed(derive_seed(13, 12), 0), cfg.L, grid)
             integral = mean_state_integral(
                 euler_simulate(discretize(comp, grid), report.results[12].u_final, bw)
             )
             assert integral <= comp.delta + 1e-10
+
+    @staticmethod
+    def _two_grids():
+        """Components 1 and 3 on T = 1, component 2 on T = 2."""
+        one = example1(d=2, mu=0.3, alpha=0.1).components
+        two = example1(d=1, mu=0.3, alpha=0.1, T=2.0).components
+        return VectorProblem(components=(one[0], two[0], one[1]))
+
+    def test_components_on_one_grid_share_one_draw(self, monkeypatch):
+        draws = []
+
+        def recording(seed, L, grid, normalize):
+            draws.append((seed, grid))
+            return gen_brownian(seed, L, grid, normalize)
+
+        monkeypatch.setattr(optimizer, "gen_brownian", recording)
+        cfg = SweepConfig(
+            problem="custom", N_list=[4, 8], L=200, rho=0.5, eps0=1e-3, basis_K=6, seed=3
+        )
+        reports = run_sweep(cfg, problem=self._two_grids(), write=False)
+        assert [list(report.results) for report in reports] == [[4, 8]] * 3
+        expected = []
+        for N in cfg.N_list:
+            seed_n = derive_seed(cfg.seed, N)
+            expected += [
+                (derive_seed(seed_n, 0), TimeGrid(1.0, N)),
+                (derive_seed(seed_n, 1), TimeGrid(2.0, N)),
+            ]
+        assert draws == expected
+        assert len({seed for seed, _ in draws}) == len(draws)
+
+    def test_every_component_matches_its_standalone_solve(self):
+        # the components share their grid's ensemble, drawn once per N, yet
+        # each solve is the one it would be on its own, bit for bit
+        cfg = SweepConfig(
+            problem="custom", N_list=[4, 8], L=300, rho=0.5, eps0=1e-3, basis_K=6, seed=3
+        )
+        vp = self._two_grids()
+        reports = run_sweep(cfg, problem=vp, write=False)
+        for comp, report, j in zip(vp.components, reports, (0, 1, 0)):
+            for N, row in zip(cfg.N_list, report.rows):
+                res, ref = report.results[N], standalone(comp, cfg, N, j)
+                assert res.iterations == ref.iterations
+                assert res.u_final.values.tobytes() == ref.u_final.values.tobytes()
+                assert (res.mu_final, res.state_integral, res.feasibility_residual) == (
+                    ref.mu_final, ref.state_integral, ref.feasibility_residual
+                )
+                for a, b in zip(res.history, ref.history, strict=True):
+                    assert a.u.values.tobytes() == b.u.values.tobytes()
+                    assert (a.I_hat, a.mu, a.error) == (b.I_hat, b.mu, b.error)
+                assert row_matches(row, comp, ref)
 
     def test_failed_component_keeps_its_siblings_rows(self):
         good = example1(d=1, mu=0.3, alpha=0.1).components[0]
@@ -848,22 +920,23 @@ class TestOneNSweepAndCli:
             assert message in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "problem_lines, n_solves, regressions_per_step",
+        "problem_lines, n_solves, n_ensembles, regressions_per_step",
         [
-            ("problem = example1\nd = 2\n", 4, 1),
-            ("problem = example2\n", 2, 2),
-            ("problem = example3\nbasis.kind = HC\n", 2, 2),
+            ("problem = example1\nd = 2\n", 4, 2, 1),
+            ("problem = example2\n", 2, 2, 2),
+            ("problem = example3\nbasis.kind = HC\n", 2, 2, 2),
         ],
         ids=["example1-d2", "example2", "example3-hc"],
     )
     def test_traced_smoke_sweep_reaches_every_layer(
-        self, tmp_path, capsys, monkeypatch, problem_lines, n_solves,
+        self, tmp_path, capsys, monkeypatch, problem_lines, n_solves, n_ensembles,
         regressions_per_step,
     ):
         # the span tracer of the sweep benchmark, loaded unedited, must still
         # find every layer it wraps, with one partition per P-regression plus
         # one Q-regression unless sigma_y and sigma_u are both ZERO (example1),
-        # and count each (N, component) solve and its ensemble exactly once
+        # and count each (N, component) solve exactly once and each ensemble
+        # once per N, which example1's components on one grid share
         tracing = load_perfbench(monkeypatch, "tracing")
         cfg_path = tmp_path / "cfg"
         cfg_path.write_text(
@@ -879,7 +952,27 @@ class TestOneNSweepAndCli:
             regressions_per_step * metrics["lsmc.build_partition.calls"]
         )
         assert metrics["optimizer.solve.calls"] == n_solves
-        assert metrics["paths.gen_brownian.calls"] == n_solves
+        assert metrics["paths.gen_brownian.calls"] == n_ensembles
+
+    def test_cli_strict_fails_on_an_inexact_restoration(self, monkeypatch, tmp_path, capsys):
+        # a projection that restores half the excess breaks example2's exact
+        # restoration (sigma_y = ZERO, normalized increments): each row fails
+        update = optimizer.project_update
+        monkeypatch.setattr(
+            optimizer, "project_update",
+            lambda u_half, mu, *rest: update(u_half, 0.5 * mu, *rest),
+        )
+        cfg_path = tmp_path / "cfg"
+        cfg_path.write_text(
+            "problem = example2\nN_list = 4, 8\nL = 200\nrho = 0.1\neps0 = 1e-3\n"
+            f"seed = 5\nbasis.K = 8\noutput.dir = {tmp_path}\n"
+        )
+        assert cli.main(["sweep", "--config", str(cfg_path), "--strict"]) == 1
+        out = capsys.readouterr().out
+        for n in (4, 8):
+            assert f"# N={n} FAILED: SimulationError: feasibility residual " in out
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
 
     def test_cli_strict_propagates_failure(self, monkeypatch, tmp_path, capsys):
         cfg_path = tmp_path / "cfg"

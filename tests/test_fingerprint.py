@@ -30,7 +30,7 @@ SWEEPS = {
             basis_kind=VORONOI,
             basis_K=8,
         ),
-        "53d0e3c871c941970386909849f1a38fd6ca751202cd53ef12da009f74f60352",
+        "152f44a61c3a33492d2dc04ab2fe2dc9c43aa865c99990c2a45bdc3b89ed6cfa",
     ),
     "example2-voronoi": (
         SweepConfig(

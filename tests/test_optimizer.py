@@ -1,6 +1,7 @@
 """Gradient assembly, multiplier, projection update and full-solve tests."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -267,6 +268,35 @@ class TestSolve:
             assert integral <= min(state.I_hat, prob.delta) + 1e-10
             assert abs(integral - min(state.I_hat, prob.delta)) <= 1e-10
 
+    @pytest.mark.parametrize("broken", ["projection", "declaration"])
+    def test_inexact_restoration_fails_the_solve(self, monkeypatch, broken):
+        # sigma_y = ZERO and normalized increments make the restoration exact:
+        # a projection that restores half the excess, or a sigma that depends
+        # on the state despite its ZERO sigma_y, fails the solve
+        prob = example2(alpha=0.1)
+        if broken == "projection":
+            update = optimizer.project_update
+            monkeypatch.setattr(
+                optimizer, "project_update",
+                lambda u_half, mu, *rest: update(u_half, 0.5 * mu, *rest),
+            )
+        else:
+            prob = dataclasses.replace(prob, diffusion=dataclasses.replace(
+                prob.diffusion, sigma=lambda y, u: 0.1 * u + 0.05 * y
+            ))
+        grid = TimeGrid(1.0, 8)
+        cfg = SolveConfig(rho=0.1, eps0=1e-3, L=300, basis=BasisSpec("voronoi", 8), seed=6)
+        with pytest.raises(SimulationError) as exc:
+            solve(prob, cfg, constant_control(grid, 0.0))
+        residual, bound = re.fullmatch(
+            r"feasibility residual (\S+) exceeds (\S+) after iteration \d+", str(exc.value)
+        ).groups()
+        assert float(residual) > float(bound) >= optimizer.FEASIBILITY_TOL
+        # unnormalized increments promise no exact restoration: reported only
+        raw = dataclasses.replace(cfg, normalize_increments=False)
+        res = solve(prob, raw, constant_control(grid, 0.0))
+        assert res.feasibility_residual > optimizer.FEASIBILITY_TOL
+
     def test_state_dependent_sigma_feasible_within_tolerance(self):
         prob = example3(alpha=0.1, delta=1.0)
         grid = TimeGrid(1.0, 12)
@@ -388,7 +418,9 @@ class TestPathCountFloor:
 class TestSetupNames:
     """Timing ``optimizer.gen_brownian`` and ``optimizer.solve_kernels``, as
     perfbench's set-up timer does, covers a solve's whole set-up only if
-    every solve makes exactly one call to each through those names."""
+    every solve calls ``solve_kernels`` once through that name and draws
+    every ensemble through ``gen_brownian``: one per solve alone, and one
+    per grid and N in a sweep, whose components on that grid reuse it."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -415,7 +447,7 @@ class TestSetupNames:
         )
         reports = run_sweep(cfg, write=False)
         assert [list(report.results) for report in reports] == [[8]] * 3
-        assert calls == {"gen_brownian": 3, "solve_kernels": 3}
+        assert calls == {"gen_brownian": 1, "solve_kernels": 3}
 
 
 class TestSolveConfig:

@@ -8,6 +8,7 @@ pass in a fresh workspace or a sigma called per step.
 
 import dataclasses
 import functools
+import weakref
 
 import numpy as np
 import pytest
@@ -140,6 +141,34 @@ class TestWorkspaceReuse:
         used = solve(EXAMPLE1, cfg, constant_control(grid, 0.0), ws)
         assert not ws.q_hat.any()
         _assert_same_solve(used, solve(EXAMPLE1, cfg, constant_control(grid, 0.0)))
+
+    @pytest.mark.parametrize("held", ["same", "seed", "L", "N", "T", "normalize"])
+    def test_solve_reuses_the_held_ensemble_only_for_its_own_key(self, monkeypatch, held):
+        # the workspace holds an ensemble drawn for (seed, L, grid, normalize);
+        # a solve whose key differs in any part drops it before it draws its own
+        seed, L, grid = CFG1.seed, CFG1.L, TimeGrid(1.0, 8)
+        key = (seed, L, grid, True)
+        other = {
+            "same": key,
+            "seed": (seed + 1, L, grid, True),
+            "L": (seed, L - 100, grid, True),
+            "N": (seed, L, TimeGrid(1.0, 4), True),
+            "T": (seed, L, TimeGrid(2.0, 8), True),
+            "normalize": (seed, L, grid, False),
+        }[held]
+        ws = Workspace(L, 8)
+        dropped = weakref.ref(ws.ensemble(other, functools.partial(gen_brownian, *other)))
+        draws = []
+
+        def counted(*args):
+            draws.append((args, dropped() is None))
+            return gen_brownian(*args)
+
+        monkeypatch.setattr(optimizer, "gen_brownian", counted)
+        used = solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), ws)
+        assert draws == ([] if held == "same" else [(key, True)])
+        assert ws.ensemble(key, lambda: pytest.fail("the solve's ensemble is held")).grid == grid
+        _assert_same_solve(used, solve(EXAMPLE1, CFG1, constant_control(grid, 0.0)))
 
     def test_workspace_of_another_size_is_rejected(self):
         grid = TimeGrid(1.0, 8)

@@ -32,8 +32,11 @@ def _full_path(spec):
 
 
 def _both_zero(spec):
+    """``spec`` with sigma_y = sigma_u = ``ZERO`` and a sigma callback that,
+    as they declare, depends on neither y nor u (a state-dependent one would
+    break the exact feasibility restoration that a solve checks)."""
     return dataclasses.replace(spec, diffusion=dataclasses.replace(
-        spec.diffusion, sigma_y=ZERO, sigma_u=ZERO
+        spec.diffusion, sigma=lambda y, u: np.full_like(y, 0.1), sigma_y=ZERO, sigma_u=ZERO
     ))
 
 
@@ -44,7 +47,7 @@ CASES = {
     "example2": ((example2(alpha=0.1),), 0.1, VORONOI),
     # live sigma_y, sigma_u = ZERO
     "example3": ((example3(alpha=0.1),), 0.1, HYPERCUBE),
-    # both ZERO with b_y = 1 and a state-dependent sigma
+    # both ZERO with b_y = 1 and a sigma called per step
     "example3-zero-derivatives": ((_both_zero(example3(alpha=0.1)),), 0.1, HYPERCUBE),
 }
 
