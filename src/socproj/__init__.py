@@ -8,7 +8,6 @@ all, in this order."""
 __version__ = "0.1.0"  # above the imports: ``bench`` reads it
 
 from .bench import *
-from .detode import *
 from .gridfn import *
 from .lsmc import *
 from .optimizer import *
@@ -17,7 +16,6 @@ from .problems import *
 
 __all__ = [
     *bench.__all__,
-    *detode.__all__,
     *gridfn.__all__,
     *lsmc.__all__,
     *optimizer.__all__,

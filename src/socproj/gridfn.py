@@ -9,6 +9,7 @@ values; ``problems.discretize`` uses it for the drift coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -39,6 +40,8 @@ class TimeGrid:
     def __post_init__(self) -> None:
         if self.T <= 0.0:
             raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not math.isfinite(self.T):
+            raise ValueError(f"horizon must be finite, got T={self.T}")
         if self.N < 1:
             raise ValueError(f"need at least one step, got N={self.N}")
         nodes = np.linspace(0.0, self.T, self.N + 1)

@@ -122,9 +122,11 @@ class Workspace:
     up to N steps, whatever the basis: one forward ``states`` array (the
     states under u are dead once the gradient is taken, so the pass under
     u_half overwrites them), ``p_hat`` and ``q_hat`` (all zeros while no
-    Q-regression writes it) and the backward scratch columns ``f`` and
-    ``target``.  ``noise``, the sigma dW of a ``problems.constant`` sigma,
-    is made by the first Euler pass after a binding (None until then).
+    Q-regression writes it) and the backward scratch column ``f``; each
+    step builds its Q and P targets in the columns of ``q_hat`` and
+    ``p_hat`` that their fits then overwrite.  ``noise``, the sigma dW of a
+    ``problems.constant`` sigma, is made by the first Euler pass after a
+    binding (None until then).
 
     It also carries, per step n, the sort order and cells of the step's last
     partition, as column-major intp arrays, and the rank cuts of its last
@@ -152,7 +154,7 @@ class Workspace:
         self.p_hat = np.empty((L, N + 1), order="F")
         self.q_hat = np.zeros((L, N), order="F")
         self.noise = None
-        self.f, self.target = np.empty(L), np.empty(L)
+        self.f = np.empty(L)
         self._bound, self._q_live = None, False
         self._full = (self.q_hat, self.states, self.p_hat)
         self._held: Optional[tuple[tuple, BrownianEnsemble]] = None
@@ -314,7 +316,8 @@ def regress(
     """Per-cell means of z grouped by ``cells`` (as filled in by
     ``build_partition``, each in 0 .. len(counts)-1, cell c holding
     ``counts[c]`` samples).  Writes the fitted values into ``out`` (float,
-    len(z)) and returns (coefficients, out); empty cells get coefficient 0.
+    len(z)), which may be z itself: z is read in full before ``out`` is
+    written.  Returns (coefficients, out); empty cells get coefficient 0.
     """
     # An empty cell's sum is the +0.0 that bincount starts from, and
     # dividing it by 1 keeps it.
@@ -382,7 +385,7 @@ def solve_bsde_hat(
     diff, costs = problem.spec.diffusion, problem.spec.costs
     q_live = problem.sigma_y_live or problem.sigma_u_live
     nodes, b_y = grid.nodes.tolist(), problem.b_y.tolist()
-    p, q, f, target = workspace.p_hat, workspace.q_hat, workspace.f, workspace.target
+    p, q, f = workspace.p_hat, workspace.q_hat, workspace.f
     u_values = control.values.tolist()
     p[:, N] = costs.g(y[:, N])
 
@@ -400,14 +403,16 @@ def solve_bsde_hat(
                 np.multiply(p_next, b_y[n], out=f)
                 f_n = np.add(f_n, f, out=f)
             if q_live:
-                np.multiply(dw[:, n], p_next, out=target)
-                target /= dt
-                regress(cells_n, target, counts, q[:, n])
+                q_n = q[:, n]
+                np.multiply(dw[:, n], p_next, out=q_n)
+                q_n /= dt
+                regress(cells_n, q_n, counts, q_n)
                 if problem.sigma_y_live:
-                    f_n = np.add(f_n, q[:, n] * diff.sigma_y(yn, u_values[n]), out=f)
+                    f_n = np.add(f_n, q_n * diff.sigma_y(yn, u_values[n]), out=f)
             np.multiply(f_n, dt, out=f)
-            np.add(p_next, f, out=target)
-            regress(cells_n, target, counts, p[:, n])
+            p_n = p[:, n]
+            np.add(p_next, f, out=p_n)
+            regress(cells_n, p_n, counts, p_n)
 
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]

@@ -14,9 +14,13 @@ Each iteration, on one fixed Brownian ensemble:
 A non-finite control, or a step that grows in DIVERGENCE_STREAK consecutive
 iterations, stops the solve with ``SimulationError("diverged at ...")``.
 
-The drift coefficients are sampled once per solve at the left nodes
-(``problems.discretize``), and the kernels psi and varphi_tilde, which depend
-only on them, are computed once before the loop.  Every pass writes into one
+The multiplier and the projection read two deterministic kernels of the
+left-node drift coefficients, computed here: the backward kernel psi
+(``solve_psi``) and the forward response kernel varphi_tilde
+(``solve_varphi_tilde``), whose trapezoidal integral I_tilde normalizes the
+multiplier.  The coefficients are sampled once per solve
+(``problems.discretize``), and ``solve_kernels`` turns them into psi and
+I_tilde once before the loop.  Every pass writes into one
 ``lsmc.Workspace``, and with mu = 0 step 1 of the next iteration is skipped:
 u equals u_half, whose states the workspace holds.  The multiplier step
 makes the freshly updated control's mean-state integral equal
@@ -35,8 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .detode import _values, solve_kernels
-from .gridfn import StepFunction, linf_dist
+from .gridfn import StepFunction, TimeGrid, linf_dist, trapezoid
 from .lsmc import BasisSpec, BsdeSolution, Workspace, solve_bsde_hat
 from .paths import (
     PathEnsemble,
@@ -55,6 +58,9 @@ __all__ = [
     "gradient",
     "project_update",
     "solve",
+    "solve_kernels",
+    "solve_psi",
+    "solve_varphi_tilde",
 ]
 
 RHO_CONSTANT = "constant"
@@ -167,6 +173,59 @@ def gradient(
     return StepFunction(grid, vals)
 
 
+def _values(values: np.ndarray, n: int, name: str) -> np.ndarray:
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"{name} must have {n} values, got shape {values.shape}")
+    return values
+
+
+def solve_psi(grid: TimeGrid, b_y: np.ndarray) -> np.ndarray:
+    """Backward kernel psi_N = 0,
+
+    psi_n = psi_{n+1} + (1 + psi_{n+1} * b_y[n]) * dt,
+
+    with the coefficient b_y[n] = b_y(t_n) deliberately taken at the *left*
+    node t_n: this is what keeps the discrete adjoint shift identity
+    p = p_hat + mu * psi exact."""
+    b_y = _values(b_y, grid.N, "b_y")
+    dt = grid.dt
+    psi = np.zeros(grid.N + 1)
+    for n in range(grid.N - 1, -1, -1):
+        psi[n] = psi[n + 1] + (1.0 + psi[n + 1] * b_y[n]) * dt
+    return psi
+
+
+def solve_varphi_tilde(
+    grid: TimeGrid, b_y: np.ndarray, b_u: np.ndarray, psi: np.ndarray
+) -> np.ndarray:
+    """Forward response kernel, the mean state's response to a unit
+    multiplier push, by forward Euler from varphi_tilde_0 = 0:
+
+    varphi_tilde_{n+1} = varphi_tilde_n
+                         + (b_y[n] * varphi_tilde_n + b_u[n]^2 * psi_n) * dt,
+
+    with the coefficients at the left node t_n, where the Euler pass reads
+    them: so I_tilde is the discrete mean-state integral's exact response to
+    the projection, which makes the restoration onto delta exact."""
+    b_y, b_u = _values(b_y, grid.N, "b_y"), _values(b_u, grid.N, "b_u")
+    psi = _values(psi, grid.N + 1, "psi")
+    dt = grid.dt
+    v = np.zeros(grid.N + 1)
+    for n in range(grid.N):
+        v[n + 1] = v[n] + (b_y[n] * v[n] + b_u[n] ** 2 * psi[n]) * dt
+    return v
+
+
+def solve_kernels(
+    grid: TimeGrid, b_y: np.ndarray, b_u: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """(psi, I_tilde): the backward kernel and the trapezoidal integral of
+    the forward response kernel, the multiplier's denominator."""
+    psi = solve_psi(grid, b_y)
+    return psi, trapezoid(solve_varphi_tilde(grid, b_y, b_u, psi), grid)
+
+
 def compute_multiplier(I_hat: float, delta: float, I_tilde: float, rho_i: float) -> float:
     """Explicit multiplier max(I_hat - delta, 0) / (rho_i * I_tilde)."""
     if rho_i <= 0.0:
@@ -219,8 +278,7 @@ def solve(
     draw = functools.partial(gen_brownian, *key)
     bw = draw() if workspace is None else workspace.ensemble(key, draw)
     gp = discretize(problem, grid)
-    kern = solve_kernels(grid, gp.b_y, gp.b_u)
-    I_tilde = kern.i_tilde
+    psi, I_tilde = solve_kernels(grid, gp.b_y, gp.b_u)
     setup_time = time.perf_counter() - start
     ws = Workspace(config.L, grid.N) if workspace is None else workspace
 
@@ -243,7 +301,7 @@ def solve(
         ens = euler_simulate(gp, u_half, bw, ws)
         I_hat = mean_state_integral(ens)
         mu = compute_multiplier(I_hat, problem.delta, I_tilde, rho_i)
-        u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho_i)
+        u_new = project_update(u_half, mu, psi, gp.b_u, rho_i)
         if not np.isfinite(u_new.values).all():
             raise SimulationError(f"diverged at iteration {i}: non-finite control")
         if u_new.values.tobytes() != u_half.values.tobytes():

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from math import log1p
+from math import inf, isfinite, log1p
 from typing import Callable, Optional
 
 import numpy as np
@@ -120,7 +120,8 @@ class ExactSolution:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A scalar constrained control problem, ready for the solver."""
+    """A scalar constrained control problem, ready for the solver;
+    ``delta = inf`` declares no constraint."""
 
     name: str
     drift: LinearDrift
@@ -134,6 +135,10 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if self.T <= 0.0:
             raise ValueError("horizon T must be positive")
+        if not isfinite(self.T):
+            raise ValueError("horizon T must be finite")
+        if not -inf < self.delta <= inf:
+            raise ValueError("constraint level delta must be finite or +inf")
 
 
 @dataclass(frozen=True)

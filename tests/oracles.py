@@ -11,9 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from socproj.bench import RunReport
-from socproj.detode import solve_kernels
 from socproj.gridfn import StepFunction, TimeFn, TimeGrid, nodal_sample, trapezoid
 from socproj.lsmc import HYPERCUBE, VORONOI, Partition
+from socproj.optimizer import solve_kernels
 from socproj.problems import CostDerivatives, Diffusion, LinearDrift, ProblemSpec
 
 
@@ -102,10 +102,10 @@ def check_kernel_identity(grid: TimeGrid, b_y: TimeFn, b_u: TimeFn) -> float:
     The two integrals agree in the continuum; with the discrete kernels and
     trapezoidal quadrature the residual decays at first order in dt.
     """
-    kern = solve_kernels(grid, left_nodes(b_y, grid), left_nodes(b_u, grid))
+    psi, I_tilde = solve_kernels(grid, left_nodes(b_y, grid), left_nodes(b_u, grid))
     bu_nodes = np.array([float(b_u(t)) for t in grid.nodes])
-    lhs = trapezoid((kern.psi * bu_nodes) ** 2, grid)
-    return abs(lhs - kern.i_tilde)
+    lhs = trapezoid((psi * bu_nodes) ** 2, grid)
+    return abs(lhs - I_tilde)
 
 
 def validate_drift(

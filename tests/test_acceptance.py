@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import socproj as sp
-from socproj.detode import solve_psi
 from socproj.lsmc import build_partition, regress
-from socproj.optimizer import gradient
+from socproj.optimizer import gradient, solve_psi
 
 from tests.oracles import (
     analytic_psi_constant,

@@ -58,7 +58,7 @@ def test_each_public_name_is_declared_once_by_the_module_defining_it():
             assert name in defined, f"{node.module}.{name}"
             assert owner.setdefault(name, node.module) == node.module, name
         joined += module.__all__
-    assert len(imports) == 7
+    assert len(imports) == 6
     assert socproj.__all__ == joined
 
 
@@ -73,6 +73,21 @@ def _package_trees(exempt=None):
                 if isinstance(node, ast.FunctionDef) and node.name == exempt:
                     skip.update(id(sub) for sub in ast.walk(node))
         yield path.name, tree, skip
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A module's underscore names are its own: no ``from .x import _y``
+    inside the package.  Dunder names such as ``__version__`` are public."""
+    imports = []
+    for name, tree, _ in _package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imports += [
+                    f"{name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_") and not alias.name.endswith("__")
+                ]
+    assert imports == []
 
 
 def test_drift_coefficients_are_called_only_in_discretize():
@@ -182,7 +197,7 @@ def test_every_public_method_has_a_caller_in_the_package():
                     for f in top.body
                     if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
                 ]
-    assert len(methods) >= 8  # basis, solve_config, i_tilde, dt, assign, rho_at, L, L
+    assert len(methods) >= 8  # basis, solve_config, dt, assign, ensemble, bind, rho_at, L, L
     referenced = _referenced_names()
     assert [qual for qual, name in methods if name not in referenced] == []
 

@@ -12,10 +12,17 @@ import functools
 import numpy as np
 import pytest
 
-from socproj.detode import solve_kernels, solve_psi
-from socproj.gridfn import StepFunction, TimeGrid, nodal_sample
+from socproj.gridfn import StepFunction, TimeGrid, nodal_sample, trapezoid
 from socproj.lsmc import VORONOI, BasisSpec, solve_bsde_hat
-from socproj.optimizer import SolveConfig, gradient, project_update, solve
+from socproj.optimizer import (
+    SolveConfig,
+    gradient,
+    project_update,
+    solve,
+    solve_kernels,
+    solve_psi,
+    solve_varphi_tilde,
+)
 from socproj.paths import euler_simulate, gen_brownian
 from socproj.problems import (
     LinearDrift, constant_value, discretize, example1, example2, example3,
@@ -139,12 +146,12 @@ def test_solver_stages_match_node_by_node_reference_bitwise(make):
     ens = euler_simulate(gp, u, bw)
     assert np.array_equal(ens.states, reference_euler_simulate(prob, u, bw))
 
-    kern = solve_kernels(grid, gp.b_y, gp.b_u)
-    assert np.array_equal(solve_psi(grid, gp.b_y), kern.psi)
-    psi = reference_solve_psi(grid, prob.drift.b_y)
-    assert np.array_equal(kern.psi, psi)
+    psi, I_tilde = solve_kernels(grid, gp.b_y, gp.b_u)
+    assert np.array_equal(solve_psi(grid, gp.b_y), psi)
+    assert np.array_equal(reference_solve_psi(grid, prob.drift.b_y), psi)
     varphi = reference_solve_varphi_tilde(grid, prob.drift.b_y, prob.drift.b_u, psi)
-    assert np.array_equal(kern.varphi_tilde, varphi)
+    assert np.array_equal(solve_varphi_tilde(grid, gp.b_y, gp.b_u, psi), varphi)
+    assert I_tilde == trapezoid(varphi, grid)
 
     adj = solve_bsde_hat(
         ens, bw, gp, u, BasisSpec(VORONOI, 8),

@@ -31,6 +31,9 @@ class TestTimeGrid:
             TimeGrid(T=0.0, N=4)
         with pytest.raises(ValueError):
             TimeGrid(T=1.0, N=0)
+        for T in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"horizon must be finite"):
+                TimeGrid(T=T, N=4)
 
     def test_equality_ignores_node_storage(self):
         assert TimeGrid(1.0, 4) == TimeGrid(1.0, 4)

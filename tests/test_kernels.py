@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from socproj.detode import solve_kernels, solve_psi, solve_varphi_tilde
-from socproj.gridfn import TimeGrid
+from socproj.gridfn import TimeGrid, trapezoid
+from socproj.optimizer import solve_kernels, solve_psi, solve_varphi_tilde
 
 from tests.oracles import analytic_psi_constant, check_kernel_identity, left_nodes
 
@@ -105,17 +105,19 @@ class TestVarphiTilde:
         # continuous response integral is T^3/3 for b_y=0, b_u=1
         def gap(n):
             grid = TimeGrid(1.0, n)
-            kern = solve_kernels(grid, np.zeros(grid.N), np.ones(grid.N))
-            return abs(kern.i_tilde - 1.0 / 3.0)
+            _, I_tilde = solve_kernels(grid, np.zeros(grid.N), np.ones(grid.N))
+            return abs(I_tilde - 1.0 / 3.0)
 
         assert gap(256) < gap(128) < gap(64)
         assert 1.6 <= gap(128) / gap(256) <= 2.4
 
     def test_initial_and_terminal_values(self):
         grid = TimeGrid(1.0, 16)
-        kern = solve_kernels(grid, np.ones(grid.N), np.ones(grid.N))
-        assert kern.psi[-1] == 0.0
-        assert kern.varphi_tilde[0] == 0.0
+        psi, I_tilde = solve_kernels(grid, np.ones(grid.N), np.ones(grid.N))
+        varphi = solve_varphi_tilde(grid, np.ones(grid.N), np.ones(grid.N), psi)
+        assert psi[-1] == 0.0
+        assert varphi[0] == 0.0
+        assert I_tilde == trapezoid(varphi, grid)
 
 
 class TestKernelIdentity:
@@ -127,8 +129,8 @@ class TestKernelIdentity:
         assert resid <= 0.01
         # both sides approach 1/3
         grid = TimeGrid(1.0, 512)
-        kern = solve_kernels(grid, np.zeros(grid.N), np.ones(grid.N))
-        assert kern.i_tilde == pytest.approx(1.0 / 3.0, abs=5e-3)
+        _, I_tilde = solve_kernels(grid, np.zeros(grid.N), np.ones(grid.N))
+        assert I_tilde == pytest.approx(1.0 / 3.0, abs=5e-3)
 
     def test_residual_halves(self):
         r256 = check_kernel_identity(TimeGrid(1.0, 256), lambda t: 1.0, lambda t: 1.0)

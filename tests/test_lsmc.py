@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from socproj import lsmc
-from socproj.detode import solve_psi
 from socproj.gridfn import TimeGrid, constant_control, nodal_sample
 from socproj.lsmc import (
     HYPERCUBE,
@@ -18,6 +17,7 @@ from socproj.lsmc import (
     regress,
     solve_bsde_hat,
 )
+from socproj.optimizer import solve_psi
 from socproj.paths import SimulationError, euler_simulate, gen_brownian
 from socproj.problems import (
     CostDerivatives,

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from socproj.detode import solve_psi
 from socproj.gridfn import TimeGrid, nodal_sample
 from socproj.lsmc import (
     HYPERCUBE,
@@ -21,6 +20,7 @@ from socproj.lsmc import (
     build_partition,
     solve_bsde_hat,
 )
+from socproj.optimizer import solve_psi
 from socproj.paths import PathEnsemble, euler_simulate, gen_brownian
 from socproj.problems import discretize, example1, example2, example3
 from tests.oracles import (

@@ -8,7 +8,6 @@ import pytest
 
 from socproj import optimizer
 from socproj.bench import SweepConfig, run_sweep
-from socproj.detode import solve_kernels, solve_psi
 from socproj.gridfn import (
     StepFunction,
     TimeGrid,
@@ -22,6 +21,8 @@ from socproj.optimizer import (
     gradient,
     project_update,
     solve,
+    solve_kernels,
+    solve_psi,
 )
 from socproj.paths import SimulationError, euler_simulate, gen_brownian, mean_state_integral
 from socproj.problems import (
@@ -119,8 +120,8 @@ class TestComputeMultiplier:
 
     def test_fine_grid_response_integral(self):
         # with b_y = 0, b_u = 1 the response integral approaches 1/3
-        kern = solve_kernels(TimeGrid(1.0, 512), np.zeros(512), np.ones(512))
-        mu = compute_multiplier(0.16543 + 0.1, 0.16543, kern.i_tilde, 0.1)
+        _, I_tilde = solve_kernels(TimeGrid(1.0, 512), np.zeros(512), np.ones(512))
+        mu = compute_multiplier(0.16543 + 0.1, 0.16543, I_tilde, 0.1)
         assert mu == pytest.approx(3.0, abs=0.05)
 
 
@@ -153,13 +154,13 @@ class TestProjectUpdate:
         grid = TimeGrid(1.0, 16)
         bw = gen_brownian(3, 2000, grid)
         gp = discretize(prob, grid)
-        kern = solve_kernels(grid, gp.b_y, gp.b_u)
+        psi, I_tilde = solve_kernels(grid, gp.b_y, gp.b_u)
         u_half = constant_control(grid, 1.2)  # infeasible half step
         I_hat = mean_state_integral(euler_simulate(gp, u_half, bw))
         assert I_hat > prob.delta
         rho = 0.5
-        mu = compute_multiplier(I_hat, prob.delta, kern.i_tilde, rho)
-        u_new = project_update(u_half, mu, kern.psi, gp.b_u, rho)
+        mu = compute_multiplier(I_hat, prob.delta, I_tilde, rho)
+        u_new = project_update(u_half, mu, psi, gp.b_u, rho)
         integral = mean_state_integral(euler_simulate(gp, u_new, bw))
         assert abs(integral - min(I_hat, prob.delta)) <= 1e-10
 

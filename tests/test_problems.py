@@ -165,10 +165,23 @@ class TestDeclaredBounds:
     [
         (lambda: dataclasses.replace(example2(alpha=0.1), T=0.0), "horizon T must be positive"),
         (lambda: dataclasses.replace(example2(alpha=0.1), T=-1.0), "horizon T must be positive"),
+        (lambda: dataclasses.replace(example2(alpha=0.1), T=math.nan), "horizon T must be finite"),
+        (lambda: dataclasses.replace(example2(alpha=0.1), T=math.inf), "horizon T must be finite"),
+        (
+            lambda: dataclasses.replace(example2(alpha=0.1), delta=math.nan),
+            "constraint level delta must be finite or +inf",
+        ),
+        (
+            lambda: dataclasses.replace(example2(alpha=0.1), delta=-math.inf),
+            "constraint level delta must be finite or +inf",
+        ),
         (lambda: VectorProblem(components=()), "need at least one component"),
         (lambda: example3(alpha=0.0), "alpha must be nonzero"),
     ],
-    ids=["T=0", "T<0", "empty-vector", "example3-alpha0"],
+    ids=[
+        "T=0", "T<0", "T=nan", "T=inf", "delta=nan", "delta=-inf",
+        "empty-vector", "example3-alpha0",
+    ],
 )
 def test_problem_constructors_name_the_bad_input(make, message):
     with pytest.raises(ValueError) as info:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from socproj.detode import solve_psi
 from socproj.gridfn import StepFunction, TimeGrid, constant_control
 from socproj.lsmc import (
     HYPERCUBE,
@@ -22,7 +21,7 @@ from socproj.lsmc import (
     regress,
     solve_bsde_hat,
 )
-from socproj.optimizer import SolveConfig, solve
+from socproj.optimizer import SolveConfig, solve, solve_psi
 from socproj.paths import euler_simulate, gen_brownian
 from socproj.problems import (
     CostDerivatives,
