@@ -14,9 +14,9 @@ unique centers, so only tied ones go through ``np.unique``.  Every sample's
 cell comes from rank cuts in that sorted column.  The cell array is
 the only link between partition and regression: ``build_partition`` fills one
 per step, with the per-cell counts, and ``regress`` takes both for the P- and
-the Q-regression of that step.  A ``Workspace``, which serves every basis
-and K, carries each step's sort order and cells from one backward pass to
-the next on the same ensemble, and the step's last rank cuts by reference.
+the Q-regression of that step.  A ``Workspace``, which serves every problem,
+basis and K, carries each step's sort order and cells from one backward pass
+to the next on the same ensemble, and the step's last rank cuts by reference.
 The carried order still sorts samples that kept their ranks (every warm step
 of example1); else a stable argsort of the gathered column completes it,
 cheaper than a fresh sort when few paths swap (most warm steps of example2).
@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -124,73 +123,69 @@ class Workspace:
     u_half overwrites them), ``p_hat`` and ``q_hat`` (all zeros while no
     Q-regression writes it) and the backward scratch column ``f``; each
     step builds its Q and P targets in the columns of ``q_hat`` and
-    ``p_hat`` that their fits then overwrite.  ``noise``, the sigma dW of a
-    ``problems.constant`` sigma, is made by the first Euler pass after a
-    binding (None until then).
+    ``p_hat`` that their fits then overwrite.  A pass on n <= N steps uses
+    the leading columns of each.
 
-    It also carries, per step n, the sort order and cells of the step's last
-    partition, as column-major intp arrays, and the rank cuts of its last
-    Voronoi partition, by reference in a per-step list.  A step's order and
-    cells are carried exactly when its cuts entry is not None; a hypercube
-    step sorts nothing and stores None there, so passes of either basis and
-    any K share one workspace.
-
-    The passes ``bind`` it to their (problem, ensemble) pair on n <= N steps,
-    and use the leading columns of each array.  Binding to a new pair resets
-    the cuts list and the noise, so a used workspace gives what a fresh one
-    gives, bit for bit; no order column is written before a Voronoi pass.
-    A pass returns read-only views of its arrays, overwritten by the next
-    pass: copy what you keep.
+    It holds one ensemble and keeps only what depends on it: ``noise(c)``,
+    and per step n the sort order and cells of the step's last partition,
+    as column-major intp arrays, and the rank cuts of its last Voronoi
+    partition, by reference in a per-step list.  A step's order and cells
+    are carried exactly when its cuts entry is not None; a hypercube step
+    stores None there.  The carry checks itself (see ``build_partition``),
+    so the passes of every problem, basis and K on the held ensemble share
+    it.  A pass on another ensemble (``serve``) holds that one instead and
+    drops the noise and the cuts, so a used workspace gives what a fresh
+    one gives, bit for bit; no order column is written before a Voronoi
+    pass.  A pass returns read-only views of its arrays, overwritten by the
+    next pass: copy what you keep.
 
     Between solves it holds the last ensemble a solve drew through
-    ``ensemble``, so consecutive solves that need the same one share it.
+    ``ensemble``, so consecutive solves that need the same one share it,
+    and what was kept for it.
     """
 
     def __init__(self, L: int, N: int):
         self._orders = np.empty((L, N), dtype=np.intp, order="F")
         self._cells = np.empty((L, N), dtype=np.intp, order="F")
-        self._cuts: list[Optional[np.ndarray]] = [None] * N
         self.states = np.empty((L, N + 1), order="F")
         self.p_hat = np.empty((L, N + 1), order="F")
         self.q_hat = np.zeros((L, N), order="F")
-        self.noise = None
         self.f = np.empty(L)
-        self._bound, self._q_live = None, False
-        self._full = (self.q_hat, self.states, self.p_hat)
-        self._held: Optional[tuple[tuple, BrownianEnsemble]] = None
+        self._q_written = False
+        self._hold()
+
+    def _hold(self, key: Optional[tuple] = None, bw: Optional[BrownianEnsemble] = None) -> None:
+        """Hold ``bw`` for ``key`` (None for an ensemble a pass brought in),
+        or nothing, with nothing kept for it."""
+        self._held = None if bw is None else (key, bw)
+        self._noise: Optional[tuple[str, np.ndarray]] = None
+        self._cuts: list[Optional[np.ndarray]] = [None] * self._orders.shape[1]
 
     def ensemble(self, key: tuple, draw: Callable[[], BrownianEnsemble]) -> BrownianEnsemble:
         """The held ensemble if it was drawn for ``key``; else drop it, so
         two ensembles are never alive at once, and hold ``draw()`` for
         ``key``.  The ensemble is read-only, so sharing it is safe."""
-        if self._held is not None and self._held[0] == key:
-            return self._held[1]
-        self._held = None
-        bw = draw()
-        self._held = (key, bw)
-        return bw
+        if self._held is None or self._held[0] != key:
+            self._hold()
+            self._hold(key, draw())
+        return self._held[1]
 
-    def bind(self, problem: GridProblem, bw: BrownianEnsemble) -> None:
-        """Serve the passes of ``problem`` on ``bw``; a no-op when it already
-        does.  Weak references name the pair: binding keeps neither alive
-        (only ``ensemble`` holds one)."""
-        bound = self._bound
-        if bound is not None and bound[0]() is problem and bound[1]() is bw:
-            return
-        q_hat, states, p_hat = self._full
-        n = bw.grid.N
-        if bw.L != len(states) or n >= states.shape[1] or problem.grid != bw.grid:
-            raise ValueError(f"workspace holds {len(states)} paths of up to "
-                             f"{states.shape[1] - 1} steps")
-        self._bound = None
-        q_live = problem.sigma_y_live or problem.sigma_u_live
-        if self._q_live and not q_live:
-            q_hat.fill(0.0)  # the last solve's Q-regression wrote it
-        self._q_live = q_live
-        self.q_hat, self.noise = q_hat[:, :n], None
-        self.states, self.p_hat = states[:, : n + 1], p_hat[:, : n + 1]
-        self._cuts = [None] * len(self._cuts)  # nothing is carried
-        self._bound = (weakref.ref(problem), weakref.ref(bw))
+    def serve(self, bw: BrownianEnsemble) -> None:
+        """Serve a pass on ``bw``: hold it, unless it is the held ensemble."""
+        L, n = self.states.shape
+        if bw.L != L or bw.grid.N >= n:
+            raise ValueError(f"workspace holds {L} paths of up to {n - 1} steps")
+        if self._held is None or self._held[1] is not bw:
+            self._hold(None, bw)
+
+    def noise(self, c: float) -> np.ndarray:
+        """c dW of the held ensemble, made once per value of c."""
+        bits = c.hex()  # -0.0 dW and 0.0 dW differ
+        if self._noise is None or self._noise[0] != bits:
+            self._noise = None  # never two noise arrays at once
+            with np.errstate(over="ignore"):
+                self._noise = (bits, np.multiply(c, self._held[1].increments))
+        return self._noise[1]
 
 
 def _quantile_plan(n: int, q: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -365,8 +360,8 @@ def solve_bsde_hat(
 
     The pass writes p_hat and q_hat into ``workspace``, which its next pass
     overwrites, and reuses the partitions that earlier passes on the same
-    (problem, ensemble) pair carried there; without one it runs in a fresh
-    ``Workspace(L, N)``.
+    ensemble carried there, whatever their problem; without one it runs in
+    a fresh ``Workspace(L, N)``.
     A non-finite target spreads through p_{n+1} to every earlier fit, so one
     check after the pass finds it, and the highest non-finite fit names it.
     """
@@ -378,14 +373,17 @@ def solve_bsde_hat(
     N, L, dt = grid.N, paths.L, grid.dt
     if workspace is None:
         workspace = Workspace(L, N)
-    workspace.bind(problem, bw)
+    workspace.serve(bw)
+    q_live = problem.sigma_y_live or problem.sigma_u_live
+    if workspace._q_written and not q_live:
+        workspace.q_hat.fill(0.0)  # an earlier pass's Q-regression wrote it
+    workspace._q_written = q_live
     orders, cells, cuts = workspace._orders, workspace._cells, workspace._cuts
     y = paths.states
     dw = bw.increments
     diff, costs = problem.spec.diffusion, problem.spec.costs
-    q_live = problem.sigma_y_live or problem.sigma_u_live
     nodes, b_y = grid.nodes.tolist(), problem.b_y.tolist()
-    p, q, f = workspace.p_hat, workspace.q_hat, workspace.f
+    p, q, f = workspace.p_hat[:, : N + 1], workspace.q_hat[:, :N], workspace.f
     u_values = control.values.tolist()
     p[:, N] = costs.g(y[:, N])
 
@@ -417,4 +415,4 @@ def solve_bsde_hat(
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]
         raise SimulationError(f"non-finite regression target at step {bad}")
-    return BsdeSolution(grid=grid, p_hat=p.view(), q_hat=q.view())
+    return BsdeSolution(grid=grid, p_hat=p, q_hat=q)

@@ -263,24 +263,23 @@ def solve(
     falls below eps0 or max_iters is reached (reported, not raised).
 
     Every pass writes into ``workspace``, a ``Workspace(L, N')`` with
-    N' >= N that earlier solves of any basis may have used (it is rebound, so
-    the result is the same bit for bit), or into a new one.  When mu = 0 the
+    N' >= N that earlier solves of any problem and basis may have used (the
+    result is the same bit for bit), or into a new one.  When mu = 0 the
     updated control is u_half to the byte, so the next pass under it is
     skipped: the workspace already holds its states.
 
     The ensemble, fixed by (seed, L, grid, normalize_increments), is the one
-    ``workspace`` holds for those four, or a new draw.  With sigma_y = ``ZERO``
+    the workspace holds for those four, or a new draw.  With sigma_y = ``ZERO``
     and normalized increments, a final feasibility residual above
     FEASIBILITY_TOL * max(1, |delta|, |I_hat|) raises ``SimulationError``."""
     grid = u0.grid
+    ws = Workspace(config.L, grid.N) if workspace is None else workspace
     start = time.perf_counter()
     key = (config.seed, config.L, grid, config.normalize_increments)
-    draw = functools.partial(gen_brownian, *key)
-    bw = draw() if workspace is None else workspace.ensemble(key, draw)
+    bw = ws.ensemble(key, functools.partial(gen_brownian, *key))
     gp = discretize(problem, grid)
     psi, I_tilde = solve_kernels(grid, gp.b_y, gp.b_u)
     setup_time = time.perf_counter() - start
-    ws = Workspace(config.L, grid.N) if workspace is None else workspace
 
     u = u0
     mu = 0.0

@@ -15,8 +15,8 @@ propagate through identical noise (common random numbers); solves through
 one ``lsmc.Workspace`` with the same (seed, L, grid, normalization), such as
 the components of a vector sweep on one grid, share it.  Each Euler pass
 checks its states for finiteness once, at its end.  A step whose b_y is +0.0
-adds its drift to every path as one scalar, and a constant diffusion adds its
-column of sigma dW, an array the first pass of a solve fills.
+adds its drift to every path as one scalar, and a constant sigma c adds its
+column of c dW, an array the workspace makes once per c and ensemble.
 
 Storage order: every per-step ensemble array (``BrownianEnsemble.increments``,
 ``PathEnsemble.states`` and the LSMC ``BsdeSolution.p_hat``/``q_hat``) is
@@ -189,9 +189,9 @@ def euler_simulate(
     adds the one scalar (b_u[n] u_n + m[n]) dt to y_n: the term it drops,
     b_y[n] y_n, is then a signed zero that changes no finite sum (with
     b_y[n] = -0.0 it can flip the sign of a zero state, so such a step keeps
-    the full formula).  A ``problems.constant`` sigma is never called: each
-    step adds its column of the noise array sigma dW, the same product, which
-    the first pass after the workspace is bound to (problem, bw) fills.  Each
+    the full formula).  A ``problems.constant(c)`` sigma is never called:
+    each step adds its column of the noise array c dW, the same product,
+    which the workspace makes once per c for the ensemble it holds.  Each
     step adds y_n, so a state stays non-finite once it is: the last column is
     the pass's one check.
 
@@ -206,11 +206,10 @@ def euler_simulate(
     if workspace is None:
         from .lsmc import Workspace  # lsmc imports this module
         workspace = Workspace(bw.L, grid.N)
-    workspace.bind(problem, bw)
-    states, noise = workspace.states, workspace.noise
-    if noise is None and problem.sigma_value is not None:
-        with np.errstate(over="ignore"):
-            noise = workspace.noise = np.multiply(problem.sigma_value, bw.increments)
+    workspace.serve(bw)
+    states = workspace.states[:, : grid.N + 1]
+    c = problem.sigma_value
+    noise = None if c is None else workspace.noise(c)
     by, bu, m = problem.b_y.tolist(), problem.b_u.tolist(), problem.m.tolist()
     sigma, dw = problem.spec.diffusion.sigma, bw.increments
 
@@ -233,7 +232,7 @@ def euler_simulate(
     if not np.isfinite(states[:, -1]).all():
         bad = 1 + np.argmin(np.isfinite(states[:, 1:]).all(axis=0))
         raise SimulationError(f"non-finite state at step {bad}")
-    return PathEnsemble(grid=grid, states=states.view())
+    return PathEnsemble(grid=grid, states=states)
 
 
 def mean_state_integral(paths: PathEnsemble) -> float:

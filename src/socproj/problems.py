@@ -139,6 +139,8 @@ class ProblemSpec:
             raise ValueError("horizon T must be finite")
         if not -inf < self.delta <= inf:
             raise ValueError("constraint level delta must be finite or +inf")
+        if not isfinite(self.y0):
+            raise ValueError("initial state y0 must be finite")
 
 
 @dataclass(frozen=True)

@@ -266,7 +266,7 @@ class TestBackwardSolver:
         grid, u, bw, ens = self._inputs(prob)
         spec = BasisSpec(VORONOI, 5)
         L, N = bw.increments.shape
-        # another path count or fewer steps fail to bind (more steps serve
+        # another path count or fewer steps are rejected (more steps serve
         # the leading columns)
         for shape in ((L + 1, N), (L, N - 1)):
             with pytest.raises(ValueError, match="workspace holds"):

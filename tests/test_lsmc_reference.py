@@ -232,8 +232,9 @@ def test_warm_pass_with_another_ensembles_orders_is_bitwise_cold():
     u = nodal_sample(lambda t: 0.3 * (1.0 - t), grid)
     other = gen_brownian(5, 600, grid)
     bw = gen_brownian(31, 600, grid)
-    # binding to (gp, bw) resets what the workspace carries, so the first
-    # pass regresses the other ensemble's states on bw's increments
+    # serving bw resets what the workspace carries, so the first pass
+    # leaves orders of the other ensemble's states, which the warm pass on
+    # bw's own states must re-sort
     ws = Workspace(600, grid.N)
     solve_bsde_hat(euler_simulate(gp, u, other), bw, gp, u, spec, ws)
     assert np.all(ws._orders >= 0)

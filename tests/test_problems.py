@@ -175,11 +175,19 @@ class TestDeclaredBounds:
             lambda: dataclasses.replace(example2(alpha=0.1), delta=-math.inf),
             "constraint level delta must be finite or +inf",
         ),
+        (
+            lambda: dataclasses.replace(example2(alpha=0.1), y0=math.nan),
+            "initial state y0 must be finite",
+        ),
+        (
+            lambda: dataclasses.replace(example2(alpha=0.1), y0=math.inf),
+            "initial state y0 must be finite",
+        ),
         (lambda: VectorProblem(components=()), "need at least one component"),
         (lambda: example3(alpha=0.0), "alpha must be nonzero"),
     ],
     ids=[
-        "T=0", "T<0", "T=nan", "T=inf", "delta=nan", "delta=-inf",
+        "T=0", "T<0", "T=nan", "T=inf", "delta=nan", "delta=-inf", "y0=nan", "y0=inf",
         "empty-vector", "example3-alpha0",
     ],
 )

@@ -1,7 +1,8 @@
 """One workspace per solve: the arrays it holds change no bit of a result.
 
 A ``Workspace`` is allocated once and every pass writes into it; a
-``problems.constant`` sigma takes its noise term from one array per solve;
+``problems.constant`` sigma takes its noise term from one array per value
+and ensemble; the components of a sweep on one grid share the carry;
 and with mu = 0 the next Euler pass is skipped.  Each is checked against a
 pass in a fresh workspace or a sigma called per step.
 """
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from socproj import optimizer
+from socproj import lsmc, optimizer
+from socproj.bench import SweepConfig, run_sweep
 from socproj.gridfn import StepFunction, TimeGrid, constant_control, nodal_sample
 from socproj.lsmc import (
     HYPERCUBE,
@@ -110,6 +112,13 @@ class TestConstantSigma:
         assert calls == []
         assert np.array_equal(ens.states, ws_ens.states)
 
+    def test_noise_is_made_once_per_value_of_sigma_and_its_sign(self):
+        ws = Workspace(50, 6)
+        ws.serve(gen_brownian(3, 50, TimeGrid(1.0, 6)))
+        assert ws.noise(0.1) is ws.noise(0.1)
+        plus = np.signbit(ws.noise(0.0))
+        assert (np.signbit(ws.noise(-0.0)) != plus).all()
+
 
 class TestWorkspaceReuse:
     def test_solve_on_a_workspace_another_seed_used_matches_a_fresh_solve(self):
@@ -170,6 +179,25 @@ class TestWorkspaceReuse:
         assert ws.ensemble(key, lambda: pytest.fail("the solve's ensemble is held")).grid == grid
         _assert_same_solve(used, solve(EXAMPLE1, CFG1, constant_control(grid, 0.0)))
 
+    def test_the_carry_spans_the_components_on_one_grid(self, monkeypatch):
+        # example1's two components draw one ensemble, so the second one's
+        # first backward pass starts from the partitions the first one left
+        carried, build = [], lsmc.build_partition
+
+        def traced_build(samples, spec, cells, order, cuts=None):
+            carried.append(cuts is not None)
+            return build(samples, spec, cells, order, cuts)
+
+        monkeypatch.setattr(lsmc, "build_partition", traced_build)
+        N = 8
+        cfg = SweepConfig(problem="example1", N_list=[N], d=2, mu_star=0.3, L=400,
+                          rho=0.5, eps0=5e-4, seed=5, basis_kind=VORONOI, basis_K=8)
+        first, second = run_sweep(cfg, write=False)
+        start = first.rows[0].iterations * N
+        assert len(carried) == start + second.rows[0].iterations * N
+        assert carried[:N] == [False] * N
+        assert carried[start : start + N] == [True] * N
+
     def test_workspace_of_another_size_is_rejected(self):
         grid = TimeGrid(1.0, 8)
         for L, N in ((CFG1.L + 1, 8), (CFG1.L, 7)):
@@ -224,7 +252,7 @@ class TestPasses:
             assert got.p_hat.tobytes() == want.p_hat.tobytes()
             assert got.q_hat.tobytes() == want.q_hat.tobytes()
 
-    def test_only_a_voronoi_pass_writes_orders_and_binding_drops_its_cuts(self, inputs):
+    def test_only_a_voronoi_pass_writes_orders_and_a_new_ensemble_drops_its_cuts(self, inputs):
         gp, u, bw = inputs
         ws = Workspace(300, 10)
         ws._orders.fill(7)
@@ -255,7 +283,7 @@ class TestPasses:
         assert got.p_hat.tobytes() == want.p_hat.tobytes()
         assert got.q_hat.tobytes() == want.q_hat.tobytes()
 
-    def test_a_bound_workspace_follows_a_new_ensemble(self, inputs):
+    def test_a_workspace_follows_a_new_ensemble(self, inputs):
         gp, u, bw = inputs
         other = gen_brownian(9, 300, bw.grid)
         sigma = constant(0.2)
@@ -266,12 +294,15 @@ class TestPasses:
         assert again.states.tobytes() == euler_simulate(gp, u, other).states.tobytes()
 
 
-# The (problem, ensemble) pairs that one workspace serves in turn, all on one
-# grid shorter than the workspace: example1 has a constant sigma and no
-# Q-regression, example2 and example3 regress Q, and example3's noise moves
-# the paths' ranks.  Each backward pass draws its basis and K.
+# The problems and ensembles that one workspace serves in turn, all on one
+# grid shorter than the workspace: example1, also with sigma 0.2, has a
+# constant sigma and no Q-regression, so two of them share an ensemble's
+# noise only by value; example2 and example3 regress Q, and example3's noise
+# moves the paths' ranks.  The carry on an ensemble spans every problem.
+# Each backward pass draws its basis and K.
 GRID = TimeGrid(1.0, 8)
 PROBLEMS = [discretize(p, GRID) for p in (example2(alpha=0.1), example3(alpha=0.1), EXAMPLE1)]
+PROBLEMS.append(discretize(_with_sigma(EXAMPLE1, constant(0.2)), GRID))
 ENSEMBLES = [gen_brownian(seed, 80, GRID) for seed in (3, 4)]
 PASS = st.tuples(
     st.sampled_from(["euler", "backward"]),
