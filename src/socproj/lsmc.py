@@ -10,13 +10,15 @@ A Voronoi partition needs the step's samples in sorted order: its K quantiles
 are read off the sorted column in one gather, through a cached read-only
 plan, with the same arithmetic as ``np.quantile(method="linear")``, so they
 match it bit for bit; strictly increasing quantiles are already the sorted
-unique centers, so only tied ones go through ``np.unique``.  Every sample's
-cell comes from rank cuts in that sorted column.  The cell array is
-the only link between partition and regression: ``build_partition`` fills one
-per step, with the per-cell counts, and ``regress`` takes both for the P- and
-the Q-regression of that step.  A ``Workspace``, which serves every problem,
-basis and K, carries each step's sort order and cells from one backward pass
-to the next on the same ensemble, and the step's last rank cuts by reference.
+unique centers, and tied ones are sorted and keep the first of each run of
+equal values: the float64 path of ``np.unique`` without its masked-array
+check, which imports ``numpy.ma``.  Every sample's cell comes from rank cuts
+in that sorted column.  The cell array is the only link between partition
+and regression: ``build_partition`` fills one per step, with the per-cell
+counts, and ``regress`` takes both for the P- and the Q-regression of that
+step.  A ``Workspace``, which serves every problem, basis and K, carries
+each step's sort order and cells from one backward pass to the next on the
+same ensemble, and the step's last rank cuts by reference.
 The carried order still sorts samples that kept their ranks (every warm step
 of example1); else a stable argsort of the gathered column completes it,
 cheaper than a fresh sort when few paths swap (most warm steps of example2).
@@ -42,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,7 +139,10 @@ class Workspace:
     drops the noise and the cuts, so a used workspace gives what a fresh
     one gives, bit for bit; no order column is written before a Voronoi
     pass.  A pass returns read-only views of its arrays, overwritten by the
-    next pass: copy what you keep.
+    next pass that writes them.  The workspace counts the Euler passes and
+    the backward passes; the ``PathEnsemble`` or ``BsdeSolution`` a pass
+    returns keeps its count, and the stages that read one raise once a
+    later pass has overwritten it.
 
     Between solves it holds the last ensemble a solve drew through
     ``ensemble``, so consecutive solves that need the same one share it,
@@ -152,6 +157,7 @@ class Workspace:
         self.q_hat = np.zeros((L, N), order="F")
         self.f = np.empty(L)
         self._q_written = False
+        self._state_passes = self._adjoint_passes = 0
         self._hold()
 
     def _hold(self, key: Optional[tuple] = None, bw: Optional[BrownianEnsemble] = None) -> None:
@@ -170,11 +176,15 @@ class Workspace:
             self._hold(key, draw())
         return self._held[1]
 
+    def check_size(self, L: int, N: int) -> None:
+        """Raise unless the workspace holds L paths of N or more steps."""
+        rows, cols = self.states.shape
+        if L != rows or N >= cols:
+            raise ValueError(f"workspace holds {rows} paths of up to {cols - 1} steps")
+
     def serve(self, bw: BrownianEnsemble) -> None:
         """Serve a pass on ``bw``: hold it, unless it is the held ensemble."""
-        L, n = self.states.shape
-        if bw.L != L or bw.grid.N >= n:
-            raise ValueError(f"workspace holds {L} paths of up to {n - 1} steps")
+        self.check_size(bw.L, bw.grid.N)
         if self._held is None or self._held[1] is not bw:
             self._hold(None, bw)
 
@@ -253,6 +263,8 @@ def build_partition(
     carry saves).  Without ``cuts`` whatever ``order`` holds is ignored.
     When the carried order still sorts the samples and the cuts come out as
     carried, ``cells`` already holds the step's cells and is left as it is.
+    Tied centers merge as ``np.unique`` merges them, -0.0 with 0.0; its NaN
+    handling is moot, since every Euler pass rejects non-finite states.
     """
     samples = np.asarray(samples, dtype=float)
     if len(samples) < 1:
@@ -286,9 +298,12 @@ def _voronoi_partition(
         carried = False
     plan, ids = _voronoi_plan(len(ordered), k)
     centers = _linear_quantiles(ordered, plan)
-    # Strictly increasing quantiles are their own sorted unique values.
+    # Strictly increasing quantiles are their own sorted unique values; tied
+    # ones keep the first of each run of equals after a sort: np.unique's
+    # float64 path, without the np.ma check that imports numpy.ma.
     if not (centers[:-1] < centers[1:]).all():
-        centers = np.unique(centers)
+        centers = np.sort(centers)
+        centers = centers[np.concatenate(([True], centers[1:] != centers[:-1]))]
     n_cells = len(centers)
     boundaries = np.add(centers[:-1], centers[1:])
     boundaries *= 0.5
@@ -329,15 +344,23 @@ class BsdeSolution:
     terminal column, q_hat is (L, N), both column-major like the ensembles,
     so step n's values are the contiguous column [:, n], and read-only.
     q_hat is all zeros when the Q-regression was skipped (sigma_y and sigma_u
-    both ``ZERO``)."""
+    both ``ZERO``).  A solution that a pass wrote into a workspace keeps the
+    workspace and its backward pass count, as a ``PathEnsemble`` keeps its
+    Euler pass count."""
 
     grid: TimeGrid
     p_hat: np.ndarray
     q_hat: np.ndarray
+    _stamp: Optional[tuple[Workspace, int]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         self.p_hat.setflags(write=False)
         self.q_hat.setflags(write=False)
+
+    def _check_current(self) -> None:
+        """Raise if a later backward pass through its workspace overwrote it."""
+        if self._stamp is not None and self._stamp[0]._adjoint_passes != self._stamp[1]:
+            raise ValueError("stale BsdeSolution: the workspace's next backward pass overwrote it")
 
 
 def solve_bsde_hat(
@@ -358,10 +381,11 @@ def solve_bsde_hat(
     A step with b_y[n] = 0.0 of either sign drops the signed zero p b_y[n]
     (see the module docstring).
 
-    The pass writes p_hat and q_hat into ``workspace``, which its next pass
-    overwrites, and reuses the partitions that earlier passes on the same
-    ensemble carried there, whatever their problem; without one it runs in
-    a fresh ``Workspace(L, N)``.
+    The pass writes p_hat and q_hat into ``workspace``, which its next
+    backward pass overwrites, and reuses the partitions that earlier passes
+    on the same ensemble carried there, whatever their problem; without one
+    it runs in a fresh ``Workspace(L, N)``.  Paths that a later Euler pass
+    through their workspace overwrote raise ValueError.
     A non-finite target spreads through p_{n+1} to every earlier fit, so one
     check after the pass finds it, and the highest non-finite fit names it.
     """
@@ -369,11 +393,14 @@ def solve_bsde_hat(
         raise ValueError("paths, increments, control and problem must share one grid")
     if paths.L != bw.L:
         raise ValueError("paths and increments must share the path count")
+    paths._check_current()
     grid = paths.grid
     N, L, dt = grid.N, paths.L, grid.dt
-    if workspace is None:
+    fresh = workspace is None
+    if fresh:
         workspace = Workspace(L, N)
     workspace.serve(bw)
+    workspace._adjoint_passes += 1
     q_live = problem.sigma_y_live or problem.sigma_u_live
     if workspace._q_written and not q_live:
         workspace.q_hat.fill(0.0)  # an earlier pass's Q-regression wrote it
@@ -415,4 +442,5 @@ def solve_bsde_hat(
     if not np.isfinite(p[:, 0]).all():
         bad = np.flatnonzero(~np.isfinite(p[:, :N]).all(axis=0))[-1]
         raise SimulationError(f"non-finite regression target at step {bad}")
-    return BsdeSolution(grid=grid, p_hat=p, q_hat=q)
+    stamp = None if fresh else (workspace, workspace._adjoint_passes)
+    return BsdeSolution(grid=grid, p_hat=p, q_hat=q, _stamp=stamp)

@@ -151,11 +151,14 @@ def gradient(
 
     A ``ZERO`` sigma_u (``problem.sigma_u_live`` is False) drops the Q-term:
     neither sigma_u nor q_hat is read.  Any other callback, even one
-    returning zeros, is evaluated on every interval.
+    returning zeros, is evaluated on every interval.  Paths or an adjoint
+    that a later pass through their workspace overwrote raise ValueError.
     """
     grid = control.grid
     if not (paths.grid == adj.grid == problem.grid == grid):
         raise ValueError("control, paths, adjoint and problem must share one grid")
+    paths._check_current()
+    adj._check_current()
     diff, costs = problem.spec.diffusion, problem.spec.costs
     mean_p = adj.p_hat[:, : grid.N].mean(axis=0).tolist()
     b_u, u_values = problem.b_u.tolist(), control.values.tolist()
@@ -274,6 +277,7 @@ def solve(
     FEASIBILITY_TOL * max(1, |delta|, |I_hat|) raises ``SimulationError``."""
     grid = u0.grid
     ws = Workspace(config.L, grid.N) if workspace is None else workspace
+    ws.check_size(config.L, grid.N)
     start = time.perf_counter()
     key = (config.seed, config.L, grid, config.normalize_increments)
     bw = ws.ensemble(key, functools.partial(gen_brownian, *key))

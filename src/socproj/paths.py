@@ -28,7 +28,7 @@ A mean across paths is ``.mean(axis=0)``, a pairwise sum down each column.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -94,10 +94,13 @@ class BrownianEnsemble:
 class PathEnsemble:
     """L Euler state trajectories on a grid, shape (L, N+1), stored
     column-major (a row-major array is converted once): node n's states are
-    the contiguous column [:, n]."""
+    the contiguous column [:, n].  An ensemble that a pass wrote into a
+    workspace keeps the workspace and its Euler pass count; built any other
+    way it keeps None and is never found stale."""
 
     grid: TimeGrid
     states: np.ndarray
+    _stamp: Optional[tuple[Workspace, int]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.states.shape[1] != self.grid.N + 1:
@@ -108,6 +111,11 @@ class PathEnsemble:
     @property
     def L(self) -> int:
         return self.states.shape[0]
+
+    def _check_current(self) -> None:
+        """Raise if a later Euler pass through its workspace overwrote it."""
+        if self._stamp is not None and self._stamp[0]._state_passes != self._stamp[1]:
+            raise ValueError("stale PathEnsemble: the workspace's next Euler pass overwrote it")
 
 
 def gen_brownian(
@@ -197,16 +205,19 @@ def euler_simulate(
 
     The pass writes into the state array of ``workspace`` (and keeps the
     noise array there), so the returned states are overwritten by the next
-    pass through it; without one it runs in a fresh ``lsmc.Workspace``.
+    pass through it, and the stages that read them raise from then on;
+    without one it runs in a fresh ``lsmc.Workspace``.
     """
     if not (problem.grid == control.grid == bw.grid):
         raise ValueError("problem, control and increments live on different grids")
     grid = bw.grid
     dt = grid.dt
-    if workspace is None:
+    fresh = workspace is None
+    if fresh:
         from .lsmc import Workspace  # lsmc imports this module
         workspace = Workspace(bw.L, grid.N)
     workspace.serve(bw)
+    workspace._state_passes += 1
     states = workspace.states[:, : grid.N + 1]
     c = problem.sigma_value
     noise = None if c is None else workspace.noise(c)
@@ -232,9 +243,11 @@ def euler_simulate(
     if not np.isfinite(states[:, -1]).all():
         bad = 1 + np.argmin(np.isfinite(states[:, 1:]).all(axis=0))
         raise SimulationError(f"non-finite state at step {bad}")
-    return PathEnsemble(grid=grid, states=states)
+    stamp = None if fresh else (workspace, workspace._state_passes)
+    return PathEnsemble(grid=grid, states=states, _stamp=stamp)
 
 
 def mean_state_integral(paths: PathEnsemble) -> float:
     """Trapezoidal rule applied to the cross-path nodal means."""
+    paths._check_current()
     return trapezoid(paths.states.mean(axis=0), paths.grid)

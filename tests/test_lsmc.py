@@ -1,5 +1,10 @@
 """Partition, regression and backward-solver tests."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -421,3 +426,29 @@ def test_partition_and_pass_inputs_are_checked(case, message):
     with pytest.raises(ValueError) as info:
         calls[case]()
     assert str(info.value) == message
+
+
+def test_voronoi_sweeps_never_import_numpy_ma():
+    """Tied Voronoi centers (step 0, where every path sits at y0, and
+    example2's first pass under u0 = 0) merge without ``np.unique``, whose
+    masked-array check imports ``numpy.ma``.  Other tests import it, so the
+    sweeps run in a fresh interpreter."""
+    code = textwrap.dedent(
+        f"""
+        import json, sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(lsmc.__file__))!r})
+        import numpy.random
+        import socproj
+        from socproj.bench import SweepConfig, run_sweep
+        before = set(sys.modules)
+        run_sweep(SweepConfig(problem="example2", N_list=[4, 8], L=200), write=False)
+        run_sweep(SweepConfig(problem="example1", N_list=[4, 8], d=2, mu_star=0.3, L=200),
+                  write=False)
+        new = sorted(set(sys.modules) - before)
+        print(json.dumps(["numpy.ma" in sys.modules, new]))
+        """
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    imported_ma, new = json.loads(run.stdout)
+    assert not imported_ma, f"the sweeps imported {new}"

@@ -72,6 +72,10 @@ class TestSortedPartitionMatchesQuantileOracle:
     # quantiles -0.0, 0.0, 0.0 and 1: not strictly increasing, so np.unique
     # merges the tied centers, -0.0 with 0.0
     @example(samples=np.repeat([-0.0, 0.0, 1.0], 5), kind=VORONOI, K=4)
+    # every path at y0, as at step 0: 30 equal quantiles merge into one center
+    @example(samples=np.full(50, 0.3), kind=VORONOI, K=30)
+    # interior ties: runs of equal quantiles at -1, 0 and 2
+    @example(samples=np.repeat([-1.0, 0.0, 2.0], [5, 40, 5]), kind=VORONOI, K=10)
     def test_fields_and_cells_bitwise(self, samples, kind, K):
         spec = BasisSpec(kind, K)
         ref = reference_build_partition(samples, spec)

@@ -27,7 +27,13 @@ from socproj.lsmc import (
     solve_bsde_hat,
 )
 from socproj.optimizer import SolveConfig, solve
-from socproj.paths import PathEnsemble, SimulationError, euler_simulate, gen_brownian
+from socproj.paths import (
+    PathEnsemble,
+    SimulationError,
+    euler_simulate,
+    gen_brownian,
+    mean_state_integral,
+)
 from socproj.problems import (
     ZERO,
     CostDerivatives,
@@ -198,11 +204,25 @@ class TestWorkspaceReuse:
         assert carried[:N] == [False] * N
         assert carried[start : start + N] == [True] * N
 
-    def test_workspace_of_another_size_is_rejected(self):
+    def test_workspace_of_another_size_is_rejected(self, monkeypatch):
+        # the size is checked before the solve draws, so the held ensemble
+        # is kept and nothing is drawn
         grid = TimeGrid(1.0, 8)
+        draws = []
+
+        def counted(*args):
+            draws.append(args)
+            return gen_brownian(*args)
+
+        monkeypatch.setattr(optimizer, "gen_brownian", counted)
         for L, N in ((CFG1.L + 1, 8), (CFG1.L, 7)):
-            with pytest.raises(ValueError, match="workspace holds"):
-                solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), Workspace(L, N))
+            ws = Workspace(L, N)
+            old_key = (CFG1.seed, L, TimeGrid(1.0, N), True)
+            held = ws.ensemble(old_key, functools.partial(gen_brownian, *old_key))
+            with pytest.raises(ValueError, match=f"workspace holds {L} paths of up to {N} steps"):
+                solve(EXAMPLE1, CFG1, constant_control(grid, 0.0), ws)
+            assert ws.ensemble(old_key, lambda: pytest.fail("the held ensemble was dropped")) is held
+        assert draws == []
 
 
 class TestPasses:
@@ -282,6 +302,33 @@ class TestPasses:
         got, want = solve_bsde_hat(ens, bw, gp, u, spec, ws), solve_bsde_hat(ens, bw, gp, u, spec)
         assert got.p_hat.tobytes() == want.p_hat.tobytes()
         assert got.q_hat.tobytes() == want.q_hat.tobytes()
+
+    def test_a_stale_view_raises(self):
+        # the second Euler pass overwrites the states the first one returned,
+        # and the second backward pass the first one's adjoint
+        grid = TimeGrid(1.0, 8)
+        gp, bw = discretize(example2(alpha=0.1), grid), gen_brownian(3, 500, grid)
+        u1, u2 = constant_control(grid, 0.0), nodal_sample(lambda t: 0.4 * (1.0 - t), grid)
+        spec, ws = BasisSpec(VORONOI, 10), Workspace(500, 8)
+        e1 = euler_simulate(gp, u1, bw, ws)
+        e2 = euler_simulate(gp, u2, bw, ws)
+        assert np.shares_memory(e1.states, e2.states)
+        adj1 = solve_bsde_hat(e2, bw, gp, u2, spec, ws)
+        adj2 = solve_bsde_hat(e2, bw, gp, u2, spec, ws)
+        stale_paths = "next Euler pass overwrote it"
+        with pytest.raises(ValueError, match=stale_paths):
+            solve_bsde_hat(e1, bw, gp, u1, spec, ws)
+        with pytest.raises(ValueError, match=stale_paths):
+            optimizer.gradient(u1, e1, adj2, gp)
+        with pytest.raises(ValueError, match=stale_paths):
+            mean_state_integral(e1)
+        with pytest.raises(ValueError, match="next backward pass overwrote it"):
+            optimizer.gradient(u2, e2, adj1, gp)
+        # the current views, and the fresh arrays of a pass without a
+        # workspace, stay usable
+        optimizer.gradient(u2, e2, adj2, gp)
+        mean_state_integral(e2)
+        mean_state_integral(euler_simulate(gp, u1, bw))
 
     def test_a_workspace_follows_a_new_ensemble(self, inputs):
         gp, u, bw = inputs
